@@ -128,6 +128,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_encode(args) -> int:
     payload, origin = _read_raw(args.input)
+    if not _is_pgm(args.input):
+        # the FSG1 container stores 64-bit integers; refuse before encoding
+        rational = [v for v in payload if v.denominator != 1]
+        if rational:
+            raise ValueError("encode stores integer samples only; "
+                             f"{args.input} holds the rational sample {rational[0]}")
     enc = codec.encode(payload, args.policy, origin=origin)
     write_container_file(args.output, enc)
     shape = "x".join(str(d) for d in enc.shape)

@@ -204,8 +204,9 @@ def read_container(data: bytes) -> EncodedSignal:
 
 
 def write_container_file(path, enc: EncodedSignal) -> None:
+    blob = write_container(enc)  # may raise: leave ``path`` untouched
     with open(path, "wb") as fh:
-        fh.write(write_container(enc))
+        fh.write(blob)
 
 
 def read_container_file(path) -> EncodedSignal:

@@ -628,16 +628,16 @@ def suite_codec(rng, instances):
         n = rng.randint(1, 40)
         sig = [rng.randint(-1000, 1000) for _ in range(n)]
         origin = rng.randint(-5, 5)
+        encoded = {}
         for policy in ("predecessor", "detected"):
-            enc = codec_mod.encode(sig, policy, origin=origin)
+            enc = encoded[policy] = codec_mod.encode(sig, policy, origin=origin)
             _expect(fl, codec_mod.decode(enc) == sig,
                     f"[{i}] 1-D round trip fails ({policy})")
             blob = write_container(enc)
             again = write_container(read_container(blob))
             _expect(fl, blob == again, f"[{i}] container bytes unstable ({policy})")
-        enc_p = codec_mod.encode(sig, "predecessor", origin=origin)
-        enc_d = codec_mod.encode(sig, "detected", origin=origin)
-        for rp, rd in zip(enc_p.records, enc_d.records):
+        for rp, rd in zip(encoded["predecessor"].records,
+                          encoded["detected"].records):
             np_ = sum(Fraction(d) * d for d in rp.delta)
             nd = sum(Fraction(d) * d for d in rd.delta)
             _expect(fl, nd <= np_, f"[{i}] detected norm above predecessor")

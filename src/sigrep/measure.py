@@ -1,9 +1,10 @@
 """Finite measure spaces over explicit point carriers.
 
 Sets are extensional: a subset of the carrier is an int bitmask in which bit
-``i`` stands for ``carrier.points[i]``.  A sigma-algebra is a finite family of
-such masks closed under complement and pairwise union; with everything finite
-the countable closure conditions collapse to these.
+``i`` stands for ``carrier.points[i]``.  A finite sigma-algebra is the power
+set of its atoms, so it is stored as its atoms: disjoint nonzero masks whose
+union is the carrier.  Membership, null sets and map flags are all decided
+on the atoms.
 
 Weights are nonnegative rationals (:class:`fractions.Fraction`), with
 ``float("inf")`` as the one admitted infinite value.  The measure of a set is
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import MapNotTotal, NotADirectSum, SpaceMismatch
 
@@ -23,8 +23,9 @@ INFINITY = float("inf")
 
 Weight = Union[Fraction, float]  # Fraction, or INFINITY
 
-#: Largest carrier for which the extensional (bitmask-family) representation
-#: is allowed.  Beyond this, power sets and closure loops stop being sane.
+#: Largest carrier accepted.  Sigma-algebras are stored by their atoms, but a
+#: Boolean hom is a table over all 2**k elements of its source algebra and
+#: ``SigmaAlgebra.members`` lists 2**k masks; 16 points caps both at 65536.
 MAX_CARRIER = 16
 
 
@@ -104,80 +105,102 @@ class FiniteCarrier:
         return f"FiniteCarrier({list(self.points)})"
 
 
+def _refine(full: int, masks: Iterable[int]) -> Tuple[int, ...]:
+    """Atoms of the sigma-algebra on ``full`` generated by ``masks``: the
+    partition ``{full}`` refined by each mask, sorted."""
+    blocks = [full] if full else []
+    for m in masks:
+        blocks = [part for b in blocks for part in (b & m, b & ~m) if part]
+    return tuple(sorted(blocks))
+
+
 class SigmaAlgebra:
-    """A family of subset masks containing 0 and the full mask, closed under
-    complement and pairwise union (hence intersection and difference)."""
+    """A sigma-algebra stored as its sorted ``atoms``; members are the unions
+    of atoms.  The constructor takes a family of members and refines
+    ``{full}`` by each, giving the atoms of the algebra the family generates;
+    a family holding 0 and ``full`` is closed exactly when it has
+    2**len(atoms) members."""
 
-    __slots__ = ("carrier", "members")
+    __slots__ = ("carrier", "atoms", "_members")
 
-    def __init__(self, carrier: FiniteCarrier, members: Iterable[int],
-                 validate: bool = True):
-        self.carrier = carrier
-        self.members: FrozenSet[int] = frozenset(members)
+    def __init__(self, carrier: FiniteCarrier, members: Iterable[int]):
+        family = frozenset(members)
         full = carrier.full_mask
-        if any(m < 0 or m > full for m in self.members):
+        if any(m < 0 or m > full for m in family):
             raise ValueError("member mask out of carrier range")
-        if 0 not in self.members or full not in self.members:
+        if 0 not in family or full not in family:
             raise ValueError("a sigma-algebra must contain the empty set and the carrier")
-        if validate and len(self.members) <= 1024:
-            for a in self.members:
-                if (full & ~a) not in self.members:
-                    raise ValueError("family not closed under complement")
-                for b in self.members:
-                    if (a | b) not in self.members:
-                        raise ValueError("family not closed under union")
+        atoms = _refine(full, family)
+        if len(family) != 1 << len(atoms):
+            raise ValueError("family not closed under complement and union")
+        self.carrier = carrier
+        self.atoms = atoms
+        self._members = family
+
+    @classmethod
+    def _from_atoms(cls, carrier: FiniteCarrier, atoms: Tuple[int, ...]) -> "SigmaAlgebra":
+        sig = cls.__new__(cls)
+        sig.carrier = carrier
+        sig.atoms = atoms
+        sig._members = None
+        return sig
+
+    @property
+    def members(self) -> FrozenSet[int]:
+        """Every member mask (all 2**len(atoms) unions of atoms)."""
+        if self._members is None:
+            unions = [0] * len(self)
+            for i in range(1, len(unions)):
+                low = i & -i
+                unions[i] = unions[i ^ low] | self.atoms[low.bit_length() - 1]
+            self._members = frozenset(unions)
+        return self._members
 
     def is_member(self, mask: int) -> bool:
-        return mask in self.members
+        """True when ``mask`` is a union of atoms."""
+        if mask < 0 or mask > self.carrier.full_mask:
+            return False
+        for a in self.atoms:
+            if mask & a and mask & a != a:
+                return False
+        return True
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
+    __contains__ = is_member
 
     def __iter__(self):
         return iter(sorted(self.members))
 
     def __len__(self):
-        return len(self.members)
+        return 1 << len(self.atoms)
 
     def __eq__(self, other):
         return (isinstance(other, SigmaAlgebra)
                 and self.carrier == other.carrier
-                and self.members == other.members)
+                and self.atoms == other.atoms)
 
     def __hash__(self):
-        return hash((self.carrier, self.members))
+        return hash((self.carrier, self.atoms))
 
     def __repr__(self):
-        return f"SigmaAlgebra(|X|={self.carrier.size}, members={len(self.members)})"
+        return f"SigmaAlgebra(|X|={self.carrier.size}, members={len(self)})"
 
 
 def generate_sigma_algebra(carrier: FiniteCarrier,
                            generators: Iterable[Iterable[int]]) -> SigmaAlgebra:
     """Smallest sigma-algebra on ``carrier`` containing every generator.
 
-    Generators are given as iterables of point labels.  The closure is the
-    fixed point of adding complements and pairwise unions, seeded with the
-    empty set and the full carrier.
+    Generators are given as iterables of point labels.  Its atoms come from
+    refining the one-block partition by each generator, in O(n) per
+    generator.
     """
-    full = carrier.full_mask
-    fam = {0, full}
-    for g in generators:
-        fam.add(carrier.mask_of(g))
-    while True:
-        fresh = set(fam)
-        for a in fam:
-            fresh.add(full & ~a)
-        for a in fam:
-            for b in fam:
-                fresh.add(a | b)
-        if fresh == fam:
-            return SigmaAlgebra(carrier, fam, validate=False)
-        fam = fresh
+    masks = [carrier.mask_of(g) for g in generators]
+    return SigmaAlgebra._from_atoms(carrier, _refine(carrier.full_mask, masks))
 
 
 def power_set_algebra(carrier: FiniteCarrier) -> SigmaAlgebra:
     """The discrete sigma-algebra: every subset of the carrier."""
-    return SigmaAlgebra(carrier, range(carrier.full_mask + 1), validate=False)
+    return SigmaAlgebra._from_atoms(
+        carrier, tuple(1 << i for i in range(carrier.size)))
 
 
 class FiniteMeasureSpace:
@@ -249,16 +272,14 @@ class FiniteMeasureSpace:
     def null_mask(self) -> int:
         """Union of all measurable null sets (the largest one).
 
-        Point-supported measures make this concrete: a measurable set is null
-        exactly when all its points carry weight zero, so the union of all
-        measurable null sets is itself measurable and null.
+        A measurable set is null exactly when every atom in it has mass
+        zero, so this is the union of the zero-mass atoms.
         """
         if self._null_mask is None:
             m = 0
-            for member in self.sigma.members:
-                if self._mass(member) == 0:
-                    m |= member
-            assert m in self.sigma and self._mass(m) == 0
+            for a in self.sigma.atoms:
+                if self._mass(a) == 0:
+                    m |= a
             self._null_mask = m
         return self._null_mask
 
@@ -316,14 +337,16 @@ class MeasurableMap:
     """A total point map between finite measure spaces.
 
     ``mapping`` sends every source label to a target label.  The three flags
-    are decided by exhaustive preimage checks over the target sigma-algebra:
+    are defined over every member of the target sigma-algebra:
 
     * measurable      -- every preimage is source-measurable;
     * nonsingular     -- measurable, and preimages of null sets are null;
     * imp             -- measurable, and preimages carry identical measure
                          (inverse-measure-preserving).
 
-    ``imp`` implies ``nonsingular`` implies ``measurable``.
+    ``imp`` implies ``nonsingular`` implies ``measurable``.  Members are
+    disjoint unions of target atoms and masses are nonnegative and additive,
+    so the flags are decided on the preimages of the target atoms alone.
     """
 
     __slots__ = ("source", "target", "mapping", "_flags")
@@ -366,20 +389,19 @@ class MeasurableMap:
 
     def _classify(self) -> MapFlags:
         src, tgt = self.source, self.target
-        measurable = True
         nonsingular = True
         imp = True
-        for f_mask in tgt.sigma.members:
-            pre = self.preimage_mask(f_mask)
+        for atom in tgt.sigma.atoms:
+            pre = self.preimage_mask(atom)
             if pre not in src.sigma:
                 return MapFlags(False, False, False)
-            nu = tgt._mass(f_mask)
+            nu = tgt._mass(atom)
             mu = src._mass(pre)
             if nu == 0 and mu != 0:
                 nonsingular = False
             if mu != nu:
                 imp = False
-        return MapFlags(measurable, nonsingular, imp and nonsingular)
+        return MapFlags(True, nonsingular, imp and nonsingular)
 
     @property
     def is_measurable(self) -> bool:
@@ -424,27 +446,16 @@ def compose_maps(psi: MeasurableMap, phi: MeasurableMap) -> MeasurableMap:
 
 
 def atoms(space: FiniteMeasureSpace) -> List[int]:
-    """Canonical atom representatives: the smallest measurable member of each
-    atom class, ordered by mask value.
+    """Canonical atom representatives: the positive-mass atoms of the
+    sigma-algebra, ordered by mask value.
 
-    An atom is a positive-measure measurable set all of whose measurable
-    subsets are either null or almost all of it.  Distinct measurable sets can
-    satisfy that predicate while differing only by a null set; one
-    representative per class is returned (smallest by point count, then by
-    mask).  For a counting measure this is exactly the singletons.
+    An atom of the measure is a positive-measure measurable set all of whose
+    measurable subsets are either null or almost all of it.  Such sets differ
+    from a positive-mass sigma-atom only by null sets, so each class is
+    represented by its sigma-atom, which is its smallest member.  For a
+    counting measure these are exactly the singletons.
     """
-    nm = space.null_mask
-    reduced_classes: Dict[int, List[int]] = {}
-    for member in space.sigma.members:
-        reduced_classes.setdefault(member & ~nm, []).append(member)
-    minimal = []
-    nonzero = [r for r in reduced_classes if r != 0]
-    for r in nonzero:
-        if not any(s != r and s & r == s for s in nonzero):
-            minimal.append(r)
-    reps = [min(reduced_classes[r], key=lambda m: (bin(m).count("1"), m))
-            for r in minimal]
-    return sorted(reps)
+    return [a for a in space.sigma.atoms if space._mass(a) != 0]
 
 
 def direct_sum(spaces: Sequence[FiniteMeasureSpace]
@@ -458,30 +469,15 @@ def direct_sum(spaces: Sequence[FiniteMeasureSpace]
     """
     if not spaces:
         raise ValueError("direct_sum needs at least one space")
-    sizes = [sp.carrier.size for sp in spaces]
-    total = sum(sizes)
-    if total > MAX_CARRIER:
-        raise ValueError("direct sum carrier too large")
     offsets = []
     off = 0
-    for n in sizes:
-        offsets.append(off)
-        off += n
-    carrier = FiniteCarrier(range(total))
-
-    member_count = 1
     for sp in spaces:
-        member_count *= len(sp.sigma)
-    if member_count > 1 << MAX_CARRIER:
-        raise ValueError("direct sum sigma-algebra too large")
-
-    members = []
-    for combo in product(*[sorted(sp.sigma.members) for sp in spaces]):
-        m = 0
-        for part, shift in zip(combo, offsets):
-            m |= part << shift
-        members.append(m)
-    sigma = SigmaAlgebra(carrier, members, validate=False)
+        offsets.append(off)
+        off += sp.carrier.size
+    carrier = FiniteCarrier(range(off))  # raises beyond MAX_CARRIER points
+    # each block sits above the previous one, so the atoms stay sorted
+    sigma = SigmaAlgebra._from_atoms(carrier, tuple(
+        a << shift for sp, shift in zip(spaces, offsets) for a in sp.sigma.atoms))
 
     weights: List[Weight] = []
     for sp in spaces:

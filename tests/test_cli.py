@@ -131,3 +131,35 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_encode_refuses_rational_samples(tmp_path, capsys):
+    from fractions import Fraction
+    sig = tmp_path / "half.csv"
+    write_csv_signal(sig, [1, Fraction(1, 2), 2])
+    code, _, err = run(capsys, "encode", str(sig), "-o", str(tmp_path / "h.fsg"))
+    assert code == 2
+    assert "integer samples only" in err and "rational sample 1/2" in err
+    # the rational's place does not change the message
+    write_csv_signal(sig, [Fraction(-1, 2), 3])
+    code, _, err = run(capsys, "encode", str(sig), "-o", str(tmp_path / "h.fsg"))
+    assert code == 2 and "rational sample -1/2" in err
+    # analyze still takes rationals
+    code, _, _ = run(capsys, "analyze", str(sig), "--segment-len", "1")
+    assert code == 0
+
+
+def test_failed_encode_leaves_output_alone(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    huge = tmp_path / "huge.csv"
+    out = tmp_path / "sig.fsg"
+    write_csv_signal(good, [1, 2, 3])
+    write_csv_signal(huge, [0, 1 << 63])   # does not fit the container
+    code, _, err = run(capsys, "encode", str(huge), "-o", str(out))
+    assert code == 2 and "64-bit" in err
+    assert not out.exists()
+    assert run(capsys, "encode", str(good), "-o", str(out))[0] == 0
+    before = out.read_bytes()
+    code, _, _ = run(capsys, "encode", str(huge), "-o", str(out))
+    assert code == 2
+    assert out.read_bytes() == before
