@@ -7,7 +7,8 @@ analyze         redundancy report for a CSV signal, as key=value lines
 encode          CSV signal or PGM image -> FSG1 container
 decode          FSG1 container -> CSV or PGM (chosen by the output extension)
 demo-prototype  worked unit-segment decomposition of 1,2,3,4,5
-stats           sparsity/entropy metrics for a raw file vs its container
+stats           sparsity/entropy metrics for a raw file vs its container,
+                and the container's size split by layout
 
 Exit codes: 0 success, 1 verification failure, 2 input or format error.
 """
@@ -19,7 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import codec
-from .container import read_container_file, write_container_file
+from .container import (container_layout, read_container_file,
+                        write_container_file)
 from .errors import SigrepError
 from .formats import read_csv_signal, read_pgm, write_csv_signal, write_pgm
 from .laws import run_all
@@ -183,6 +185,8 @@ def cmd_stats(args) -> int:
     print(f"raw_entropy_bits_per_sample={m.raw_entropy:.6f}")
     print(f"delta_entropy_bits_per_sample={m.delta_entropy:.6f}")
     print(f"encoded_size_bytes={m.encoded_size}")
+    for name, value in container_layout(enc)._asdict().items():
+        print(f"{name}={value}")
     return 0
 
 

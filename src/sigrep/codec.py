@@ -3,18 +3,26 @@
 Every sample after the seed is predicted from an already-decoded sample
 through a stored arrow record (lookup position S*j + T, amplitude c) and the
 exact residual delta is kept, so decoding reproduces the input bit for bit.
+A record applies its arrow along a run of consecutive targets and stores one
+delta per target.
 
 Policies:
 
 * ``predecessor`` (default): the arrow is fixed by position -- each sample
   reads its immediate predecessor (images read the left neighbour, first
   column reads the pixel above, the corner pixel is the seed).  This is the
-  classic DPCM/PNG-style filter; only integer work is done.
+  classic DPCM/PNG-style filter; only integer work is done.  One record
+  covers each run: a 1-D signal is a single left run (T = -1) of n - 1
+  deltas; an image is a left run for row 0, then per later row an up record
+  (T = -width, one delta) for column 0 and a left run for the rest of the
+  row.  The decoder also accepts any finer split of those runs, down to one
+  record per sample.
 * ``detected`` (1-D only): each unit segment gets the best arrow found by
   the translation / affine / amplitude detectors over all earlier segments,
   restricted to integer residuals so the container stays 64-bit.  The
   predecessor arrow is always among the candidates, so the chosen residual
-  norm never exceeds the predecessor policy's, segment by segment.
+  norm never exceeds the predecessor policy's, segment by segment.  Each
+  record holds one delta.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import log2
+from operator import sub
 from typing import List, Sequence, Tuple, Union
 
 from .container import (KIND_AFFINE, KIND_AMP_AFFINE, KIND_TRANSLATION,
@@ -39,10 +49,17 @@ _KIND_OF = {"translation": KIND_TRANSLATION, "affine": KIND_AFFINE,
             "amp_affine": KIND_AMP_AFFINE}
 
 
-def _check_sample(v) -> Number:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+def _check_samples(values: List) -> None:
+    """Raise TypeError naming the first value that is not an int or Fraction.
+
+    Each distinct type is checked once; the values are scanned again only to
+    name an offender.
+    """
+    bad = {t for t in set(map(type, values))
+           if t is bool or not issubclass(t, (int, Fraction))}
+    if bad:
+        v = next(v for v in values if type(v) in bad)
         raise TypeError(f"samples must be ints or Fractions, got {v!r}")
-    return v
 
 
 def _is_image(signal) -> bool:
@@ -59,19 +76,21 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
         raise ValueError(f"policy must be one of {POLICIES}")
     if _is_image(signal):
         return _encode_image(signal, policy)
-    samples = [_check_sample(v) for v in signal]
+    samples = list(signal)
+    _check_samples(samples)
     if not samples:
         raise EmptySignal("cannot encode an empty signal")
     if policy == "predecessor":
-        records = []
-        prev = samples[0]
-        append = records.append
-        for v in samples[1:]:
-            append(ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (v - prev,)))
-            prev = v
+        records = (_left_run(samples),) if len(samples) > 1 else ()
         return EncodedSignal(1, (len(samples),), origin, "predecessor",
-                             (samples[0],), tuple(records))
+                             (samples[0],), records)
     return _encode_detected(samples, origin)
+
+
+def _left_run(row) -> ArrowRecord:
+    """One T = -1 record whose deltas take ``row[0]`` to the rest of ``row``."""
+    return ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1,
+                       tuple(map(sub, row[1:], row)))
 
 
 def _encode_image(rows, policy: str) -> EncodedSignal:
@@ -85,25 +104,17 @@ def _encode_image(rows, policy: str) -> EncodedSignal:
     if any(len(r) != width for r in grid):
         raise ValueError("ragged image rows")
     for r in grid:
-        for v in r:
-            _check_sample(v)
+        _check_samples(r)
     records: List[ArrowRecord] = []
     append = records.append
-    up_shift = -width
-    for r, row in enumerate(grid):
-        if r == 0:
-            prev = row[0]
-            for v in row[1:]:
-                append(ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (v - prev,)))
-                prev = v
-        else:
-            above = grid[r - 1][0]
-            append(ArrowRecord(KIND_TRANSLATION, up_shift, 1, 1, 1,
-                               (row[0] - above,)))
-            prev = row[0]
-            for v in row[1:]:
-                append(ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (v - prev,)))
-                prev = v
+    above = None
+    for row in grid:
+        if above is not None:
+            append(ArrowRecord(KIND_TRANSLATION, -width, 1, 1, 1,
+                               (row[0] - above[0],)))
+        if width > 1:
+            append(_left_run(row))
+        above = row
     return EncodedSignal(2, (len(grid), width), 0, "predecessor",
                          (grid[0][0],), tuple(records))
 
@@ -162,12 +173,22 @@ def _encode_detected(samples: List[Number], origin: int) -> EncodedSignal:
 
 
 def _check_predecessor_record(rec: ArrowRecord, flat: int, width: int) -> bool:
+    """Whether ``rec``, starting at flat position ``flat``, is a predecessor run.
+
+    1-D: any nonempty left run.  2-D: a record starting in column 0 (of a row
+    after the first, since the seed holds position 0) is one up delta; any
+    other record is a left run that ends inside its row.
+    """
+    n = len(rec.delta)
     if (rec.kind != KIND_TRANSLATION or rec.stride != 1
-            or rec.amp_num != rec.amp_den or len(rec.delta) != 1):
+            or rec.amp_num != rec.amp_den or n == 0):
         return False
     if width == 0:  # 1-D
         return rec.shift == -1
-    return rec.shift == (-1 if flat % width else -width)
+    col = flat % width
+    if col == 0:
+        return rec.shift == -width and n == 1
+    return rec.shift == -1 and col + n <= width
 
 
 def decode(enc: EncodedSignal):
@@ -189,6 +210,8 @@ def decode(enc: EncodedSignal):
     if total_decl != n:
         raise CorruptContainer(f"container declares {n} samples but "
                                f"records cover {total_decl}")
+    if not enc.seed:
+        raise CorruptContainer("container holds no seed sample")
     check_pred = enc.policy == "predecessor"
     origin = enc.origin
     vals: List[Number] = list(enc.seed)
@@ -200,10 +223,10 @@ def decode(enc: EncodedSignal):
         num, den = rec.amp_num, rec.amp_den
         if num == den:
             s, t = rec.stride, rec.shift
-            if s == 1 and t == -1:
-                for d in rec.delta:  # hot path: plain DPCM
-                    vals.append(vals[fill - 1] + d)
-                    fill += 1
+            if s == 1 and t == -1:  # hot path: plain DPCM along the run
+                vals.extend(islice(accumulate(rec.delta, initial=vals[-1]),
+                                   1, None))
+                fill = len(vals)
                 continue
             for d in rec.delta:
                 src = s * (origin + fill) + t - origin

@@ -15,13 +15,17 @@ Layout (all multi-byte values little-endian):
 Parsing is strict: anything structurally off -- bad magic, unknown version,
 unknown policy id, truncated section, or trailing bytes -- raises
 CorruptContainer.  Writing validates that every value fits in a signed
-64-bit int and that deltas are integers.
+64-bit int and that deltas are integers; bools are refused in every field.
+Each record's head and delta array are packed in one call each; a value that
+does not pack sends the record through the field-by-field checks, which
+name the offending field.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from itertools import chain
 from typing import List, NamedTuple, Tuple
 
 from .errors import CorruptContainer
@@ -42,7 +46,6 @@ _Q = struct.Struct("<q")
 _COUNT = struct.Struct("<Q")
 _REC_HEAD = struct.Struct("<Bqqqq")  # kind, T, S, amp_num, amp_den
 _REC_HEAD_COUNT = struct.Struct("<BqqqqQ")  # head plus the delta count
-_REC_UNIT = struct.Struct("<BqqqqQq")  # common case: 1-entry delta inline
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -78,6 +81,24 @@ class EncodedSignal(NamedTuple):
         return total
 
 
+class ContainerLayout(NamedTuple):
+    """Where the bytes of an FSG1 container go; the byte fields sum to its size."""
+    records: int
+    header_bytes: int       # magic through the record count, seed included
+    arrow_param_bytes: int  # per record: kind, T, S, amplitude, delta count
+    residual_bytes: int     # the delta arrays
+
+
+def container_layout(enc: EncodedSignal) -> ContainerLayout:
+    header = (len(MAGIC) + 2 * _BYTE.size + _Q.size * (len(enc.shape) + 1)
+              + _BYTE.size + _COUNT.size + _Q.size * len(enc.seed)
+              + _COUNT.size)
+    deltas = sum(len(rec.delta) for rec in enc.records)
+    return ContainerLayout(len(enc.records), header,
+                           _REC_HEAD_COUNT.size * len(enc.records),
+                           _Q.size * deltas)
+
+
 def _check_i64(value, what: str) -> int:
     if isinstance(value, Fraction):
         if value.denominator != 1:
@@ -106,24 +127,30 @@ def write_container(enc: EncodedSignal) -> bytes:
     for s in enc.seed:
         parts.append(_Q.pack(_check_i64(s, "seed sample")))
     parts.append(_COUNT.pack(len(enc.records)))
-    unit_pack = _REC_UNIT.pack
+    head_pack = _REC_HEAD_COUNT.pack
     append = parts.append
     for rec in enc.records:
-        if rec.kind not in KIND_NAMES:
-            raise ValueError(f"unknown record kind {rec.kind}")
-        if len(rec.delta) == 1:
+        if isinstance(rec.kind, bool) or rec.kind not in KIND_NAMES:
+            raise ValueError(f"unknown record kind {rec.kind!r}")
+        n = len(rec.delta)
+        fields = rec[1:5]  # T, S, amp_num, amp_den
+        # struct packs a bool as 0/1, so bools go to the checked path too
+        if bool not in set(map(type, chain(fields, rec.delta))):
             try:
-                append(unit_pack(rec.kind, rec.shift, rec.stride,
-                                 rec.amp_num, rec.amp_den, 1, rec.delta[0]))
-                continue
+                head = head_pack(rec.kind, *fields, n)
+                body = struct.pack(f"<{n}q", *rec.delta)
             except struct.error:
-                pass  # non-int or out-of-range: fall through to checked path
+                pass  # non-int or out-of-range: the checked path names it
+            else:
+                append(head)
+                append(body)
+                continue
         append(_REC_HEAD.pack(rec.kind,
                               _check_i64(rec.shift, "record T"),
                               _check_i64(rec.stride, "record S"),
                               _check_i64(rec.amp_num, "amp numerator"),
                               _check_i64(rec.amp_den, "amp denominator")))
-        append(_COUNT.pack(len(rec.delta)))
+        append(_COUNT.pack(n))
         for d in rec.delta:
             append(_Q.pack(_check_i64(d, "delta value")))
     return b"".join(parts)
@@ -175,7 +202,6 @@ def read_container(data: bytes) -> EncodedSignal:
         raise CorruptContainer("bad record count")
     head_unpack = _REC_HEAD_COUNT.unpack_from
     head_size = _REC_HEAD_COUNT.size
-    q_unpack = _Q.unpack_from
     records = []
     append = records.append
     for _ in range(rec_count):
@@ -191,10 +217,7 @@ def read_container(data: bytes) -> EncodedSignal:
             raise CorruptContainer("record amplitude is zero or undefined")
         if dlen * 8 > total - off:
             raise CorruptContainer("truncated delta array")
-        if dlen == 1:
-            delta = q_unpack(data, off)
-        else:
-            delta = struct.unpack_from(f"<{dlen}q", data, off)
+        delta = struct.unpack_from(f"<{dlen}q", data, off)
         off += 8 * dlen
         append(ArrowRecord(kind, t, s, num, den, delta))
     if off != total:

@@ -636,11 +636,12 @@ def suite_codec(rng, instances):
             blob = write_container(enc)
             again = write_container(read_container(blob))
             _expect(fl, blob == again, f"[{i}] container bytes unstable ({policy})")
-        for rp, rd in zip(encoded["predecessor"].records,
-                          encoded["detected"].records):
-            np_ = sum(Fraction(d) * d for d in rp.delta)
-            nd = sum(Fraction(d) * d for d in rd.delta)
-            _expect(fl, nd <= np_, f"[{i}] detected norm above predecessor")
+        # compare per sample: one predecessor record covers a whole run
+        deltas = {policy: [d for rec in enc.records for d in rec.delta]
+                  for policy, enc in encoded.items()}
+        for dp, dd in zip(deltas["predecessor"], deltas["detected"]):
+            _expect(fl, Fraction(dd) * dd <= Fraction(dp) * dp,
+                    f"[{i}] detected norm above predecessor")
         w = rng.randint(1, 8)
         rows = [[rng.randint(0, 255) for _ in range(w)]
                 for _ in range(rng.randint(1, 8))]

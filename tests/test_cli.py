@@ -114,6 +114,31 @@ def test_stats(tmp_path, capsys):
     assert lines["raw_entropy_bits_per_sample"] == "2.321928"
     assert lines["delta_entropy_bits_per_sample"] == "0.000000"
     assert int(lines["encoded_size_bytes"]) > 0
+    # one left run: 47-byte header, one 41-byte record head, four deltas
+    assert lines["records"] == "1"
+    assert lines["header_bytes"] == "47"
+    assert lines["arrow_param_bytes"] == "41"
+    assert lines["residual_bytes"] == "32"
+    assert int(lines["encoded_size_bytes"]) == 47 + 41 + 32
+
+
+def test_stats_image_split(tmp_path, capsys):
+    img = tmp_path / "image.pgm"
+    enc = tmp_path / "image.fsg"
+    write_pgm(img, [[10, 10, 20, 20] for _ in range(4)])
+    run(capsys, "encode", str(img), "-o", str(enc))
+    code, out, _ = run(capsys, "stats", str(img), str(enc))
+    assert code == 0
+    assert out.splitlines() == [
+        "nonzero_delta_fraction=4/15",
+        "raw_entropy_bits_per_sample=1.000000",
+        "delta_entropy_bits_per_sample=0.836641",
+        "encoded_size_bytes=462",
+        "records=7",
+        "header_bytes=55",
+        "arrow_param_bytes=287",
+        "residual_bytes=120",
+    ]
 
 
 def test_io_errors_exit_2(tmp_path, capsys):

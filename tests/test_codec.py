@@ -10,11 +10,19 @@ from sigrep import (ArrowRecord, CorruptContainer, EmptySignal, EncodedSignal,
                     PolicyMismatch, decode, encode, metrics, read_container,
                     read_container_file, write_container, write_container_file,
                     zeroth_order_entropy)
-from sigrep.container import KIND_AMP_AFFINE, KIND_TRANSLATION
+from sigrep.container import (KIND_AMP_AFFINE, KIND_TRANSLATION,
+                              container_layout)
 
 
-def dpcm(shift, d):
-    return ArrowRecord(KIND_TRANSLATION, shift, 1, 1, 1, (d,))
+def dpcm(shift, *deltas):
+    return ArrowRecord(KIND_TRANSLATION, shift, 1, 1, 1, deltas)
+
+
+def per_sample(enc):
+    """The same encoding split into one record per delta, as earlier files are."""
+    return enc._replace(records=tuple(rec._replace(delta=(d,))
+                                      for rec in enc.records
+                                      for d in rec.delta))
 
 
 # ------------------------------------------------------------- encode, 1-D
@@ -26,7 +34,13 @@ def test_encode_ramp():
     assert enc.shape == (5,)
     assert enc.policy == "predecessor"
     assert enc.seed == (1,)
-    assert enc.records == (dpcm(-1, 1),) * 4
+    assert enc.records == (dpcm(-1, 1, 1, 1, 1),)  # one left run
+
+
+def test_encode_single_sample_has_no_records():
+    enc = encode([42])
+    assert enc.records == ()
+    assert decode(enc) == [42]
 
 
 def test_encode_keeps_origin():
@@ -79,7 +93,10 @@ def test_encode_constant_image_is_all_zero():
     assert enc.dimension == 2
     assert enc.shape == (3, 3)
     assert enc.seed == (7,)
-    assert all(rec.delta == (0,) for rec in enc.records)
+    # row 0: a left run; later rows: an up record, then a left run
+    assert enc.records == (dpcm(-1, 0, 0),
+                           dpcm(-3, 0), dpcm(-1, 0, 0),
+                           dpcm(-3, 0), dpcm(-1, 0, 0))
     assert decode(enc) == [[7, 7, 7]] * 3
 
 
@@ -87,9 +104,10 @@ def test_encode_two_region_image_boundary_only():
     """A vertical edge puts one nonzero delta per row, nothing else."""
     rows = [[10, 10, 20, 20] for _ in range(4)]
     enc = encode(rows)
-    nonzero = [rec.delta[0] for rec in enc.records if rec.delta != (0,)]
+    nonzero = [d for rec in enc.records for d in rec.delta if d != 0]
     assert nonzero == [10, 10, 10, 10]
-    assert len(enc.records) == 15  # 3 in row 0, then 4 per later row
+    assert len(enc.records) == 7  # 1 run in row 0, then 2 records per later row
+    assert [len(rec.delta) for rec in enc.records] == [3, 1, 3, 1, 3, 1, 3]
     assert decode(enc) == rows
 
 
@@ -98,6 +116,15 @@ def test_encode_image_first_column_reads_up():
     # row 0: left arrow; row 1: up arrow for column 0, then left again
     assert [r.shift for r in enc.records] == [-1, -2, -1]
     assert [r.delta for r in enc.records] == [(1,), (4,), (1,)]
+
+
+def test_encode_one_column_image_is_up_records():
+    # T = -width = -1: one up record per later row, no left runs
+    enc = encode([[4], [6], [5]])
+    assert enc.records == (dpcm(-1, 2), dpcm(-1, -1))
+    assert decode(enc) == [[4], [6], [5]]
+    with pytest.raises(PolicyMismatch):  # an up record covers one row only
+        decode(enc._replace(records=(dpcm(-1, 2, -1),)))
 
 
 def test_encode_ragged_image():
@@ -150,8 +177,63 @@ def test_decode_policy_mismatch():
         decode(enc)
 
 
+def test_decode_left_run_crossing_a_row_is_policy_mismatch():
+    rows = [[1, 2, 3], [4, 5, 6]]
+    good = encode(rows)
+    assert good.records == (dpcm(-1, 1, 1), dpcm(-3, 3), dpcm(-1, 1, 1))
+    # the row-0 run goes on into column 0 of row 1
+    bad = good._replace(records=(dpcm(-1, 1, 1, 1), dpcm(-1, 1, 1)))
+    with pytest.raises(PolicyMismatch):
+        decode(bad)
+    # a left run starting mid-row may not spill into the next row either
+    split = good._replace(records=(dpcm(-1, 1), dpcm(-1, 1, 1),
+                                   dpcm(-1, 1, 1)))
+    with pytest.raises(PolicyMismatch):
+        decode(split)
+
+
+def test_decode_up_record_with_two_deltas_is_policy_mismatch():
+    good = encode([[1, 2, 3], [4, 5, 6]])
+    bad = good._replace(records=(dpcm(-1, 1, 1), dpcm(-3, 3, 3), dpcm(-1, 1)))
+    with pytest.raises(PolicyMismatch):
+        decode(bad)
+
+
+def test_decode_empty_predecessor_run_is_policy_mismatch():
+    bad = encode([1, 2])._replace(records=(dpcm(-1), dpcm(-1, 1)))
+    with pytest.raises(PolicyMismatch):
+        decode(bad)
+
+
+def test_per_sample_layout_still_reads_decodes_and_rewrites():
+    """Containers with one record per sample stay valid predecessor files."""
+    sig = [3, 1, 4, 1, 5, 9, 2, 6]
+    rows = [[1, 2, 3], [4, 5, 6], [9, 9, 0]]
+    for raw in (sig, rows):
+        old = per_sample(encode(raw))
+        assert all(len(rec.delta) == 1 for rec in old.records)
+        blob = write_container(old)
+        assert len(blob) == container_layout(old).header_bytes + 49 * len(old.records)
+        back = read_container(blob)
+        assert back == old
+        assert decode(back) == raw
+        assert write_container(back) == blob  # byte-identical rewrite
+    # runs split anywhere inside a row are fine too
+    mixed = EncodedSignal(2, (2, 3), 0, "predecessor", (1,),
+                          (dpcm(-1, 1), dpcm(-1, 1), dpcm(-3, 3),
+                           dpcm(-1, 1, 1)))
+    assert decode(mixed) == [[1, 2, 3], [4, 5, 6]]
+
+
 def test_decode_count_mismatch():
     enc = EncodedSignal(1, (3,), 0, "predecessor", (0,), (dpcm(-1, 1),))
+    with pytest.raises(CorruptContainer):
+        decode(enc)
+
+
+def test_decode_needs_a_seed():
+    # the reader refuses a zero seed count; a hand-built encoding is caught too
+    enc = EncodedSignal(1, (1,), 0, "predecessor", (), (dpcm(-1, 5),))
     with pytest.raises(CorruptContainer):
         decode(enc)
 
@@ -230,6 +312,43 @@ def test_container_write_rejections():
         write_container(ok._replace(records=(frac,)))
     with pytest.raises(ValueError):
         write_container(ok._replace(records=(ok.records[0]._replace(kind=9),)))
+
+
+def test_container_write_refuses_bools():
+    """struct packs True as 1; the writer must not, in any record field."""
+    ok = encode([1, 2, 3])
+    rec = ok.records[0]
+    bad_records = [
+        dpcm(-1, True),                      # one-delta record
+        dpcm(-1, 1, False),                  # longer run
+        rec._replace(shift=True),
+        rec._replace(stride=True),
+        rec._replace(amp_num=True, amp_den=True),
+        rec._replace(kind=False),
+    ]
+    for bad in bad_records:
+        n = len(bad.delta) + 1
+        enc = ok._replace(shape=(n,), records=(bad,))
+        with pytest.raises(ValueError):
+            write_container(enc)
+    with pytest.raises(ValueError):
+        write_container(ok._replace(seed=(True,)))
+
+
+def test_container_layout_splits_the_size():
+    cases = [encode([1, 2, 3, 4, 5]), encode([7]),
+             encode([[10, 10, 20, 20] for _ in range(4)]),
+             per_sample(encode([[1, 2], [3, 4], [5, 6]])),
+             encode([2, 3, 5, 7], policy="detected")]
+    for enc in cases:
+        lay = container_layout(enc)
+        assert lay.records == len(enc.records)
+        assert lay.residual_bytes == 8 * sum(len(r.delta) for r in enc.records)
+        assert lay.arrow_param_bytes == 41 * len(enc.records)
+        assert (lay.header_bytes + lay.arrow_param_bytes + lay.residual_bytes
+                == len(write_container(enc)))
+    img = container_layout(cases[2])
+    assert img == (7, 55, 287, 120)  # 462 bytes for the 4x4 two-region image
 
 
 def test_container_read_rejections():
