@@ -8,7 +8,8 @@ encode          CSV signal or PGM image -> FSG1 container
 decode          FSG1 container -> CSV or PGM (chosen by the output extension)
 demo-prototype  worked unit-segment decomposition of 1,2,3,4,5
 stats           sparsity/entropy metrics for a raw file vs its container,
-                and the container's size split by layout
+                the container's size split by layout, and its records by
+                arrow kind
 
 Exit codes: 0 success, 1 verification failure, 2 input or format error.
 """
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import codec
-from .container import (container_layout, read_container_file,
+from .container import (KIND_NAMES, container_layout, read_container_file,
                         write_container_file)
 from .errors import SigrepError
 from .formats import read_csv_signal, read_pgm, write_csv_signal, write_pgm
@@ -187,6 +189,9 @@ def cmd_stats(args) -> int:
     print(f"encoded_size_bytes={m.encoded_size}")
     for name, value in container_layout(enc)._asdict().items():
         print(f"{name}={value}")
+    kinds = Counter(rec.kind for rec in enc.records)
+    for kind, name in KIND_NAMES.items():
+        print(f"records.{name}={kinds[kind]}")
     return 0
 
 

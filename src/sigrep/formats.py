@@ -6,7 +6,9 @@ that (together with OSError) to its I/O-format exit code.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from itertools import chain
 from typing import List, Sequence, Tuple, Union
 
 MAX_PGM_VALUE = 65535
@@ -94,14 +96,17 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    flat = [v for row in rows for v in row]
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in flat):
+    flat = list(chain.from_iterable(rows))
+    # each distinct type is checked once; min and max run at C speed
+    if (any(t is bool or not issubclass(t, int) for t in set(map(type, flat)))
+            or min(flat) < 0):
         raise ValueError("PGM samples must be nonnegative ints")
+    top = max(flat)
     if maxval is None:
-        maxval = max(max(flat), 1)
+        maxval = max(top, 1)
     if not 0 < maxval <= MAX_PGM_VALUE:
         raise ValueError(f"maxval must be in 1..{MAX_PGM_VALUE}")
-    if any(v > maxval for v in flat):
+    if top > maxval:
         raise ValueError("sample exceeds maxval")
     header = f"{'P5' if binary else 'P2'}\n{width} {len(rows)}\n{maxval}\n"
     with open(path, "wb") as fh:
@@ -110,11 +115,7 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
             if maxval < 256:
                 fh.write(bytes(flat))
             else:
-                out = bytearray()
-                for v in flat:
-                    out.append(v >> 8)
-                    out.append(v & 0xFF)
-                fh.write(bytes(out))
+                fh.write(struct.pack(f">{len(flat)}H", *flat))
         else:
             fh.write("\n".join(" ".join(str(v) for v in row) for row in rows)
                      .encode("ascii"))

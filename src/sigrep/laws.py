@@ -23,9 +23,9 @@ from .measure import (FiniteCarrier, FiniteMeasureSpace, MeasurableMap,
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
 from .quotient import BooleanHom, MeasureAlgebra, check_hom_laws, compose_homs, induced_hom
-from .signal import (Segment, compose_arrows, delta, detect_affine,
-                     detect_amp_affine, detect_translation, identity_arrow,
-                     transfer)
+from .signal import (Segment, _shift_range, compose_arrows, delta,
+                     detect_affine, detect_amp_affine, detect_translation,
+                     identity_arrow, transfer)
 
 
 @dataclass
@@ -568,7 +568,7 @@ def plant_arrow_case(rng, strides=(-2, -1, 1, 2), max_len=6):
         start = rng.randint(-9, 9)
         f = Segment(start, start + length, rng.sample(range(-60, 60), length))
         t_start = rng.randint(-9, 9)
-        lo, hi = _lookup_shift_range(f, stride, t_start, m)
+        lo, hi = _shift_range(f, stride, t_start, m)
         shift = rng.randint(lo, hi)
         c = Fraction(rng.choice((1, 2, 3, -1, -2)), rng.choice((1, 2)))
         g = Segment(t_start, t_start + m,
@@ -585,7 +585,7 @@ def _exact_candidates(f, g, strides):
     for s in sorted(set(strides)):
         if abs(s) * (m - 1) + 1 > f.length:
             continue
-        lo, hi = _lookup_shift_range(f, s, g.start, m)
+        lo, hi = _shift_range(f, s, g.start, m)
         for t in range(lo, hi + 1):
             u = [f.sample_at(s * j + t) for j in range(g.start, g.end)]
             uu = sum(Fraction(v) * v for v in u)
@@ -611,14 +611,6 @@ def suite_detection(rng, instances):
                 f"[{i}] wrong arrow recovered: "
                 f"{(arr.stride, arr.shift, arr.amp)} != {(stride, shift, c)}")
     return res
-
-
-def _lookup_shift_range(f, stride, t_start, m):
-    if stride > 0:
-        return (f.start - stride * t_start,
-                f.end - 1 - stride * (t_start + m - 1))
-    return (f.start - stride * (t_start + m - 1),
-            f.end - 1 - stride * t_start)
 
 
 def suite_codec(rng, instances):

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (BadBreakpoints, EmptySignal, IntervalMismatch,
@@ -279,6 +281,149 @@ def _tol_sq(tol) -> Optional[Fraction]:
     return tol * tol
 
 
+def _shift_range(f: Segment, stride: int, t_start: int, m: int) -> Tuple[int, int]:
+    """Bounds (lo, hi) of the shifts T whose lookups S*j + T, for the m
+    target positions from ``t_start``, all fall inside f (none if lo > hi)."""
+    if stride > 0:
+        return (f.start - stride * t_start,
+                f.end - 1 - stride * (t_start + m - 1))
+    return (f.start - stride * (t_start + m - 1),
+            f.end - 1 - stride * t_start)
+
+
+def _check_strides(strides) -> Tuple[int, ...]:
+    """The distinct strides in their given order; each a nonzero int."""
+    out: List[int] = []
+    for s in strides:
+        if not isinstance(s, int) or s == 0:
+            raise ValueError("strides must be nonzero ints")
+        if s not in out:
+            out.append(s)
+    return tuple(out)
+
+
+def _stride_candidates(f: Segment, g: Segment, strides) -> List[Tuple[int, int]]:
+    """All (S, T) lookup maps sending g's interval into f's interval, for
+    strides already passed through _check_strides."""
+    out = []
+    for s in strides:
+        lo, hi = _shift_range(f, s, g.start, g.length)
+        out.extend((s, t) for t in range(lo, hi + 1))
+    return out
+
+
+def _scaled(segments: Sequence[Segment], tol):
+    """The samples of each segment times D, the lcm of every sample
+    denominator, so all of them are ints; and tol**2 * D**2, the squared
+    tolerance in those units (None for an infinite tolerance)."""
+    limit = _tol_sq(tol)
+    d = lcm(*{v.denominator for seg in segments for v in seg.samples})
+    if limit is not None:
+        limit *= d * d
+    return [tuple(int(v * d) for v in seg.samples) for seg in segments], limit
+
+
+def _sq_sum(diffs, cap: Optional[int]) -> Optional[int]:
+    """Sum of the squares of ``diffs``, or None as soon as a partial sum is
+    strictly greater than ``cap`` (no cap when None)."""
+    acc = 0
+    for d in diffs:
+        acc += d * d
+        if cap is not None and acc > cap:
+            return None
+    return acc
+
+
+_TRANSLATION, _AFFINE, _AMP_AFFINE = range(3)
+
+
+def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
+                ranks: Sequence[int], strides: Tuple[int, ...],
+                limit: Optional[Fraction]):
+    """The best arrow into g from any of ``sources``, or None.
+
+    ``sources`` holds (index, segment, scaled samples) triples and ``ranks``
+    the detector ranks to run (0 translation, 1 affine, 2 amplitude-affine).
+    Samples come scaled to ints by a common factor D (see _scaled), and
+    ``limit`` is tol**2 * D**2 (None for an infinite tolerance).
+
+    Every candidate (detector, S, T, c) is scored by its exact squared
+    residual, summed in ints: sum (q*g - p*u)**2 / q**2 for c = p/q, with u
+    the looked-up source samples (p = q = 1 without an amplitude).  The
+    winner is the least (residual, rank, source index, |S|, |T|, T,
+    candidate index), which is the detectors' own tie-break followed by the
+    report's.  A candidate is abandoned once its partial sum is strictly
+    greater than the bound min(limit, best so far), so candidates equal to
+    the best stay in the tie-break; a detector is skipped outright once the
+    best so far is exact and of its rank or lower.  Only the winner becomes
+    a SegmentArrow.
+
+    Returns (residual_sq, rank, source index, arrow), residual unscaled.
+    """
+    m = g.length
+    best = None  # the tie-break key of the best candidate so far
+    win = None   # (source, S, T, p, q) of that candidate
+    bound = limit
+    for index, f, fv in sources:
+        lookups = None  # the affine detectors' candidates, shared by both
+        for rank in ranks:
+            if best is not None and best[0] == 0 and best[1] <= rank:
+                continue
+            if rank == _TRANSLATION:
+                if f.length != m:
+                    continue
+                cands = ((1, f.start - g.start),)
+            else:
+                if lookups is None:
+                    lookups = _stride_candidates(f, g, strides)
+                cands = lookups
+            for idx, (s, t) in enumerate(cands):
+                a = s * g.start + t - f.start
+                stop = a + s * m
+                u = fv[a:stop if stop >= 0 else None:s]
+                if rank == _AMP_AFFINE:
+                    uu = sum(map(mul, u, u))
+                    ug = sum(map(mul, u, gv))
+                    if uu == 0 or ug == 0:
+                        continue
+                    k = gcd(ug, uu)
+                    p, q = ug // k, uu // k
+                    diffs = map(sub, map(q.__mul__, gv), map(p.__mul__, u))
+                else:
+                    p = q = 1
+                    diffs = map(sub, gv, u)
+                cap = (None if bound is None
+                       else bound.numerator * q * q // bound.denominator)
+                acc = _sq_sum(diffs, cap)
+                if acc is None:
+                    continue
+                rsq = acc if q == 1 else Fraction(acc, q * q)
+                key = (rsq, rank, index, abs(s), abs(t), t, idx)
+                if best is None or key < best:
+                    best, win = key, (f, s, t, p, q)
+                    bound = rsq
+    if best is None:
+        return None
+    f, s, t, p, q = win
+    c = Fraction(p, q)
+    u = [f.samples[s * j + t - f.start] for j in range(g.start, g.end)]
+    if best[1] == _AMP_AFFINE:
+        dvals = [y - c * x for y, x in zip(g.samples, u)]
+    else:
+        dvals = [y - x for y, x in zip(g.samples, u)]
+    return (_residual_sq(dvals), best[1], best[2],
+            SegmentArrow(f, g, s, t, c, dvals))
+
+
+def _detect(f: Segment, g: Segment, rank: int, strides,
+            tol) -> Optional[SegmentArrow]:
+    """One detector on one pair of segments, through _best_arrow."""
+    (fv, gv), limit = _scaled((f, g), tol)
+    best = _best_arrow(g, gv, ((0, f, fv),), (rank,), _check_strides(strides),
+                       limit)
+    return None if best is None else best[3]
+
+
 def detect_translation(f: Segment, g: Segment, tol=0) -> Optional[SegmentArrow]:
     """Look for g == f shifted (amplitude 1, stride 1), residual within tol.
 
@@ -288,46 +433,7 @@ def detect_translation(f: Segment, g: Segment, tol=0) -> Optional[SegmentArrow]:
     """
     if f.length != g.length:
         return None
-    shift = f.start - g.start
-    dvals = [gv - fv for gv, fv in zip(g.samples, f.samples)]
-    limit = _tol_sq(tol)
-    if limit is not None and _residual_sq(dvals) > limit:
-        return None
-    return SegmentArrow(f, g, 1, shift, 1, dvals)
-
-
-def _stride_candidates(f: Segment, g: Segment, strides) -> List[Tuple[int, int]]:
-    """All (S, T) lookup maps sending g's interval into f's interval."""
-    out = []
-    m = g.length
-    seen = set()
-    for s in strides:
-        if not isinstance(s, int) or s == 0:
-            raise ValueError("strides must be nonzero ints")
-        if s in seen:
-            continue
-        seen.add(s)
-        if abs(s) * (m - 1) + 1 > f.length:
-            continue
-        if s > 0:
-            lo = f.start - s * g.start
-            hi = (f.end - 1) - s * (g.end - 1)
-        else:
-            lo = f.start - s * (g.end - 1)
-            hi = (f.end - 1) - s * g.start
-        for t in range(lo, hi + 1):
-            out.append((s, t))
-    return out
-
-
-def _pick_best(candidates):
-    """candidates: list of (res_sq, abs_s, abs_t, t, index, arrow_args).
-    The tie-break is lexicographic on exactly that tuple prefix."""
-    best = None
-    for cand in candidates:
-        if best is None or cand[:5] < best[:5]:
-            best = cand
-    return best
+    return _detect(f, g, _TRANSLATION, (), tol)
 
 
 def detect_affine(f: Segment, g: Segment, strides=(-2, -1, 1, 2),
@@ -339,21 +445,7 @@ def detect_affine(f: Segment, g: Segment, strides=(-2, -1, 1, 2),
     break toward smaller |S|, then smaller |T|, then smaller T.  With stride
     1 and equal lengths this reduces to detect_translation.
     """
-    limit = _tol_sq(tol)
-    scored = []
-    for idx, (s, t) in enumerate(_stride_candidates(f, g, strides)):
-        dvals = [gv - f.sample_at(s * j + t)
-                 for j, gv in zip(range(g.start, g.end), g.samples)]
-        rsq = _residual_sq(dvals)
-        scored.append((rsq, abs(s), abs(t), t, idx, (s, t, 1, dvals)))
-    best = _pick_best(scored)
-    if best is None:
-        return None
-    rsq = best[0]
-    if limit is not None and rsq > limit:
-        return None
-    s, t, amp, dvals = best[5]
-    return SegmentArrow(f, g, s, t, amp, dvals)
+    return _detect(f, g, _AFFINE, strides, tol)
 
 
 def detect_amp_affine(f: Segment, g: Segment, strides=(-2, -1, 1, 2),
@@ -367,27 +459,7 @@ def detect_amp_affine(f: Segment, g: Segment, strides=(-2, -1, 1, 2),
     resampling of f the fitted ratio is that exact multiple.  Tie-break as
     in detect_affine.
     """
-    limit = _tol_sq(tol)
-    scored = []
-    for idx, (s, t) in enumerate(_stride_candidates(f, g, strides)):
-        u = [f.sample_at(s * j + t) for j in range(g.start, g.end)]
-        uu = sum(Fraction(x) * x for x in u)
-        if uu == 0:
-            continue
-        ug = sum(Fraction(x) * y for x, y in zip(u, g.samples))
-        c = ug / uu
-        if c == 0:
-            continue
-        dvals = [gv - c * x for gv, x in zip(g.samples, u)]
-        rsq = _residual_sq(dvals)
-        scored.append((rsq, abs(s), abs(t), t, idx, (s, t, c, dvals)))
-    best = _pick_best(scored)
-    if best is None:
-        return None
-    if limit is not None and best[0] > limit:
-        return None
-    s, t, c, dvals = best[5]
-    return SegmentArrow(f, g, s, t, c, dvals)
+    return _detect(f, g, _AMP_AFFINE, strides, tol)
 
 
 # ---------------------------------------------------------------- graphs
@@ -534,33 +606,29 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
     any earlier segment, if one lands within tolerance.
 
     Candidates are ranked by exact squared residual, then detector priority
-    (translation, affine, amplitude-affine), then the detector's own
-    tie-break.  Entries with no in-tolerance candidate are reported as not
-    redundant.
+    (translation, affine, amplitude-affine), then source index, then the
+    detector's own tie-break.  Entries with no in-tolerance candidate are
+    reported as not redundant.
+
+    All candidates of a target go through one search (_best_arrow) with
+    early abandoning: a candidate's residual is summed in exact ints and
+    dropped as soon as it exceeds the tolerance or the best candidate so
+    far, and a detector is skipped once an exact arrow of equal or higher
+    priority is in hand.  That finds the same winner as scoring every
+    candidate, and only the winner is built as an arrow.
     """
     for d in detectors:
         if d not in _DETECTOR_ORDER:
             raise ValueError(f"unknown detector {d!r}")
+    ranks = [r for r, name in enumerate(_DETECTOR_ORDER) if name in detectors]
+    scaled, limit = _scaled(segments, tol)
+    if _AFFINE in ranks or _AMP_AFFINE in ranks:
+        strides = _check_strides(strides)
+    sources = list(zip(range(len(segments)), segments, scaled))
     entries = []
     for tgt_i in range(1, len(segments)):
-        g = segments[tgt_i]
-        best = None  # (res_sq, det_rank, src_index, arrow)
-        for src_i in range(tgt_i):
-            f = segments[src_i]
-            for rank, det in enumerate(_DETECTOR_ORDER):
-                if det not in detectors:
-                    continue
-                if det == "translation":
-                    arr = detect_translation(f, g, tol)
-                elif det == "affine":
-                    arr = detect_affine(f, g, strides, tol)
-                else:
-                    arr = detect_amp_affine(f, g, strides, tol)
-                if arr is None:
-                    continue
-                key = (_residual_sq(arr.delta), rank, src_i)
-                if best is None or key < best[:3]:
-                    best = key + (arr,)
+        best = _best_arrow(segments[tgt_i], scaled[tgt_i], sources[:tgt_i],
+                           ranks, strides, limit)
         if best is None:
             entries.append(RedundancyEntry(tgt_i, None, None, None, None))
         else:

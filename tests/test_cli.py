@@ -120,6 +120,17 @@ def test_stats(tmp_path, capsys):
     assert lines["arrow_param_bytes"] == "41"
     assert lines["residual_bytes"] == "32"
     assert int(lines["encoded_size_bytes"]) == 47 + 41 + 32
+    assert (lines["records.translation"], lines["records.affine"],
+            lines["records.amp_affine"]) == ("1", "0", "0")
+    # the detected policy's arrow mix: 2, 4 and 3 are amplitude multiples of
+    # the first sample, the last 2 is a translation of the earlier 2
+    write_csv_signal(sig, [1, 2, 4, 3, 2])
+    run(capsys, "encode", str(sig), "-o", str(enc), "--policy", "detected")
+    code, out, _ = run(capsys, "stats", str(sig), str(enc))
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert lines["records"] == "4"
+    assert (lines["records.translation"], lines["records.affine"],
+            lines["records.amp_affine"]) == ("1", "0", "3")
 
 
 def test_stats_image_split(tmp_path, capsys):
@@ -138,6 +149,9 @@ def test_stats_image_split(tmp_path, capsys):
         "header_bytes=55",
         "arrow_param_bytes=287",
         "residual_bytes=120",
+        "records.translation=7",
+        "records.affine=0",
+        "records.amp_affine=0",
     ]
 
 

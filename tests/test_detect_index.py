@@ -1,0 +1,327 @@
+"""The indexed `detected` encoder and the early-abandoning detector ranking
+against the exhaustive searches they replaced.
+
+The oracles below are the earlier implementations, kept here as references:
+the detectors that score every candidate lookup in Fractions, the
+redundancy-report loop that runs every detector on every earlier segment,
+and the quadratic `detected` encoder that does the same over unit segments.
+The new code must pick the same arrows (source, detector, residual, lookup,
+amplitude and deltas) and write the same container bytes on seeded random
+inputs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from sigrep import (Segment, SegmentArrow, detect_affine, detect_amp_affine,
+                    detect_translation, encode, redundancy_report,
+                    segment_signal, write_container)
+from sigrep.container import ArrowRecord, EncodedSignal
+
+INF = float("inf")
+ORDER = ("translation", "affine", "amp_affine")
+KIND = {"translation": 0, "affine": 1, "amp_affine": 2}
+
+# ---------------------------------------------------------------- oracles
+
+
+def rsq_oracle(vals):
+    return sum((Fraction(v) * v for v in vals), Fraction(0))
+
+
+def tol_sq_oracle(tol):
+    return None if tol == INF else Fraction(tol) ** 2
+
+
+def candidates_oracle(f, g, strides):
+    out, seen = [], set()
+    m = g.length
+    for s in strides:
+        if s in seen:
+            continue
+        seen.add(s)
+        if abs(s) * (m - 1) + 1 > f.length:
+            continue
+        if s > 0:
+            lo, hi = f.start - s * g.start, f.end - 1 - s * (g.end - 1)
+        else:
+            lo, hi = f.start - s * (g.end - 1), f.end - 1 - s * g.start
+        out.extend((s, t) for t in range(lo, hi + 1))
+    return out
+
+
+def translation_oracle(f, g, tol):
+    if f.length != g.length:
+        return None
+    dvals = [gv - fv for gv, fv in zip(g.samples, f.samples)]
+    limit = tol_sq_oracle(tol)
+    if limit is not None and rsq_oracle(dvals) > limit:
+        return None
+    return SegmentArrow(f, g, 1, f.start - g.start, 1, dvals)
+
+
+def lookup_oracle(f, g, strides, tol, fit_amp):
+    """Every candidate scored in Fractions, best by (rsq, |S|, |T|, T, idx)."""
+    limit = tol_sq_oracle(tol)
+    best = None
+    for idx, (s, t) in enumerate(candidates_oracle(f, g, strides)):
+        u = [f.sample_at(s * j + t) for j in range(g.start, g.end)]
+        c = 1
+        if fit_amp:
+            uu = sum(Fraction(x) * x for x in u)
+            if uu == 0:
+                continue
+            c = sum(Fraction(x) * y for x, y in zip(u, g.samples)) / uu
+            if c == 0:
+                continue
+            dvals = [y - c * x for y, x in zip(g.samples, u)]
+        else:
+            dvals = [y - x for y, x in zip(g.samples, u)]
+        key = (rsq_oracle(dvals), abs(s), abs(t), t, idx)
+        if best is None or key < best[0]:
+            best = (key, (s, t, c, dvals))
+    if best is None or (limit is not None and best[0][0] > limit):
+        return None
+    s, t, c, dvals = best[1]
+    return SegmentArrow(f, g, s, t, c, dvals)
+
+
+def detector_oracle(name, f, g, strides, tol):
+    if name == "translation":
+        return translation_oracle(f, g, tol)
+    return lookup_oracle(f, g, strides, tol, name == "amp_affine")
+
+
+def report_oracle(segments, tol, strides, detectors):
+    """(source, detector, residual_sq, arrow) per target, or None."""
+    out = []
+    for ti in range(1, len(segments)):
+        best = None
+        for si in range(ti):
+            for rank, name in enumerate(ORDER):
+                if name not in detectors:
+                    continue
+                arr = detector_oracle(name, segments[si], segments[ti],
+                                      strides, tol)
+                if arr is None:
+                    continue
+                key = (rsq_oracle(arr.delta), rank, si)
+                if best is None or key < best[:3]:
+                    best = key + (arr,)
+        out.append(None if best is None
+                   else (best[2], ORDER[best[1]], best[0], best[3]))
+    return out
+
+
+def fits(v):
+    return -(1 << 63) <= v < 1 << 63
+
+
+def encode_detected_oracle(samples, origin):
+    """The quadratic search; None where no candidate has an integral residual."""
+    segs = [Segment(origin + k, origin + k + 1, (v,))
+            for k, v in enumerate(samples)]
+    records = []
+    for k in range(1, len(samples)):
+        best = None
+        for i in range(k):
+            for rank, name in enumerate(ORDER):
+                arr = detector_oracle(name, segs[i], segs[k], (1,), INF)
+                if arr is None or any(Fraction(d).denominator != 1
+                                      for d in arr.delta):
+                    continue
+                if not (fits(arr.amp.numerator) and fits(arr.amp.denominator)):
+                    continue
+                key = (rsq_oracle(arr.delta), rank, i)
+                if best is None or key < best[:3]:
+                    best = key + (arr,)
+        if best is None:
+            return None
+        arr = best[3]
+        records.append(ArrowRecord(KIND[arr.kind], arr.shift, arr.stride,
+                                   arr.amp.numerator, arr.amp.denominator,
+                                   tuple(int(d) for d in arr.delta)))
+    return EncodedSignal(1, (len(samples),), origin, "detected",
+                         (samples[0],), tuple(records))
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def rand_sample(rng, fractions):
+    v = rng.randint(-4, 4)
+    if fractions and rng.random() < 0.3:
+        return Fraction(v, rng.choice((2, 3, 4)))
+    return v
+
+
+def rand_signal(rng, n, fractions=False):
+    """Small values, so repeats, zeros, negatives and ratios abound."""
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.3:
+            out.append(rng.choice(out) * rng.choice((1, -1, 2, -3)))
+        else:
+            out.append(rand_sample(rng, fractions))
+    return out
+
+
+def huge_signal(rng, n):
+    """Ints whose ratios overflow 64 bits, mixed with small ones and zeros."""
+    pool = [0, 1, -1, 3, 1 << 64, -(1 << 65) + 7, (1 << 70) + 1, 1 << 63]
+    return [rng.choice(pool) + rng.choice((0, 0, 1, -2)) for _ in range(n)]
+
+
+def segmented(rng):
+    """Segments of lengths 1..6 (the last one often shorter), built from
+    copies, reversals, multiples and 2-strided subsamples of earlier ones."""
+    segs = []
+    start = rng.randint(-5, 5)
+    for _ in range(rng.randint(2, 7)):
+        m = rng.randint(1, 6)
+        earlier = [s for s in segs if s.length >= m]
+        if earlier and rng.random() < 0.6:
+            src = list(rng.choice(earlier).samples)
+            op = rng.choice(("copy", "reverse", "scale", "stride"))
+            if op == "stride" and len(src) >= 2 * m - 1:
+                a = rng.randint(0, len(src) - (2 * m - 1))
+                vals = src[a:a + 2 * m - 1:2]
+                vals = vals[::rng.choice((1, -1))]
+            elif op == "reverse":
+                vals = src[::-1][:m]
+            elif op == "scale":
+                c = Fraction(rng.choice((2, -1, -3)), rng.choice((1, 2)))
+                vals = [c * v for v in src[:m]]
+            else:
+                vals = src[:m]
+        else:
+            vals = rand_signal(rng, m, fractions=rng.random() < 0.3)
+        if rng.random() < 0.2:
+            vals[rng.randrange(m)] += rng.choice((1, -1))
+        segs.append(Segment(start, start + m, vals))
+        start += m
+    if rng.random() < 0.5:  # a shorter last segment, as segment_signal cuts
+        last = segs[-1]
+        cut = rng.randint(1, last.length)
+        segs[-1] = Segment(last.start, last.start + cut, last.samples[:cut])
+    return segs
+
+
+def assert_same_arrow(got, want):
+    assert got == want
+    if want is None:
+        return
+    assert (got.stride, got.shift, got.amp) == (want.stride, want.shift, want.amp)
+    assert list(map(type, got.delta)) == list(map(type, want.delta))
+
+
+# ---------------------------------------------------------------- tests
+
+TOLS = (0, 1, Fraction(3, 2), INF)
+DETECTOR_SETS = (ORDER, ("translation",), ("affine",), ("amp_affine",),
+                 ("translation", "amp_affine"), ("affine", "amp_affine"))
+STRIDE_SETS = ((-2, -1, 1, 2), (1,), (2, -2), (-1, 2, -1))
+
+
+@pytest.mark.parametrize("tol", TOLS, ids=str)
+def test_report_matches_exhaustive_ranking(tol):
+    rng = random.Random(f"report:{tol}")
+    for _ in range(60):
+        segs = segmented(rng)
+        detectors = rng.choice(DETECTOR_SETS)
+        strides = rng.choice(STRIDE_SETS)
+        rep = redundancy_report(segs, tol=tol, strides=strides,
+                                detectors=detectors)
+        want = report_oracle(segs, tol, strides, detectors)
+        assert len(rep.entries) == len(want)
+        for e, w in zip(rep.entries, want):
+            if w is None:
+                assert (e.source_index, e.detector, e.residual_sq,
+                        e.arrow) == (None, None, None, None)
+                continue
+            assert (e.source_index, e.detector, e.residual_sq) == w[:3]
+            assert type(e.residual_sq) is Fraction
+            assert_same_arrow(e.arrow, w[3])
+        assert rep.redundant_count == sum(w is not None for w in want)
+
+
+def test_report_on_cut_signals():
+    """segment_signal's layout: equal lengths and a shorter tail."""
+    rng = random.Random("cut")
+    for _ in range(20):
+        samples = rand_signal(rng, rng.randint(5, 16), fractions=rng.random() < 0.3)
+        step = rng.randint(1, 4)
+        segs = segment_signal(samples, 3, list(range(3 + step, 3 + len(samples), step)))
+        for tol in TOLS:
+            rep = redundancy_report(segs, tol=tol)
+            want = report_oracle(segs, tol, (-2, -1, 1, 2), ORDER)
+            got = [None if e.arrow is None else
+                   (e.source_index, e.detector, e.residual_sq, e.arrow)
+                   for e in rep.entries]
+            assert got == want
+
+
+def test_detectors_match_exhaustive_scoring():
+    rng = random.Random("pairs")
+    public = {"translation": lambda f, g, s, t: detect_translation(f, g, t),
+              "affine": detect_affine, "amp_affine": detect_amp_affine}
+    for _ in range(300):
+        segs = segmented(rng)
+        f, g = rng.sample(segs, 2) if len(segs) > 1 else (segs[0], segs[0])
+        strides = rng.choice(STRIDE_SETS)
+        tol = rng.choice(TOLS)
+        for name, fn in public.items():
+            assert_same_arrow(fn(f, g, strides, tol),
+                              detector_oracle(name, f, g, strides, tol))
+
+
+def check_encoding(samples, origin):
+    want = encode_detected_oracle(samples, origin)
+    if want is None:
+        with pytest.raises(ValueError, match="position"):
+            encode(samples, "detected", origin=origin)
+        return
+    got = encode(samples, "detected", origin=origin)
+    assert got == want
+    try:
+        blob = write_container(want)
+    except ValueError:
+        with pytest.raises(ValueError):
+            write_container(got)
+    else:
+        assert write_container(got) == blob
+
+
+def test_encoder_matches_quadratic_search():
+    rng = random.Random("encode")
+    for _ in range(100):
+        n = rng.randint(1, 18)
+        check_encoding(rand_signal(rng, n, fractions=rng.random() < 0.3),
+                       rng.randint(-5, 5))
+
+
+def test_encoder_falls_back_when_ratios_overflow():
+    rng = random.Random("huge")
+    for _ in range(60):
+        check_encoding(huge_signal(rng, rng.randint(1, 14)), rng.randint(-3, 3))
+    # no earlier ratio fits: the nearest value wins, the first on a tie
+    big = 1 << 70
+    enc = encode([1, big, big + 2, big + 1, 2], "detected")
+    assert enc.records[1] == ArrowRecord(0, -1, 1, 1, 1, (2,))
+    assert enc.records[2] == ArrowRecord(0, -2, 1, 1, 1, (1,))
+    assert enc.records[3] == ArrowRecord(2, -4, 1, 2, 1, (0,))
+
+
+def test_encoder_zero_with_no_earlier_zero_takes_nearest_value():
+    enc = encode([5, -2, 3, 0, 0], "detected", origin=7)
+    assert enc.records[2] == ArrowRecord(0, -2, 1, 1, 1, (2,))
+    assert enc.records[3] == ArrowRecord(0, -1, 1, 1, 1, (0,))
+
+
+def test_encoder_refuses_a_sample_with_no_integral_residual():
+    with pytest.raises(ValueError, match="position 1"):
+        encode([0, Fraction(1, 2)], "detected")
+    with pytest.raises(ValueError, match="position 4"):
+        encode([Fraction(1, 3), Fraction(2, 3), 0], "detected", origin=2)
