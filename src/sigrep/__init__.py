@@ -16,18 +16,17 @@ from .errors import (BadBreakpoints, CorruptContainer, DegenerateMeasure,
                      NotNonsingular, PolicyMismatch, SigrepError,
                      SpaceMismatch)
 from .measure import (INFINITY, FiniteCarrier, FiniteMeasureSpace,
-                      MeasurableMap, SigmaAlgebra, atoms, classify_map,
-                      compose_maps, counting_space, direct_sum,
-                      generate_sigma_algebra, identity_map, null_ideal,
-                      power_set_algebra, summand_slices)
+                      MeasurableMap, SigmaAlgebra, atoms, compose_maps,
+                      counting_space, direct_sum, generate_sigma_algebra,
+                      identity_map, power_set_algebra, summand_slices)
 from .quotient import (BooleanAlgebra, BooleanHom, HomLawReport,
                        MeasureAlgebra, check_hom_laws, compose_homs,
                        identity_hom, induced_hom, quotient_measure_algebra)
-from .fnspace import (DualElement, FnClass, amplitude_op, canonical_class,
-                      covariant_l2_op, covariant_op, dual_norm2_sq,
-                      duality_bridge, duality_bridge_inverse, indicator, inf,
-                      inner, join_direct_sum, leq_ae, mul, norm2, norm2_sq,
-                      pullback, scale, split_direct_sum, sup)
+from .fnspace import (DualElement, FnClass, canonical_class, covariant_l2_op,
+                      covariant_op, dual_norm2_sq, duality_bridge,
+                      duality_bridge_inverse, indicator, inf, inner,
+                      join_direct_sum, leq_ae, mul, norm2, norm2_sq, pullback,
+                      scale, split_direct_sum, sup)
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
 from .signal import (FunctorGraph, FunctorLawReport, RedundancyEntry,
@@ -35,7 +34,7 @@ from .signal import (FunctorGraph, FunctorLawReport, RedundancyEntry,
                      delta, detect_affine, detect_amp_affine,
                      detect_translation, identity_arrow,
                      prototype_decomposition, redundancy_report,
-                     segment_signal, transfer, verify_functor_laws)
+                     segment_signal, verify_functor_laws)
 from .container import (ArrowRecord, EncodedSignal, read_container,
                         read_container_file, write_container,
                         write_container_file)
@@ -52,11 +51,10 @@ __all__ = [
     "FnClass", "FunctorGraph", "FunctorLawReport", "HomLawReport", "INFINITY",
     "IntervalMismatch", "LawResult", "MapNotTotal", "MeasurableMap",
     "MeasureAlgebra", "Metrics", "NonConstantOnAtom", "NotADirectSum",
-    "NotHom", "NotIMP", "NotNonsingular", "PartialInjection",
-    "PolicyMismatch", "RedundancyEntry", "RedundancyReport", "Segment",
-    "SegmentArrow", "SigmaAlgebra", "SigrepError", "SpaceMismatch",
-    "amplitude_op", "atoms", "canonical_class", "check_hom_laws",
-    "classify_map", "compose", "compose_arrows", "compose_homs",
+    "NotHom", "NotIMP", "NotNonsingular", "PartialInjection", "PolicyMismatch",
+    "RedundancyEntry", "RedundancyReport", "Segment", "SegmentArrow",
+    "SigmaAlgebra", "SigrepError", "SpaceMismatch", "atoms", "canonical_class",
+    "check_hom_laws", "compose", "compose_arrows", "compose_homs",
     "compose_maps", "counting_space", "covariant_l2_op", "covariant_op",
     "dagger", "decode", "delta", "detect_affine", "detect_amp_affine",
     "detect_translation", "direct_sum", "dual_norm2_sq", "duality_bridge",
@@ -64,11 +62,11 @@ __all__ = [
     "identity_arrow", "identity_hom", "identity_injection", "identity_map",
     "indicator", "inf", "inner", "induced_hom", "join_direct_sum",
     "l2_partial", "leq_ae", "metrics", "mul", "norm2", "norm2_sq",
-    "null_ideal", "power_set_algebra", "prototype_decomposition", "pullback",
+    "power_set_algebra", "prototype_decomposition", "pullback",
     "quotient_measure_algebra", "read_container", "read_container_file",
     "read_csv_signal", "read_pgm", "redundancy_report", "restriction",
     "run_all", "scale", "segment_signal", "split_direct_sum", "sup",
-    "summand_slices", "transfer", "verify_functor_laws", "write_container",
+    "summand_slices", "verify_functor_laws", "write_container",
     "write_container_file", "write_csv_signal", "write_pgm",
     "zeroth_order_entropy",
 ]

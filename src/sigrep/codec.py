@@ -36,28 +36,14 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from math import log2
 from operator import sub
-from typing import List, Sequence, Tuple, Union
+from typing import List
 
 from .container import (KIND_AMP_AFFINE, KIND_TRANSLATION, ArrowRecord,
                         EncodedSignal, write_container)
 from .errors import CorruptContainer, EmptySignal, PolicyMismatch
+from .signal import Number, _check_samples
 
 POLICIES = ("predecessor", "detected")
-
-Number = Union[int, Fraction]
-
-
-def _check_samples(values: List) -> None:
-    """Raise TypeError naming the first value that is not an int or Fraction.
-
-    Each distinct type is checked once; the values are scanned again only to
-    name an offender.
-    """
-    bad = {t for t in set(map(type, values))
-           if t is bool or not issubclass(t, (int, Fraction))}
-    if bad:
-        v = next(v for v in values if type(v) in bad)
-        raise TypeError(f"samples must be ints or Fractions, got {v!r}")
 
 
 def _is_image(signal) -> bool:
@@ -74,8 +60,7 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
         raise ValueError(f"policy must be one of {POLICIES}")
     if _is_image(signal):
         return _encode_image(signal, policy)
-    samples = list(signal)
-    _check_samples(samples)
+    samples = _check_samples(list(signal))
     if not samples:
         raise EmptySignal("cannot encode an empty signal")
     if policy == "predecessor":
@@ -234,34 +219,24 @@ def decode(enc: EncodedSignal):
         if check_pred and not _check_predecessor_record(rec, fill, width):
             raise PolicyMismatch("predecessor-policy container holds a "
                                  "non-predecessor record")
-        num, den = rec.amp_num, rec.amp_den
-        if num == den:
-            s, t = rec.stride, rec.shift
-            if s == 1 and t == -1:  # hot path: plain DPCM along the run
-                vals.extend(islice(accumulate(rec.delta, initial=vals[-1]),
-                                   1, None))
-                fill = len(vals)
-                continue
-            for d in rec.delta:
-                src = s * (origin + fill) + t - origin
-                if not 0 <= src < fill:
-                    raise CorruptContainer(
-                        f"record references undecoded position {src + origin}")
-                vals.append(vals[src] + d)
-                fill += 1
-        else:
-            c = Fraction(num, den)
-            s, t = rec.stride, rec.shift
-            for d in rec.delta:
-                src = s * (origin + fill) + t - origin
-                if not 0 <= src < fill:
-                    raise CorruptContainer(
-                        f"record references undecoded position {src + origin}")
-                v = c * vals[src] + d
-                if v.denominator == 1:
-                    v = int(v)
-                vals.append(v)
-                fill += 1
+        num, den, s, t = rec.amp_num, rec.amp_den, rec.stride, rec.shift
+        # an integral amplitude stays an int, so int samples stay ints
+        c = num // den if num % den == 0 else Fraction(num, den)
+        if c == 1 and s == 1 and t == -1:  # hot path: plain DPCM along the run
+            vals.extend(islice(accumulate(rec.delta, initial=vals[-1]),
+                               1, None))
+            fill = len(vals)
+            continue
+        for d in rec.delta:
+            src = s * (origin + fill) + t - origin
+            if not 0 <= src < fill:
+                raise CorruptContainer(
+                    f"record references undecoded position {src + origin}")
+            v = c * vals[src] + d
+            if v.denominator == 1:
+                v = int(v)
+            vals.append(v)
+            fill += 1
     if enc.dimension == 1:
         return vals
     return [vals[r * width:(r + 1) * width] for r in range(enc.shape[0])]

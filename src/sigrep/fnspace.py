@@ -181,10 +181,6 @@ def inner(f: FnClass, g: FnClass):
     return total
 
 
-def add(f: FnClass, g: FnClass) -> FnClass:
-    return f + g
-
-
 def scale(c, f: FnClass) -> FnClass:
     return _as_value(c) * f
 
@@ -208,53 +204,30 @@ def leq_ae(f: FnClass, g: FnClass) -> bool:
     return all(a <= b for a, b in zip(f.values, g.values))
 
 
-def amplitude_op(c, f: FnClass) -> FnClass:
-    """Composition with the linear amplitude map x -> c*x.
-
-    Linear maps are the only scalar reparametrizations admitted here, so this
-    is exact scalar multiplication of the class.
-    """
-    return scale(c, f)
-
-
 # ---------------------------------------------------------------- pullback
 
-class PullbackOperator:
-    """Composition operator along a point map: (T g)(x) = g(phi(x)).
-
-    For "L0" classes the map must be nonsingular (so null classes pull back
-    to null classes); for "L2" classes it must be inverse-measure-preserving
-    (so squared norms are carried over exactly).
-    """
-
-    __slots__ = ("phi",)
-
-    def __init__(self, phi: MeasurableMap):
-        if not phi.is_measurable:
-            raise NotNonsingular("pullback needs at least a measurable map")
-        self.phi = phi
-
-    def __call__(self, g: FnClass) -> FnClass:
-        return self.apply(g)
-
-    def apply(self, g: FnClass) -> FnClass:
-        phi = self.phi
-        if g.space != phi.target:
-            raise SpaceMismatch("class lives over a different space than the map's target")
-        if g.tag == "L2":
-            if not phi.is_imp:
-                raise NotIMP("an L2 class only pulls back along an "
-                             "inverse-measure-preserving map")
-        else:
-            if not phi.is_nonsingular:
-                raise NotNonsingular("an L0 class only pulls back along a "
-                                     "nonsingular map")
-        vals = [g.value(phi.mapping[p]) for p in phi.source.carrier.points]
-        return canonical_class(vals, phi.source, g.tag)
-
-
 def pullback(phi: MeasurableMap, g: FnClass) -> FnClass:
-    return PullbackOperator(phi).apply(g)
+    """Composition along a point map: (T g)(x) = g(phi(x)).
+
+    The map must be measurable.  For "L0" classes it must also be
+    nonsingular (so null classes pull back to null classes); for "L2"
+    classes it must be inverse-measure-preserving (so squared norms are
+    carried over exactly).
+    """
+    if not phi.is_measurable:
+        raise NotNonsingular("pullback needs at least a measurable map")
+    if g.space != phi.target:
+        raise SpaceMismatch("class lives over a different space than the map's target")
+    if g.tag == "L2":
+        if not phi.is_imp:
+            raise NotIMP("an L2 class only pulls back along an "
+                         "inverse-measure-preserving map")
+    else:
+        if not phi.is_nonsingular:
+            raise NotNonsingular("an L0 class only pulls back along a "
+                                 "nonsingular map")
+    vals = [g.value(phi.mapping[p]) for p in phi.source.carrier.points]
+    return canonical_class(vals, phi.source, g.tag)
 
 
 # ---------------------------------------------------------------- dual side

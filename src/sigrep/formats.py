@@ -83,8 +83,8 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
         else:
             if len(raster) != 2 * count:
                 raise ValueError(f"P5 raster size {len(raster)} != {2 * count}")
-            values = [raster[2 * i] << 8 | raster[2 * i + 1] for i in range(count)]
-    if any(v > maxval for v in values):
+            values = list(struct.unpack(f">{count}H", raster))
+    if max(values) > maxval:
         raise ValueError("PGM sample exceeds maxval")
     return [values[r * width:(r + 1) * width] for r in range(height)], maxval
 

@@ -105,6 +105,17 @@ class FiniteCarrier:
         return f"FiniteCarrier({list(self.points)})"
 
 
+def _unions(parts: Sequence[int]) -> List[int]:
+    """All 2**len(parts) unions of ``parts``: entry ``e`` is the OR of
+    ``parts[j]`` over the bits ``j`` set in ``e``, built by peeling off the
+    lowest bit of each ``e``."""
+    out = [0] * (1 << len(parts))
+    for e in range(1, len(out)):
+        low = e & -e
+        out[e] = out[e ^ low] | parts[low.bit_length() - 1]
+    return out
+
+
 def _refine(full: int, masks: Iterable[int]) -> Tuple[int, ...]:
     """Atoms of the sigma-algebra on ``full`` generated by ``masks``: the
     partition ``{full}`` refined by each mask, sorted."""
@@ -149,11 +160,7 @@ class SigmaAlgebra:
     def members(self) -> FrozenSet[int]:
         """Every member mask (all 2**len(atoms) unions of atoms)."""
         if self._members is None:
-            unions = [0] * len(self)
-            for i in range(1, len(unions)):
-                low = i & -i
-                unions[i] = unions[i ^ low] | self.atoms[low.bit_length() - 1]
-            self._members = frozenset(unions)
+            self._members = frozenset(_unions(self.atoms))
         return self._members
 
     def is_member(self, mask: int) -> bool:
@@ -291,15 +298,8 @@ class FiniteMeasureSpace:
     def null_ideal(self) -> FrozenSet[int]:
         """All subsets of the carrier contained in a measurable null set."""
         nm = self.null_mask
-        bits = [1 << i for i in range(self.carrier.size) if nm >> i & 1]
-        out = set()
-        for combo in range(1 << len(bits)):
-            m = 0
-            for j, b in enumerate(bits):
-                if combo >> j & 1:
-                    m |= b
-            out.add(m)
-        return frozenset(out)
+        return frozenset(_unions(
+            [1 << i for i in range(self.carrier.size) if nm >> i & 1]))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteMeasureSpace)
@@ -319,11 +319,6 @@ def counting_space(labels: Iterable[int]) -> FiniteMeasureSpace:
     carrier = FiniteCarrier(labels)
     return FiniteMeasureSpace(power_set_algebra(carrier),
                               [Fraction(1)] * carrier.size)
-
-
-def null_ideal(space: FiniteMeasureSpace) -> FrozenSet[int]:
-    """All subsets contained in a measurable null set of ``space``."""
-    return space.null_ideal()
 
 
 @dataclass(frozen=True)
@@ -426,11 +421,6 @@ class MeasurableMap:
 
     def __repr__(self):
         return f"MeasurableMap({self.mapping})"
-
-
-def classify_map(phi: MeasurableMap) -> MapFlags:
-    """Recompute the measurable / nonsingular / imp flags of ``phi``."""
-    return phi._classify()
 
 
 def identity_map(space: FiniteMeasureSpace) -> MeasurableMap:

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from .errors import DegenerateMeasure, NotHom, NotNonsingular, SpaceMismatch
-from .measure import INFINITY, FiniteMeasureSpace, MeasurableMap, Weight, atoms
+from .measure import (INFINITY, FiniteMeasureSpace, MeasurableMap, Weight,
+                      _unions, atoms)
 
 
 class BooleanAlgebra:
@@ -94,7 +95,9 @@ class MeasureAlgebra:
     """Quotient of a space's sigma-algebra by its null ideal, with the
     induced measure.
 
-    Do not construct directly; use :func:`quotient_measure_algebra`.
+    Construct it directly, or through :func:`quotient_measure_algebra`,
+    which also returns the projection sending each measurable set to its
+    class.
     """
 
     __slots__ = ("space", "algebra", "atom_point_masks", "_mu")
@@ -232,7 +235,7 @@ class BooleanHom:
         preserving = hom and all(
             self.target.mu_bar(m[1 << j]) == self.source.mu_bar(1 << j)
             for j in range(self.source.algebra.atom_count))
-        self._flags = (hom, hom, preserving)
+        self._flags = (hom, preserving)
 
     @property
     def is_hom(self) -> bool:
@@ -242,15 +245,13 @@ class BooleanHom:
 
     @property
     def is_soc(self) -> bool:
-        if self._flags is None:
-            self._compute_flags()
-        return self._flags[1]
+        return self.is_hom
 
     @property
     def is_measure_preserving(self) -> bool:
         if self._flags is None:
             self._compute_flags()
-        return self._flags[2]
+        return self._flags[1]
 
     def __eq__(self, other):
         return (isinstance(other, BooleanHom)
@@ -291,11 +292,7 @@ def induced_hom(phi: MeasurableMap) -> BooleanHom:
     tgt_alg = MeasureAlgebra(phi.source)
     images = [tgt_alg.project(phi.preimage_mask(a))
               for a in src_alg.atom_point_masks]
-    mapping = [0] * (1 << len(images))
-    for e in range(1, len(mapping)):
-        low = e & -e
-        mapping[e] = mapping[e ^ low] | images[low.bit_length() - 1]
-    hom = BooleanHom(src_alg, tgt_alg, mapping)
+    hom = BooleanHom(src_alg, tgt_alg, _unions(images))
     if not hom.is_hom:
         raise NotHom("induced mapping failed the homomorphism laws")
     return hom

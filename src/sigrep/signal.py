@@ -37,10 +37,19 @@ from .errors import (BadBreakpoints, EmptySignal, IntervalMismatch,
 Number = Union[int, Fraction]
 
 
-def _check_number(v) -> Number:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise TypeError("samples must be ints or Fractions")
-    return v
+def _check_samples(values: Sequence) -> Sequence:
+    """Return ``values``; raise TypeError naming the first value that is not
+    an int or Fraction.
+
+    Each distinct type is checked once; the values are scanned again only to
+    name an offender.
+    """
+    bad = {t for t in set(map(type, values))
+           if t is bool or not issubclass(t, (int, Fraction))}
+    if bad:
+        v = next(v for v in values if type(v) in bad)
+        raise TypeError(f"samples must be ints or Fractions, got {v!r}")
+    return values
 
 
 class Segment:
@@ -51,7 +60,7 @@ class Segment:
     def __init__(self, start: int, end: int, samples: Sequence[Number]):
         if not isinstance(start, int) or not isinstance(end, int):
             raise TypeError("interval endpoints must be ints")
-        samples = tuple(_check_number(v) for v in samples)
+        samples = _check_samples(tuple(samples))
         if not samples:
             raise EmptySignal("a segment needs at least one sample")
         if end - start != len(samples):
@@ -73,15 +82,15 @@ class Segment:
             raise IndexError(f"position {position} outside [{self.start}, {self.end})")
         return self.samples[position - self.start]
 
+    # an int and the equal Fraction compare and hash alike, so the sample
+    # tuples are compared and hashed as they are
     def __eq__(self, other):
         return (isinstance(other, Segment)
                 and self.interval == other.interval
-                and len(self.samples) == len(other.samples)
-                and all(a == b for a, b in zip(self.samples, other.samples)))
+                and self.samples == other.samples)
 
     def __hash__(self):
-        return hash((self.start, self.end,
-                     tuple(Fraction(v) for v in self.samples)))
+        return hash((self.start, self.end, self.samples))
 
     def __repr__(self):
         return f"Segment([{self.start},{self.end}), {list(self.samples)})"
@@ -131,7 +140,7 @@ class SegmentArrow:
         amp = Fraction(amp)
         if amp == 0:
             raise ValueError("amplitude factor must be nonzero")
-        delta = tuple(_check_number(v) for v in delta)
+        delta = _check_samples(tuple(delta))
         if len(delta) != target.length:
             raise ValueError("need one residual value per target position")
         for j in range(target.start, target.end):
@@ -194,12 +203,9 @@ class SegmentArrow:
         """The transferred segment c * f(sigma(.)) over the target interval."""
         if f.interval != self.source.interval:
             raise IntervalMismatch("segment does not match the arrow's source interval")
-        c = self.amp
-        rng = range(self.target.start, self.target.end)
-        if c == 1:
-            vals = [f.sample_at(self.lookup(j)) for j in rng]
-        else:
-            vals = [c * f.sample_at(self.lookup(j)) for j in rng]
+        c = 1 if self.amp == 1 else self.amp  # amplitude 1 keeps int samples
+        vals = [c * f.sample_at(self.lookup(j))
+                for j in range(self.target.start, self.target.end)]
         return Segment(self.target.start, self.target.end, vals)
 
     def apply(self, f: Segment) -> Segment:
@@ -215,21 +221,16 @@ class SegmentArrow:
                 and self.stride == other.stride
                 and self.shift == other.shift
                 and self.amp == other.amp
-                and all(a == b for a, b in zip(self.delta, other.delta)))
+                and self.delta == other.delta)
 
     def __hash__(self):
         return hash((self.source, self.target, self.stride, self.shift,
-                     self.amp, tuple(Fraction(d) for d in self.delta)))
+                     self.amp, self.delta))
 
     def __repr__(self):
         return (f"SegmentArrow({self.kind}, lookup j->{self.stride}*j"
                 f"{self.shift:+d}, amp={self.amp}, "
                 f"|delta|^2={sum(d * d for d in self.delta)})")
-
-
-def transfer(arrow: SegmentArrow, f: Segment) -> Segment:
-    """Push a source segment through an arrow (prediction only)."""
-    return arrow.predict(f)
 
 
 def delta(observed: Segment, predicted: Segment) -> Tuple[Number, ...]:
@@ -355,8 +356,10 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
     report's.  A candidate is abandoned once its partial sum is strictly
     greater than the bound min(limit, best so far), so candidates equal to
     the best stay in the tie-break; a detector is skipped outright once the
-    best so far is exact and of its rank or lower.  Only the winner becomes
-    a SegmentArrow.
+    best so far is exact and of its rank or lower.  When translation runs on
+    an equal-length pair, the affine detector skips its stride-1 candidate:
+    that is the translation candidate again, at a lower priority, so it can
+    never win.  Only the winner becomes a SegmentArrow.
 
     Returns (residual_sq, rank, source index, arrow), residual unscaled.
     """
@@ -364,20 +367,26 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
     best = None  # the tie-break key of the best candidate so far
     win = None   # (source, S, T, p, q) of that candidate
     bound = limit
+    translating = _TRANSLATION in ranks
     for index, f, fv in sources:
         lookups = None  # the affine detectors' candidates, shared by both
+        twin = (1, f.start - g.start) if translating and f.length == m else None
         for rank in ranks:
             if best is not None and best[0] == 0 and best[1] <= rank:
                 continue
             if rank == _TRANSLATION:
-                if f.length != m:
+                if twin is None:
                     continue
-                cands = ((1, f.start - g.start),)
+                cands = (twin,)
             else:
                 if lookups is None:
                     lookups = _stride_candidates(f, g, strides)
                 cands = lookups
-            for idx, (s, t) in enumerate(cands):
+            skip = twin if rank == _AFFINE else None
+            for idx, cand in enumerate(cands):
+                if cand == skip:
+                    continue
+                s, t = cand
                 a = s * g.start + t - f.start
                 stop = a + s * m
                 u = fv[a:stop if stop >= 0 else None:s]
@@ -405,12 +414,9 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
     if best is None:
         return None
     f, s, t, p, q = win
-    c = Fraction(p, q)
-    u = [f.samples[s * j + t - f.start] for j in range(g.start, g.end)]
-    if best[1] == _AMP_AFFINE:
-        dvals = [y - c * x for y, x in zip(g.samples, u)]
-    else:
-        dvals = [y - x for y, x in zip(g.samples, u)]
+    c = Fraction(p, q) if best[1] == _AMP_AFFINE else 1
+    dvals = [y - c * f.samples[s * j + t - f.start]
+             for y, j in zip(g.samples, range(g.start, g.end))]
     return (_residual_sq(dvals), best[1], best[2],
             SegmentArrow(f, g, s, t, c, dvals))
 
@@ -650,7 +656,7 @@ def prototype_decomposition(samples: Sequence[Number], origin: int = 1):
     giving second-level residuals.  Returns a dict with the seed sample, the
     arrows, both residual levels, and the reconstruction.
     """
-    samples = tuple(_check_number(v) for v in samples)
+    samples = _check_samples(tuple(samples))
     if not samples:
         raise EmptySignal("nothing to decompose")
     segs = [Segment(origin + k, origin + k + 1, (v,))

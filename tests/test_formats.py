@@ -54,6 +54,11 @@ def test_pgm_errors(tmp_path):
         p.write_bytes(raw)
         with pytest.raises(ValueError):
             read_pgm(p)
+    for raw in (b"P5\n1 1\n10\n\x0b",        # 1-byte sample above maxval
+                b"P5\n1 1\n300\n\x01\x2d"):  # 2-byte sample 301 above maxval
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match="exceeds maxval"):
+            read_pgm(p)
 
 
 def test_write_pgm_rejections(tmp_path):

@@ -10,7 +10,7 @@ from sigrep import (BadBreakpoints, EmptySignal, FunctorGraph,
                     delta, detect_affine, detect_amp_affine,
                     detect_translation, identity_arrow,
                     prototype_decomposition, redundancy_report,
-                    segment_signal, transfer, verify_functor_laws)
+                    segment_signal, verify_functor_laws)
 
 STRIDES = (-2, -1, 1, 2)
 
@@ -25,11 +25,25 @@ def test_segment_validation():
         Segment(0, 0, [])
     with pytest.raises(TypeError):
         Segment(0, 1, [0.5])
+    with pytest.raises(TypeError, match="got True"):
+        Segment(0, 1, [True])
     s = Segment(-2, 1, [7, 8, 9])
     assert s.length == 3
     assert s.sample_at(-1) == 8
     with pytest.raises(IndexError):
         s.sample_at(1)
+
+
+def test_int_and_equal_fraction_samples_compare_and_hash_alike():
+    f = Segment(0, 2, [1, 2])
+    f_frac = Segment(0, 2, [Fraction(1), Fraction(4, 2)])
+    assert f == f_frac and hash(f) == hash(f_frac)
+    assert f != Segment(0, 2, [1, Fraction(5, 2)])
+    g = Segment(3, 5, [2, 3])
+    a = SegmentArrow(f, g, 1, -3, 1, [1, 1])
+    a_frac = SegmentArrow(f_frac, g, 1, -3, Fraction(1), [Fraction(1), 1])
+    assert a == a_frac and hash(a) == hash(a_frac)
+    assert a != SegmentArrow(f, g, 1, -3, 1, [1, Fraction(3, 2)])
 
 
 def test_segment_signal_cuts():
@@ -75,7 +89,7 @@ def test_arrow_views():
     assert a.used_source_positions() == [0, 2, 4]
     assert a.forward(4) == 2
     assert a.forward_coeffs() == (Fraction(1, 2), Fraction(0))
-    assert transfer(a, f) == g
+    assert a.predict(f) == g
 
 
 def test_arrow_apply_reconstructs():
@@ -89,12 +103,12 @@ def test_arrow_apply_reconstructs():
 
 
 def test_commuting_square_when_exact():
-    """g = transfer(a, f) means g agrees with c*f on the resampled grid."""
+    """g = a.predict(f) means g agrees with c*f on the resampled grid."""
     f = Segment(0, 7, [3, 1, 4, 1, 5, 9, 2])
     g_vals = [2 * f.sample_at(-2 * j + 4) for j in range(0, 3)]
     g = Segment(0, 3, g_vals)
     a = SegmentArrow(f, g, -2, 4, 2, [0, 0, 0])
-    assert transfer(a, f) == g
+    assert a.predict(f) == g
     for j in range(g.start, g.end):
         assert g.sample_at(j) == 2 * f.sample_at(a.lookup(j))
 
@@ -108,7 +122,7 @@ def test_identity_and_composition():
     assert a is not None and b is not None
     ba = compose_arrows(b, a)
     assert ba.stride == 1 and ba.amp == 1
-    assert transfer(ba, f) == h
+    assert ba.predict(f) == h
     assert compose_arrows(a, identity_arrow(f)) == a
     assert compose_arrows(identity_arrow(g), a) == a
     with pytest.raises(IntervalMismatch):
@@ -138,7 +152,7 @@ def test_compose_strides_and_amps():
     ba = compose_arrows(b, a)
     assert (ba.stride, ba.shift, ba.amp) == (4, 0, 2)
     assert ba.measure_factor == Fraction(1, 4)
-    assert transfer(ba, f) == h
+    assert ba.predict(f) == h
 
 
 # ---------------------------------------------------------------- detectors
