@@ -174,16 +174,15 @@ def _detected_record(samples, k, y, first, nonzero, origin) -> ArrowRecord:
 def _check_predecessor_record(rec: ArrowRecord, flat: int, width: int) -> bool:
     """Whether ``rec``, starting at flat position ``flat``, is a predecessor run.
 
-    1-D: any nonempty left run.  2-D: a record starting in column 0 (of a row
-    after the first, since the seed holds position 0) is one up delta; any
-    other record is a left run that ends inside its row.
+    A record starting in column 0 (of a row after the first, since the seed
+    holds position 0) is one up delta; any other record is a left run that
+    ends inside its row.  A 1-D signal is one row, so its records are left
+    runs.
     """
     n = len(rec.delta)
     if (rec.kind != KIND_TRANSLATION or rec.stride != 1
             or rec.amp_num != rec.amp_den or n == 0):
         return False
-    if width == 0:  # 1-D
-        return rec.shift == -1
     col = flat % width
     if col == 0:
         return rec.shift == -width and n == 1
@@ -198,13 +197,11 @@ def decode(enc: EncodedSignal):
     when a predecessor-policy container holds anything but the fixed
     predecessor arrows.
     """
-    if enc.dimension == 1:
-        (n,) = enc.shape
-        width = 0
-    else:
-        rows, cols = enc.shape
-        n = rows * cols
-        width = cols
+    if enc.dimension not in (1, 2) or len(enc.shape) != enc.dimension:
+        raise CorruptContainer(f"shape {enc.shape} does not fit dimension "
+                               f"{enc.dimension}")
+    n = enc.total_samples
+    width = enc.shape[-1]
     total_decl = len(enc.seed) + sum(len(r.delta) for r in enc.records)
     if total_decl != n:
         raise CorruptContainer(f"container declares {n} samples but "

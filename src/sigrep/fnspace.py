@@ -15,7 +15,7 @@ constant on the points of every atom.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence
 
 from .errors import (NonConstantOnAtom, NotADirectSum, NotHom, NotIMP,
                      NotNonsingular, SpaceMismatch)
@@ -287,34 +287,24 @@ def dual_norm2_sq(u: DualElement):
 
 
 def covariant_op(pi: BooleanHom, u: DualElement) -> DualElement:
-    """Transport a dual element along an algebra hom, threshold by threshold.
+    """Transport a dual element along an algebra hom.
 
     The result v over ``pi.target`` is the unique element with
-    ``[[v > a]] == pi([[u > a]])`` for every a.  Concretely each target atom
-    receives the largest value d of u whose pushed super-level set
-    ``pi([[u >= d]])`` covers the atom; the smallest value's super-level set
-    is everything, so every atom is covered.
+    ``[[v > a]] == pi([[u > a]])`` for every a.  A hom sends the source atoms
+    to disjoint elements whose join is the unit, so each target atom lies in
+    the image ``pi(1 << i)`` of exactly one source atom i, and takes u's
+    value on that atom.
     """
-    if not (pi.is_hom and pi.is_soc):
+    if not pi.is_hom:
         raise NotHom("covariant transport needs a sequentially "
                      "order-continuous homomorphism")
     if u.malg != pi.source:
         raise SpaceMismatch("dual element lives over a different algebra "
                             "than the hom's source")
-    if pi.target.algebra.atom_count == 0:
-        return DualElement(pi.target, ())
-    descending = sorted(set(u.atom_values), reverse=True)
-    pushed = [pi(u.threshold_ge(d)) for d in descending]
-    out: List[Fraction] = []
-    for j in range(pi.target.algebra.atom_count):
-        bit = 1 << j
-        for d, img in zip(descending, pushed):
-            if img & bit == bit:
-                out.append(d)
-                break
-        else:
-            raise AssertionError("hom does not preserve the unit")
-    return DualElement(pi.target, out)
+    images = [pi(1 << i) for i in range(len(u.atom_values))]
+    return DualElement(pi.target, [
+        next(v for v, img in zip(u.atom_values, images) if img >> j & 1)
+        for j in range(pi.target.algebra.atom_count)])
 
 
 def covariant_l2_op(pi: BooleanHom, u: DualElement) -> DualElement:
@@ -352,11 +342,10 @@ def duality_bridge_inverse(space: FiniteMeasureSpace, u: DualElement,
                            tag: str = "L0") -> FnClass:
     """The canonical class determined by a dual element: each atom's value on
     the atom's points, zero on the largest null set."""
-    malg = MeasureAlgebra(space)
-    if u.malg != malg:
+    if u.malg.space != space:
         raise SpaceMismatch("dual element belongs to a different measure algebra")
     vals = [Fraction(0)] * space.carrier.size
-    for j, pmask in enumerate(malg.atom_point_masks):
+    for j, pmask in enumerate(u.malg.atom_point_masks):
         for i in range(space.carrier.size):
             if pmask >> i & 1:
                 vals[i] = u.atom_values[j]

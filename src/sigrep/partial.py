@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from .errors import SpaceMismatch
 from .fnspace import FnClass, canonical_class
-from .measure import FiniteMeasureSpace
 
 
 class PartialInjection:

@@ -50,37 +50,6 @@ class BooleanAlgebra:
     def elements(self) -> range:
         return range(1 << self.atom_count)
 
-    @property
-    def atom_elements(self) -> List[int]:
-        return [1 << j for j in range(self.atom_count)]
-
-    def sym_diff(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def complement(self, a: int) -> int:
-        return self.unit & ~a
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & b == a
-
-    def sup(self, elems) -> int:
-        out = 0
-        for e in elems:
-            out |= e
-        return out
-
-    def inf(self, elems) -> int:
-        out = self.unit
-        for e in elems:
-            out &= e
-        return out
-
     def __eq__(self, other):
         return isinstance(other, BooleanAlgebra) and self.atom_count == other.atom_count
 
@@ -97,7 +66,8 @@ class MeasureAlgebra:
 
     Construct it directly, or through :func:`quotient_measure_algebra`,
     which also returns the projection sending each measurable set to its
-    class.
+    class.  Everything in it is determined by the space, so two measure
+    algebras are equal exactly when their spaces are.
     """
 
     __slots__ = ("space", "algebra", "atom_point_masks", "_mu")
@@ -164,12 +134,10 @@ class MeasureAlgebra:
         return self._mu[1 << j]
 
     def __eq__(self, other):
-        return (isinstance(other, MeasureAlgebra)
-                and self.space == other.space
-                and self.atom_point_masks == other.atom_point_masks)
+        return isinstance(other, MeasureAlgebra) and self.space == other.space
 
     def __hash__(self):
-        return hash((self.space, self.atom_point_masks))
+        return hash(self.space)
 
     def __repr__(self):
         return f"MeasureAlgebra(atoms={self.algebra.atom_count})"
@@ -196,8 +164,10 @@ class BooleanHom:
     * ``is_soc``   -- a hom that preserves suprema of monotone chains.  Over
       finite algebras that means preserving pairwise joins, which every hom
       does (``a | b == a ^ b ^ (a & b)``), so it equals ``is_hom``;
-    * ``is_measure_preserving`` -- target measure of the image equals source
-      measure, for every element.
+    * ``is_measure_preserving`` -- a hom under which the target measure of
+      each image equals the source measure of the element.
+
+    The flags are read from :func:`check_hom_laws` on first use.
     """
 
     __slots__ = ("source", "target", "mapping", "_flags")
@@ -218,24 +188,8 @@ class BooleanHom:
         return self.mapping[element]
 
     def _compute_flags(self):
-        # A hom sends each element to the disjoint union of its atoms'
-        # images and the unit to the unit: peel off the lowest atom of each
-        # element in turn.
-        m = self.mapping
-        hom = m[0] == 0 and m[-1] == self.target.algebra.unit
-        if hom:
-            for a in range(1, len(m)):
-                low = a & -a
-                rest = m[a ^ low]
-                if rest & m[low] or m[a] != rest | m[low]:
-                    hom = False
-                    break
-        # a hom sends disjoint unions to disjoint unions and mu_bar is
-        # additive on both sides, so the atoms decide measure preservation
-        preserving = hom and all(
-            self.target.mu_bar(m[1 << j]) == self.source.mu_bar(1 << j)
-            for j in range(self.source.algebra.atom_count))
-        self._flags = (hom, preserving)
+        rep = check_hom_laws(self)
+        self._flags = (rep.is_hom, rep.is_hom and rep.is_measure_preserving)
 
     @property
     def is_hom(self) -> bool:
@@ -327,33 +281,45 @@ def check_hom_laws(pi: BooleanHom) -> HomLawReport:
       ``m[U]`` and the images of the coatoms above ``a`` (so ``m[a]`` lies
       below ``m[U]`` without a check of its own).
 
-    Each failure names a pair of elements on which the law breaks.  Joins
-    are not checked apart: ``a | b == a ^ b ^ (a & b)``, so a map preserving
+    Each failure names a pair of elements on which the law breaks; a law's
+    pass stops once it has failed and 16 failures are held.  Joins are not
+    checked apart: ``a | b == a ^ b ^ (a & b)``, so a map preserving
     sym_diff and meet preserves joins, and ``is_soc`` is ``is_hom``.
+    Measure preservation reads the two algebras' measure tables: at the
+    atoms for a hom, else at every element.
     """
     m = pi.mapping
     unit = len(m) - 1
     failures = []
-    sym = meet = True
-    if m[0] != 0:
-        sym = False
+    sym = m[0] == 0
+    if not sym:
         failures.append("sym_diff broken at (0, 0)")
     for a in range(1, len(m)):
         low = a & -a
         if m[a] != m[a ^ low] ^ m[low]:
             sym = False
+            if len(failures) == 16:
+                break
             failures.append(f"sym_diff broken at ({a ^ low}, {low})")
+    meet = True
     for a in range(unit):
         b = ~a & (a + 1)
         if m[a] != m[a | b] & m[unit ^ b]:
             meet = False
+            if len(failures) == 16:
+                break
             failures.append(f"meet broken at ({a | b}, {unit ^ b})")
     unit_ok = m[unit] == pi.target.algebra.unit
     if not unit_ok:
         failures.append("unit not preserved")
-    preserving = all(pi.target.mu_bar(m[a]) == pi.source.mu_bar(a)
-                     for a in range(len(m)))
+    hom = sym and meet and unit_ok
+    # a hom sends disjoint joins to disjoint joins and both measures are
+    # additive, so for a hom the atoms decide
+    elems = ([1 << j for j in range(pi.source.algebra.atom_count)] if hom
+             else range(len(m)))
+    target_mu, source_mu = pi.target._mu, pi.source._mu
+    preserving = all(target_mu[m[a]] == source_mu[a] for a in elems)
     if not preserving:
         failures.append("measure not preserved")
-    return HomLawReport(sym, meet, unit_ok, sym and meet and unit_ok,
+    return HomLawReport(sym, meet, unit_ok, hom,
                         preserving, tuple(failures[:16]))

@@ -31,8 +31,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (BadBreakpoints, EmptySignal, IntervalMismatch,
-                     SpaceMismatch)
+from .errors import BadBreakpoints, EmptySignal, IntervalMismatch
 
 Number = Union[int, Fraction]
 

@@ -1,4 +1,7 @@
-"""The public API: one name per operation."""
+"""The public API: one name per operation, and no import left unused."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,43 @@ def test_every_exported_name_resolves_once():
 def test_deleted_aliases_are_gone(module, name):
     assert not hasattr(module, name)
     assert name not in sigrep.__all__
+
+
+@pytest.mark.parametrize("name", [
+    "atom_elements",  # 1 << j
+    "sym_diff",       # a ^ b
+    "meet",           # a & b
+    "join",           # a | b
+    "complement",     # alg.unit & ~a
+    "leq",            # a & ~b == 0
+    "sup",
+    "inf",
+])
+def test_boolean_algebra_has_no_bit_op_wrappers(name):
+    assert not hasattr(sigrep.BooleanAlgebra, name)
+
+
+def _unused_imports(source):
+    """Names a module imports (``__future__`` aside) and never mentions."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_scan_sees_through_attributes():
+    source = "import os.path\nfrom typing import List, Tuple\nx: List = os.sep\n"
+    assert _unused_imports(source) == ["Tuple"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(sigrep.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

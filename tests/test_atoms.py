@@ -73,6 +73,26 @@ def hom_laws_oracle(pi):
     return bad_sym, bad_meet, unit_ok, soc, preserving
 
 
+def failures_oracle(pi):
+    """Every failure ``check_hom_laws`` describes, in its order, uncapped."""
+    m = pi.mapping
+    unit = len(m) - 1
+    out = [] if m[0] == 0 else ["sym_diff broken at (0, 0)"]
+    for a in range(1, len(m)):
+        low = a & -a
+        if m[a] != m[a ^ low] ^ m[low]:
+            out.append(f"sym_diff broken at ({a ^ low}, {low})")
+    for a in range(unit):
+        b = ~a & (a + 1)
+        if m[a] != m[a | b] & m[unit ^ b]:
+            out.append(f"meet broken at ({a | b}, {unit ^ b})")
+    if m[unit] != pi.target.algebra.unit:
+        out.append("unit not preserved")
+    if any(pi.target.mu_bar(m[a]) != pi.source.mu_bar(a) for a in range(len(m))):
+        out.append("measure not preserved")
+    return out
+
+
 def quotient_oracle(space):
     """The minimal nonzero reduced masks ``E & ~null`` (the quotient's atoms)
     and the members grouped by reduced mask (its classes)."""
@@ -240,7 +260,7 @@ def test_hom_laws_match_pairwise_scan():
         assert (pi.is_hom, pi.is_soc, pi.is_measure_preserving) == (
             rep.is_hom, soc, rep.is_hom and preserving)
         # every reported failure names a pair on which its law breaks
-        assert len(rep.failures) <= 16
+        assert rep.failures == tuple(failures_oracle(pi)[:16])
         assert bool(rep.failures) == (bool(bad_sym) or bool(bad_meet)
                                       or not unit_ok or not preserving)
         for msg in rep.failures:
@@ -274,6 +294,22 @@ def test_sixteen_point_counting_space():
     assert hom.is_hom and hom.is_measure_preserving
     for i in range(n):
         assert hom(1 << perm[i]) == 1 << i
+
+
+def test_sixteen_point_failures_stop_at_sixteen():
+    malg = MeasureAlgebra(counting_space(range(16)))
+    lost = list(malg.algebra.elements)
+    lost[1] = 0  # atom 0 lost: sym_diff breaks at every odd element but 1
+    # atom 0 sent to atoms 0 and 1: an xor-linear map, so only meet breaks
+    doubled = [e ^ (e & 1) << 1 for e in malg.algebra.elements]
+    for table, first in ((lost, "sym_diff broken at (2, 1)"),
+                         (doubled, "meet broken at (1, 65534)")):
+        pi = BooleanHom(malg, malg, table)
+        uncapped = failures_oracle(pi)
+        assert len(uncapped) > 16 and uncapped[0] == first
+        rep = check_hom_laws(pi)
+        assert not rep.is_hom and not pi.is_hom
+        assert rep.failures == tuple(uncapped[:16])
 
 
 def test_sixteen_point_direct_sum():

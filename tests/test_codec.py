@@ -231,6 +231,16 @@ def test_decode_count_mismatch():
         decode(enc)
 
 
+@pytest.mark.parametrize("dimension, shape", [
+    (1, (2, 3)), (2, (6,)), (0, ()), (3, (1, 2, 3)),
+])
+def test_decode_shape_must_fit_dimension(dimension, shape):
+    enc = EncodedSignal(dimension, shape, 0, "predecessor", (0,),
+                        (dpcm(-1, 1, 1, 1, 1, 1),))
+    with pytest.raises(CorruptContainer, match="does not fit dimension"):
+        decode(enc)
+
+
 def test_decode_needs_a_seed():
     # the reader refuses a zero seed count; a hand-built encoding is caught too
     enc = EncodedSignal(1, (1,), 0, "predecessor", (), (dpcm(-1, 5),))

@@ -273,6 +273,71 @@ def test_covariant_threshold_characterization_random():
             assert v.threshold(a) == pi(u.threshold(a))
 
 
+def covariant_threshold_scan(pi, u):
+    """Transport as it was first written: each target atom receives the
+    largest value d of u whose pushed super-level set ``pi([[u >= d]])``
+    covers it."""
+    descending = sorted(set(u.atom_values), reverse=True)
+    pushed = [pi(u.threshold_ge(d)) for d in descending]
+    out = []
+    for j in range(pi.target.algebra.atom_count):
+        bit = 1 << j
+        for d, img in zip(descending, pushed):
+            if img & bit == bit:
+                out.append(d)
+                break
+    return tuple(out)
+
+
+def hom_from_owners(src, tgt, owner):
+    """The hom sending source atom i to the join of the target atoms t with
+    ``owner[t] == i`` (none: i collapses to 0; several: i is duplicated)."""
+    images = [0] * src.algebra.atom_count
+    for t, i in enumerate(owner):
+        images[i] |= 1 << t
+    table = [0] * (1 << src.algebra.atom_count)
+    for e in range(1, len(table)):
+        low = e & -e
+        table[e] = table[e ^ low] | images[low.bit_length() - 1]
+    pi = BooleanHom(src, tgt, table)
+    assert pi.is_hom
+    return pi
+
+
+def test_covariant_matches_threshold_scan():
+    rng = random.Random(41)
+    pool = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), INFINITY]
+
+    def rand_malg():
+        n = rng.randint(1, 4)
+        weights = [rng.choice(pool) for _ in range(n - 1)] + [Fraction(1)]
+        return MeasureAlgebra(full_space(weights))
+
+    def check(pi):
+        k = pi.source.algebra.atom_count
+        u = DualElement(pi.source, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                    for _ in range(k)])
+        v = covariant_op(pi, u)
+        assert v.atom_values == covariant_threshold_scan(pi, u)
+        for a in set(u.atom_values):
+            assert v.threshold(a) == pi(u.threshold(a))
+
+    for _ in range(200):
+        src, tgt = rand_malg(), rand_malg()
+        k, n = src.algebra.atom_count, tgt.algebra.atom_count
+        check(hom_from_owners(src, tgt, [rng.randrange(k) for _ in range(n)]))
+        # every target atom owned by source atom 0: the others collapse
+        check(hom_from_owners(src, tgt, [0] * n))
+    three = MeasureAlgebra(counting_space(range(3)))
+    one = MeasureAlgebra(full_space([Fraction(3)]))
+    check(hom_from_owners(one, three, [0, 0, 0]))  # duplicate onto 3 atoms
+    check(hom_from_owners(three, one, [1]))        # collapse 2 of 3 atoms
+    sixteen = MeasureAlgebra(counting_space(range(16)))
+    perm = list(range(16))
+    rng.shuffle(perm)
+    check(hom_from_owners(sixteen, sixteen, perm))
+
+
 # ---------------------------------------------------------------- bridge
 
 

@@ -79,7 +79,7 @@ def test_mu_bar_additive_random():
         for _ in range(10):
             a = rng.randrange(1 << alg.atom_count)
             b = rng.randrange(1 << alg.atom_count) & ~a
-            assert malg.mu_bar(alg.join(a, b)) == malg.mu_bar(a) + malg.mu_bar(b)
+            assert malg.mu_bar(a | b) == malg.mu_bar(a) + malg.mu_bar(b)
 
 
 def test_mu_bar_well_defined_on_members():
@@ -111,11 +111,11 @@ def test_projection_is_soc_hom_exhaustive():
     full = sp.carrier.full_mask
     alg = malg.algebra
     for a in sp.sigma.members:
-        assert project(full & ~a) == alg.complement(project(a))
+        assert project(full & ~a) == alg.unit & ~project(a)
         for b in sp.sigma.members:
-            assert project(a ^ b) == alg.sym_diff(project(a), project(b))
-            assert project(a & b) == alg.meet(project(a), project(b))
-            assert project(a | b) == alg.join(project(a), project(b))
+            assert project(a ^ b) == project(a) ^ project(b)
+            assert project(a & b) == project(a) & project(b)
+            assert project(a | b) == project(a) | project(b)
     assert project(full) == alg.unit
 
 
