@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encode a CSV signal or PGM image to a container")
     p.add_argument("input", help="*.pgm image or CSV signal")
     p.add_argument("-o", "--output", required=True, help="container file")
-    p.add_argument("--policy", choices=("predecessor", "detected"),
+    p.add_argument("--policy", choices=codec.POLICIES,
                    default="predecessor",
                    help="predictor policy (default predecessor)")
     p.set_defaults(func=cmd_encode)

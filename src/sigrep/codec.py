@@ -6,17 +6,17 @@ exact residual delta is kept, so decoding reproduces the input bit for bit.
 A record applies its arrow along a run of consecutive targets and stores one
 delta per target.
 
-Policies:
+Policies (``POLICIES``, in the order of FSG1's policy ids):
 
 * ``predecessor`` (default): the arrow is fixed by position -- each sample
   reads its immediate predecessor (images read the left neighbour, first
   column reads the pixel above, the corner pixel is the seed).  This is the
   classic DPCM/PNG-style filter; only integer work is done.  One record
-  covers each run: a 1-D signal is a single left run (T = -1) of n - 1
-  deltas; an image is a left run for row 0, then per later row an up record
-  (T = -width, one delta) for column 0 and a left run for the rest of the
-  row.  The decoder also accepts any finer split of those runs, down to one
-  record per sample.
+  covers each run: an image is a left run (T = -1) for row 0, then per later
+  row an up record (T = -width, one delta) for column 0 and a left run for
+  the rest of the row.  Encoder and decoder both treat a 1-D signal as a
+  one-row image, so it is a single left run of n - 1 deltas.  The decoder
+  also accepts any finer split of those runs, down to one record per sample.
 * ``detected`` (1-D only): each unit segment gets the best arrow the
   translation / affine / amplitude detectors would find over all earlier
   segments, restricted to integer residuals so the container stays 64-bit.
@@ -38,12 +38,13 @@ from math import log2
 from operator import sub
 from typing import List
 
-from .container import (KIND_AMP_AFFINE, KIND_TRANSLATION, ArrowRecord,
-                        EncodedSignal, write_container)
+from .container import (KIND_AMP_AFFINE, KIND_TRANSLATION, POLICY_IDS,
+                        ArrowRecord, EncodedSignal, _fits_i64, _record_fault,
+                        write_container)
 from .errors import CorruptContainer, EmptySignal, PolicyMismatch
 from .signal import Number, _check_samples
 
-POLICIES = ("predecessor", "detected")
+POLICIES = tuple(POLICY_IDS)
 
 
 def _is_image(signal) -> bool:
@@ -55,39 +56,23 @@ def _is_image(signal) -> bool:
 
 
 def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSignal:
-    """Encode a 1-D sequence or a 2-D row list; see the module docstring."""
+    """Encode a 1-D sequence, or a 2-D row list at origin 0; see the module."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    if _is_image(signal):
-        return _encode_image(signal, policy)
-    samples = _check_samples(list(signal))
-    if not samples:
-        raise EmptySignal("cannot encode an empty signal")
-    if policy == "predecessor":
-        records = (_left_run(samples),) if len(samples) > 1 else ()
-        return EncodedSignal(1, (len(samples),), origin, "predecessor",
-                             (samples[0],), records)
-    return _encode_detected(samples, origin)
-
-
-def _left_run(row) -> ArrowRecord:
-    """One T = -1 record whose deltas take ``row[0]`` to the rest of ``row``."""
-    return ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1,
-                       tuple(map(sub, row[1:], row)))
-
-
-def _encode_image(rows, policy: str) -> EncodedSignal:
-    if policy == "detected":
+    image = _is_image(signal)
+    if image and policy == "detected":
         raise PolicyMismatch("the detected policy applies to 1-D signals only; "
                              "images use per-axis predecessor arrows")
-    grid = [list(r) for r in rows]
+    grid = [list(r) for r in signal] if image else [list(signal)]
     if not grid or not grid[0]:
-        raise EmptySignal("cannot encode an empty image")
+        raise EmptySignal(f"cannot encode an empty {'image' if image else 'signal'}")
     width = len(grid[0])
     if any(len(r) != width for r in grid):
         raise ValueError("ragged image rows")
     for r in grid:
         _check_samples(r)
+    if policy == "detected":
+        return _encode_detected(grid[0], origin)
     records: List[ArrowRecord] = []
     append = records.append
     above = None
@@ -96,14 +81,12 @@ def _encode_image(rows, policy: str) -> EncodedSignal:
             append(ArrowRecord(KIND_TRANSLATION, -width, 1, 1, 1,
                                (row[0] - above[0],)))
         if width > 1:
-            append(_left_run(row))
+            append(ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1,
+                               tuple(map(sub, row[1:], row))))
         above = row
-    return EncodedSignal(2, (len(grid), width), 0, "predecessor",
+    shape, origin = ((len(grid), width), 0) if image else ((width,), origin)
+    return EncodedSignal(len(shape), shape, origin, "predecessor",
                          (grid[0][0],), tuple(records))
-
-
-def _fits_i64(v: int) -> bool:
-    return -(1 << 63) <= v < 1 << 63
 
 
 def _integral(v) -> bool:
@@ -193,9 +176,10 @@ def decode(enc: EncodedSignal):
     """Exact inverse of encode: a list (1-D) or list of rows (2-D).
 
     Raises CorruptContainer for structurally impossible records (count
-    mismatch, reference to a not-yet-decoded position) and PolicyMismatch
-    when a predecessor-policy container holds anything but the fixed
-    predecessor arrows.
+    mismatch, a record the container reader would refuse -- unknown kind,
+    zero stride, zero or undefined amplitude -- or a reference to a
+    not-yet-decoded position) and PolicyMismatch when a predecessor-policy
+    container holds anything but the fixed predecessor arrows.
     """
     if enc.dimension not in (1, 2) or len(enc.shape) != enc.dimension:
         raise CorruptContainer(f"shape {enc.shape} does not fit dimension "
@@ -217,6 +201,9 @@ def decode(enc: EncodedSignal):
             raise PolicyMismatch("predecessor-policy container holds a "
                                  "non-predecessor record")
         num, den, s, t = rec.amp_num, rec.amp_den, rec.stride, rec.shift
+        fault = _record_fault(rec.kind, s, num, den)
+        if fault:
+            raise CorruptContainer(fault)
         # an integral amplitude stays an int, so int samples stay ints
         c = num // den if num % den == 0 else Fraction(num, den)
         if c == 1 and s == 1 and t == -1:  # hot path: plain DPCM along the run

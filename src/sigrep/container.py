@@ -13,12 +13,15 @@ Layout (all multi-byte values little-endian):
   unsigned 64-bit count plus signed 64-bit values.
 
 Parsing is strict: anything structurally off -- bad magic, unknown version,
-unknown policy id, truncated section, or trailing bytes -- raises
-CorruptContainer.  Writing validates that every value fits in a signed
-64-bit int and that deltas are integers; bools are refused in every field.
-Each record's head and delta array are packed in one call each; a value that
-does not pack sends the record through the field-by-field checks, which
-name the offending field.
+unknown policy id, truncated section, non-positive size, empty seed, a
+record ``_record_fault`` refuses, or trailing bytes -- raises
+CorruptContainer.  The writer refuses with ValueError, in the reader's
+words, each of these an encoding can hold, and a bool or a value that is
+not a signed 64-bit int.
+One header struct per dimension (``_HEADS``) serves the writer, the reader
+and ``container_layout``.  A record packs as one ``_REC_HEAD`` and one bulk
+delta array; a bool or a value that does not pack goes through
+``_check_i64``, which names it or normalises an integral Fraction.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import chain
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import CorruptContainer
 
@@ -41,14 +44,9 @@ KIND_AFFINE = 1
 KIND_AMP_AFFINE = 2
 KIND_NAMES = {0: "translation", 1: "affine", 2: "amp_affine"}
 
-_BYTE = struct.Struct("<B")
-_Q = struct.Struct("<q")
-_COUNT = struct.Struct("<Q")
-_REC_HEAD = struct.Struct("<Bqqqq")  # kind, T, S, amp_num, amp_den
-_REC_HEAD_COUNT = struct.Struct("<BqqqqQ")  # head plus the delta count
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+_HEADS = {d: struct.Struct(f"<4sBB{d}qqBQ") for d in (1, 2)}  # magic..seed count
+_REC_HEAD = struct.Struct("<BqqqqQ")  # kind, T, S, amp_num, amp_den, delta count
+_REC_FIELDS = ("record T", "record S", "amp numerator", "amp denominator")
 
 
 class ArrowRecord(NamedTuple):
@@ -90,13 +88,23 @@ class ContainerLayout(NamedTuple):
 
 
 def container_layout(enc: EncodedSignal) -> ContainerLayout:
-    header = (len(MAGIC) + 2 * _BYTE.size + _Q.size * (len(enc.shape) + 1)
-              + _BYTE.size + _COUNT.size + _Q.size * len(enc.seed)
-              + _COUNT.size)
     deltas = sum(len(rec.delta) for rec in enc.records)
-    return ContainerLayout(len(enc.records), header,
-                           _REC_HEAD_COUNT.size * len(enc.records),
-                           _Q.size * deltas)
+    return ContainerLayout(len(enc.records),
+                           _head(enc).size + 8 * (len(enc.seed) + 1),
+                           _REC_HEAD.size * len(enc.records), 8 * deltas)
+
+
+def _head(enc: EncodedSignal) -> struct.Struct:
+    """The header struct of ``enc``; ValueError for an arity FSG1 lacks."""
+    if enc.dimension not in (1, 2):
+        raise ValueError("dimension must be 1 or 2")
+    if len(enc.shape) != enc.dimension:
+        raise ValueError("shape arity must match dimension")
+    return _HEADS[enc.dimension]
+
+
+def _fits_i64(v: int) -> bool:
+    return -(1 << 63) <= v < 1 << 63
 
 
 def _check_i64(value, what: str) -> int:
@@ -106,102 +114,91 @@ def _check_i64(value, what: str) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an int, got {value!r}")
-    if not _INT64_MIN <= value <= _INT64_MAX:
+    if not _fits_i64(value):
         raise ValueError(f"{what} {value} does not fit in a signed 64-bit int")
     return value
 
 
+def _record_fault(kind, stride, amp_num, amp_den) -> Optional[str]:
+    """Why a record with this head cannot be decoded; None if it can."""
+    if isinstance(kind, bool) or kind not in KIND_NAMES:
+        return f"unknown record kind {kind!r}"
+    if stride == 0:
+        return "record stride is zero"
+    if amp_num == 0 or amp_den == 0:
+        return "record amplitude is zero or undefined"
+    return None
+
+
+def _pack_record(kind, fields, delta) -> Tuple[bytes, bytes]:
+    """A record's head (kind, then T, S, amp_num, amp_den) and delta array."""
+    n = len(delta)
+    return _REC_HEAD.pack(kind, *fields, n), struct.pack(f"<{n}q", *delta)
+
+
 def write_container(enc: EncodedSignal) -> bytes:
-    if enc.dimension not in (1, 2):
-        raise ValueError("dimension must be 1 or 2")
-    if len(enc.shape) != enc.dimension:
-        raise ValueError("shape arity must match dimension")
+    head = _head(enc)
     if enc.policy not in POLICY_IDS:
         raise ValueError(f"unknown policy {enc.policy!r}")
-    parts: List[bytes] = [MAGIC, _BYTE.pack(VERSION), _BYTE.pack(enc.dimension)]
-    for d in enc.shape:
-        parts.append(_Q.pack(_check_i64(d, "dimension")))
-    parts.append(_Q.pack(_check_i64(enc.origin, "origin")))
-    parts.append(_BYTE.pack(POLICY_IDS[enc.policy]))
-    parts.append(_COUNT.pack(len(enc.seed)))
-    for s in enc.seed:
-        parts.append(_Q.pack(_check_i64(s, "seed sample")))
-    parts.append(_COUNT.pack(len(enc.records)))
-    head_pack = _REC_HEAD_COUNT.pack
-    append = parts.append
+    shape = tuple(_check_i64(d, "dimension") for d in enc.shape)
+    origin = _check_i64(enc.origin, "origin")
+    seed = [_check_i64(s, "seed sample") for s in enc.seed]
+    if any(d <= 0 for d in shape):
+        raise ValueError(f"non-positive dimensions {shape}")
+    if not seed:
+        raise ValueError("bad seed count")
+    parts: List[bytes] = [
+        head.pack(MAGIC, VERSION, enc.dimension, *shape, origin,
+                  POLICY_IDS[enc.policy], len(seed)),
+        struct.pack(f"<{len(seed)}qQ", *seed, len(enc.records))]
     for rec in enc.records:
-        if isinstance(rec.kind, bool) or rec.kind not in KIND_NAMES:
-            raise ValueError(f"unknown record kind {rec.kind!r}")
-        n = len(rec.delta)
+        fault = _record_fault(rec.kind, rec.stride, rec.amp_num, rec.amp_den)
+        if fault:
+            raise ValueError(fault)
         fields = rec[1:5]  # T, S, amp_num, amp_den
-        # struct packs a bool as 0/1, so bools go to the checked path too
-        if bool not in set(map(type, chain(fields, rec.delta))):
-            try:
-                head = head_pack(rec.kind, *fields, n)
-                body = struct.pack(f"<{n}q", *rec.delta)
-            except struct.error:
-                pass  # non-int or out-of-range: the checked path names it
-            else:
-                append(head)
-                append(body)
+        try:
+            # struct packs a bool as 0/1, so bools take the checked path too
+            if bool not in set(map(type, chain(fields, rec.delta))):
+                parts += _pack_record(rec.kind, fields, rec.delta)
                 continue
-        append(_REC_HEAD.pack(rec.kind,
-                              _check_i64(rec.shift, "record T"),
-                              _check_i64(rec.stride, "record S"),
-                              _check_i64(rec.amp_num, "amp numerator"),
-                              _check_i64(rec.amp_den, "amp denominator")))
-        append(_COUNT.pack(n))
-        for d in rec.delta:
-            append(_Q.pack(_check_i64(d, "delta value")))
+        except struct.error:
+            pass
+        # _check_i64 names a bool, non-int or out-of-range field, or
+        # normalises an integral Fraction for the second packing
+        parts += _pack_record(
+            rec.kind, list(map(_check_i64, fields, _REC_FIELDS)),
+            [_check_i64(d, "delta value") for d in rec.delta])
     return b"".join(parts)
 
 
-class _Reader:
-    __slots__ = ("data", "off")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, st: struct.Struct):
-        end = self.off + st.size
-        if end > len(self.data):
-            raise CorruptContainer("truncated container")
-        out = st.unpack_from(self.data, self.off)
-        self.off = end
-        return out
-
-
 def read_container(data: bytes) -> EncodedSignal:
-    r = _Reader(data)
     if len(data) < 6 or data[:4] != MAGIC:
         raise CorruptContainer("bad magic")
-    r.off = 4
-    (version,) = r.take(_BYTE)
-    if version != VERSION:
-        raise CorruptContainer(f"unsupported version {version}")
-    (dim,) = r.take(_BYTE)
-    if dim not in (1, 2):
+    if data[4] != VERSION:
+        raise CorruptContainer(f"unsupported version {data[4]}")
+    dim = data[5]
+    if dim not in _HEADS:
         raise CorruptContainer(f"bad dimension byte {dim}")
-    shape = tuple(r.take(_Q)[0] for _ in range(dim))
+    head, total = _HEADS[dim], len(data)
+    if head.size > total:
+        raise CorruptContainer("truncated container")
+    values = head.unpack_from(data)
+    shape, (origin, policy_id, seed_count) = values[3:-3], values[-3:]
     if any(d <= 0 for d in shape):
         raise CorruptContainer(f"non-positive dimensions {shape}")
-    (origin,) = r.take(_Q)
-    (policy_id,) = r.take(_BYTE)
     if policy_id not in POLICY_NAMES:
         raise CorruptContainer(f"unknown policy id {policy_id}")
-    (seed_count,) = r.take(_COUNT)
-    if seed_count < 1 or seed_count * 8 > len(data) - r.off:
+    off = head.size
+    if seed_count < 1 or seed_count * 8 > total - off:
         raise CorruptContainer("bad seed count")
-    seed = struct.unpack_from(f"<{seed_count}q", data, r.off)
-    r.off += 8 * seed_count
-    (rec_count,) = r.take(_COUNT)
-    total = len(data)
-    off = r.off
-    if rec_count * (_REC_HEAD.size + 8) > total - off:
+    if (seed_count + 1) * 8 > total - off:
+        raise CorruptContainer("truncated container")
+    *seed, rec_count = struct.unpack_from(f"<{seed_count}qQ", data, off)
+    off += 8 * (seed_count + 1)
+    if rec_count * _REC_HEAD.size > total - off:
         raise CorruptContainer("bad record count")
-    head_unpack = _REC_HEAD_COUNT.unpack_from
-    head_size = _REC_HEAD_COUNT.size
+    head_unpack = _REC_HEAD.unpack_from
+    head_size = _REC_HEAD.size
     records = []
     append = records.append
     for _ in range(rec_count):
@@ -209,12 +206,9 @@ def read_container(data: bytes) -> EncodedSignal:
             raise CorruptContainer("truncated record")
         kind, t, s, num, den, dlen = head_unpack(data, off)
         off += head_size
-        if kind not in KIND_NAMES:
-            raise CorruptContainer(f"unknown record kind {kind}")
-        if s == 0:
-            raise CorruptContainer("record stride is zero")
-        if den == 0 or num == 0:
-            raise CorruptContainer("record amplitude is zero or undefined")
+        fault = _record_fault(kind, s, num, den)
+        if fault:
+            raise CorruptContainer(fault)
         if dlen * 8 > total - off:
             raise CorruptContainer("truncated delta array")
         delta = struct.unpack_from(f"<{dlen}q", data, off)
@@ -223,7 +217,7 @@ def read_container(data: bytes) -> EncodedSignal:
     if off != total:
         raise CorruptContainer("trailing bytes after records")
     return EncodedSignal(dim, shape, origin, POLICY_NAMES[policy_id],
-                         seed, tuple(records))
+                         tuple(seed), tuple(records))
 
 
 def write_container_file(path, enc: EncodedSignal) -> None:

@@ -616,7 +616,7 @@ def suite_codec(rng, instances):
         sig = [rng.randint(-1000, 1000) for _ in range(n)]
         origin = rng.randint(-5, 5)
         encoded = {}
-        for policy in ("predecessor", "detected"):
+        for policy in codec_mod.POLICIES:
             enc = encoded[policy] = codec_mod.encode(sig, policy, origin=origin)
             _expect(fl, codec_mod.decode(enc) == sig,
                     f"[{i}] 1-D round trip fails ({policy})")

@@ -1,6 +1,7 @@
 """Differential codec and the FSG1 container: round trips and strictness."""
 
 import random
+import struct
 from fractions import Fraction
 from math import log2
 
@@ -47,6 +48,15 @@ def test_encode_keeps_origin():
     enc = encode([4, 4], origin=-3)
     assert enc.origin == -3
     assert decode(enc) == [4, 4]
+
+
+@pytest.mark.parametrize("row", [[7], [1, 2], [3, -1, 4, 1, 5, -9]])
+def test_encode_row_is_a_one_row_image(row):
+    one, img = encode(row, origin=-4), encode([row])
+    assert one.records == img.records
+    assert one.seed == img.seed == (row[0],)
+    assert (one.dimension, one.shape, one.origin) == (1, (len(row),), -4)
+    assert (img.dimension, img.shape, img.origin) == (2, (1, len(row)), 0)
 
 
 def test_encode_rejects_empty_and_junk():
@@ -381,22 +391,121 @@ def test_container_read_rejections():
 def test_container_read_zero_stride_and_amp():
     base = EncodedSignal(1, (2,), 0, "detected", (1,),
                          (ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (0,)),))
-
-    def mutate(**kw):
-        rec = base.records[0]._replace(**kw)
-        return write_container(base._replace(records=(rec,)))
-
-    with pytest.raises(CorruptContainer):
-        read_container(mutate(stride=0))
-    with pytest.raises(CorruptContainer):
-        read_container(mutate(amp_den=0))
-    with pytest.raises(CorruptContainer):
-        read_container(mutate(amp_num=0))
-    # writing refuses an unknown kind, so corrupt the byte after the fact
+    # writing refuses all of these records, so corrupt a valid blob's bytes
     blob = write_container(base)
     kind_off = 4 + 1 + 1 + 8 + 8 + 1 + 8 + 8 + 8
+
+    def mutate(field, value):  # field: 1 = stride, 2 = amp_num, 3 = amp_den
+        at = kind_off + 1 + 8 * field
+        return blob[:at] + struct.pack("<q", value) + blob[at + 8:]
+
+    with pytest.raises(CorruptContainer):
+        read_container(mutate(1, 0))
+    with pytest.raises(CorruptContainer):
+        read_container(mutate(3, 0))
+    with pytest.raises(CorruptContainer):
+        read_container(mutate(2, 0))
     with pytest.raises(CorruptContainer):
         read_container(blob[:kind_off] + bytes([7]) + blob[kind_off + 1:])
+
+
+# A valid 1-D encoding; each case below breaks one field of it and patches
+# the same field (offset, struct format, value) in its written bytes.
+_AMP_FAULT = "record amplitude is zero or undefined"
+_SYMMETRY_BASE = EncodedSignal(1, (2,), 0, "detected", (1,),
+                               (ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (0,)),))
+_KIND_OFF = 4 + 1 + 1 + 8 + 8 + 1 + 8 + 8 + 8
+
+
+def _with_record(**kw):
+    rec = _SYMMETRY_BASE.records[0]._replace(**kw)
+    return _SYMMETRY_BASE._replace(records=(rec,))
+
+
+@pytest.mark.parametrize("enc, off, fmt, value, text", [
+    (_SYMMETRY_BASE._replace(shape=(0,)), 6, "<q", 0,
+     "non-positive dimensions (0,)"),
+    (_SYMMETRY_BASE._replace(shape=(-3,)), 6, "<q", -3,
+     "non-positive dimensions (-3,)"),
+    (_SYMMETRY_BASE._replace(seed=()), 23, "<Q", 0, "bad seed count"),
+    (_with_record(kind=7), _KIND_OFF, "<B", 7, "unknown record kind 7"),
+    (_with_record(stride=0), _KIND_OFF + 9, "<q", 0, "record stride is zero"),
+    (_with_record(amp_num=0), _KIND_OFF + 17, "<q", 0, _AMP_FAULT),
+    (_with_record(amp_den=0), _KIND_OFF + 25, "<q", 0, _AMP_FAULT),
+])
+def test_writer_refuses_what_the_reader_refuses(enc, off, fmt, value, text):
+    blob = bytearray(write_container(_SYMMETRY_BASE))
+    struct.pack_into(fmt, blob, off, value)
+    with pytest.raises(CorruptContainer) as read_err:
+        read_container(bytes(blob))
+    with pytest.raises(ValueError) as write_err:
+        write_container(enc)
+    assert str(read_err.value) == str(write_err.value) == text
+
+
+def test_container_layout_refuses_what_the_writer_refuses():
+    ok = encode([1, 2])
+    for bad in (ok._replace(dimension=3, shape=(1, 1, 2)),
+                ok._replace(shape=(2, 2))):
+        with pytest.raises(ValueError) as layout_err:
+            container_layout(bad)
+        with pytest.raises(ValueError) as write_err:
+            write_container(bad)
+        assert str(layout_err.value) == str(write_err.value)
+
+
+_T_BIG = ArrowRecord(KIND_TRANSLATION, 1 << 63, 1, 1, 1, (0,))
+
+
+@pytest.mark.parametrize("change, pattern", [
+    # each encoding breaks two fields; the first one checked is named
+    (dict(dimension=3, shape=(1, 1, 2), policy="guess"),
+     r"^dimension must be 1 or 2$"),
+    (dict(shape=(1 << 63,), origin=1 << 63),
+     r"^dimension 9223372036854775808 does not fit in a signed 64-bit int$"),
+    (dict(origin=Fraction(1, 2), seed=(True,)),
+     r"^origin must be an integer, got 1/2$"),
+    (dict(seed=(True,), records=(_T_BIG,)),
+     r"^seed sample must be an int, got True$"),
+    (dict(records=(_T_BIG._replace(amp_den=0.5),)),
+     r"^record T 9223372036854775808 does not fit in a signed 64-bit int$"),
+    (dict(records=(dpcm(-1, 1.5)._replace(amp_den=Fraction(1, 2)),)),
+     r"^amp denominator must be an integer, got 1/2$"),
+    (dict(records=(dpcm(-1, Fraction(1, 2), 1 << 63),)),
+     r"^delta value must be an integer, got 1/2$"),
+    (dict(records=(dpcm(-1, 1 << 63),)),
+     r"^delta value 9223372036854775808 does not fit in a signed 64-bit int$"),
+    (dict(records=(dpcm(-1, 0)._replace(kind=True, shift=True),)),
+     r"^unknown record kind True$"),
+])
+def test_container_write_error_texts_and_order(change, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        write_container(encode([1, 2])._replace(**change))
+
+
+def test_container_read_truncated_2d_header():
+    blob = write_container(encode([[1, 2, 3], [4, 5, 6]]))
+    for cut in range(container_layout(read_container(blob)).header_bytes):
+        with pytest.raises(CorruptContainer):
+            read_container(blob[:cut])
+
+
+@pytest.mark.parametrize("change, text", [
+    (dict(amp_num=0, amp_den=0), _AMP_FAULT),
+    (dict(amp_den=0), _AMP_FAULT),
+    (dict(amp_num=0), _AMP_FAULT),
+    (dict(stride=0), "record stride is zero"),
+    (dict(kind=7), "unknown record kind 7"),
+])
+def test_decode_refuses_what_the_reader_refuses(change, text):
+    enc = EncodedSignal(1, (2,), 0, "detected", (1,),
+                        (dpcm(-1, 0)._replace(**change),))
+    with pytest.raises(CorruptContainer, match=f"^{text}$"):
+        decode(enc)
+    # the predecessor arrow check comes first and lets only 0/0 through
+    zero_by_zero = change == dict(amp_num=0, amp_den=0)
+    with pytest.raises(CorruptContainer if zero_by_zero else PolicyMismatch):
+        decode(enc._replace(policy="predecessor"))
 
 
 # ----------------------------------------------------------------- metrics
