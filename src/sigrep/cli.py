@@ -11,6 +11,10 @@ stats           sparsity/entropy metrics for a raw file vs its container,
                 the container's size split by layout, and its records by
                 arrow kind
 
+The global ``--timings`` flag prints the wall time of each phase a command
+runs -- read, encode, container_write, container_read, decode, write -- to
+stderr as ``timing.<phase>_ms=`` lines, after the command's own output.
+
 Exit codes: 0 success, 1 verification failure, 2 input or format error.
 """
 
@@ -19,7 +23,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from time import perf_counter
 
 from . import codec
 from .container import (KIND_NAMES, container_layout, read_container_file,
@@ -61,6 +67,14 @@ def _parse_detectors(text: str):
     return tuple(names)
 
 
+@contextmanager
+def _phase(args, name: str):
+    """Record the wall milliseconds of the ``with`` body as phase ``name``."""
+    t0 = perf_counter()
+    yield
+    args.phase_ms[name] = (perf_counter() - t0) * 1e3
+
+
 def _is_pgm(path: str) -> bool:
     return str(path).lower().endswith(".pgm")
 
@@ -92,7 +106,8 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     if args.segment_len < 1:
         raise ValueError("--segment-len must be >= 1")
-    samples, origin = read_csv_signal(args.input)
+    with _phase(args, "read"):
+        samples, origin = read_csv_signal(args.input)
     step = args.segment_len
     breakpoints = list(range(origin + step, origin + len(samples), step))
     segments = segment_signal(samples, origin, breakpoints)
@@ -131,15 +146,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    payload, origin = _read_raw(args.input)
-    if not _is_pgm(args.input):
+    with _phase(args, "read"):
+        payload, origin = _read_raw(args.input)
+    if not _is_pgm(args.input) and set(map(type, payload)) != {int}:
         # the FSG1 container stores 64-bit integers; refuse before encoding
         rational = [v for v in payload if v.denominator != 1]
         if rational:
             raise ValueError("encode stores integer samples only; "
                              f"{args.input} holds the rational sample {rational[0]}")
-    enc = codec.encode(payload, args.policy, origin=origin)
-    write_container_file(args.output, enc)
+    with _phase(args, "encode"):
+        enc = codec.encode(payload, args.policy, origin=origin)
+    with _phase(args, "container_write"):
+        write_container_file(args.output, enc)
     shape = "x".join(str(d) for d in enc.shape)
     print(f"wrote {args.output}: dimension={enc.dimension} shape={shape} "
           f"policy={enc.policy} records={len(enc.records)}")
@@ -147,17 +165,21 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    enc = read_container_file(args.input)
-    payload = codec.decode(enc)
-    if _is_pgm(args.output):
-        if enc.dimension != 2:
-            raise ValueError("PGM output needs a 2-D container; this one is 1-D")
-        write_pgm(args.output, payload)
-    else:
-        if enc.dimension != 1:
-            raise ValueError("CSV output needs a 1-D container; "
-                             "name the output file *.pgm instead")
-        write_csv_signal(args.output, payload, origin=enc.origin)
+    with _phase(args, "container_read"):
+        enc = read_container_file(args.input)
+    with _phase(args, "decode"):
+        payload = codec.decode(enc)
+    with _phase(args, "write"):
+        if _is_pgm(args.output):
+            if enc.dimension != 2:
+                raise ValueError("PGM output needs a 2-D container; "
+                                 "this one is 1-D")
+            write_pgm(args.output, payload)
+        else:
+            if enc.dimension != 1:
+                raise ValueError("CSV output needs a 1-D container; "
+                                 "name the output file *.pgm instead")
+            write_csv_signal(args.output, payload, origin=enc.origin)
     print(f"wrote {args.output}")
     return 0
 
@@ -180,8 +202,10 @@ def cmd_demo(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    payload, _origin = _read_raw(args.raw)
-    enc = read_container_file(args.encoded)
+    with _phase(args, "read"):
+        payload, _origin = _read_raw(args.raw)
+    with _phase(args, "container_read"):
+        enc = read_container_file(args.encoded)
     m = codec.metrics(payload, enc)
     print(f"nonzero_delta_fraction={m.nonzero_delta_fraction}")
     print(f"raw_entropy_bits_per_sample={m.raw_entropy:.6f}")
@@ -200,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sigrep",
         description="Structure-arrow signal representation toolkit: "
                     "measure-space laws, segment arrows, lossless coding.")
+    parser.add_argument("--timings", action="store_true",
+                        help="print each phase's wall time to stderr as "
+                             "timing.<phase>_ms= lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run all randomized law suites")
@@ -251,11 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.phase_ms = {}
     try:
         return args.func(args)
     except (SigrepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.timings:
+            for name, ms in args.phase_ms.items():
+                print(f"timing.{name}_ms={ms:.3f}", file=sys.stderr)
 
 
 if __name__ == "__main__":

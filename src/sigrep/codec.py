@@ -56,13 +56,16 @@ def _is_image(signal) -> bool:
 
 
 def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSignal:
-    """Encode a 1-D sequence, or a 2-D row list at origin 0; see the module."""
+    """Encode a 1-D sequence, or a 2-D row list (whose origin must be 0);
+    see the module."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     image = _is_image(signal)
     if image and policy == "detected":
         raise PolicyMismatch("the detected policy applies to 1-D signals only; "
                              "images use per-axis predecessor arrows")
+    if image and origin:
+        raise ValueError(f"an image is encoded at origin 0; got origin={origin}")
     grid = [list(r) for r in signal] if image else [list(signal)]
     if not grid or not grid[0]:
         raise EmptySignal(f"cannot encode an empty {'image' if image else 'signal'}")

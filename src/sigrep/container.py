@@ -121,7 +121,7 @@ def _check_i64(value, what: str) -> int:
 
 def _record_fault(kind, stride, amp_num, amp_den) -> Optional[str]:
     """Why a record with this head cannot be decoded; None if it can."""
-    if isinstance(kind, bool) or kind not in KIND_NAMES:
+    if type(kind) is not int or kind not in KIND_NAMES:  # refuses bool, 1.0
         return f"unknown record kind {kind!r}"
     if stride == 0:
         return "record stride is zero"

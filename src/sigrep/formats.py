@@ -2,6 +2,15 @@
 
 Malformed input raises ValueError with a one-line description; the CLI maps
 that (together with OSError) to its I/O-format exit code.
+
+CSV text is read by a fast path and a checked path.  The fast path streams
+the lines after the leading comments through ``map(int, ...)`` and keeps
+only the ints.  It either returns exactly what the checked path,
+``_read_csv_checked``, would return, or, at its first ``ValueError``,
+rewinds the file and hands it to the checked path, which alone parses
+rationals, skips blank and later comment lines, and words every error.
+Neither path holds the whole text: a list of every line's ``str`` takes
+more memory than the ints parsed from them.
 """
 
 from __future__ import annotations
@@ -142,32 +151,70 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
 
     Other comment lines and blank lines are skipped.  Returns
     (samples, origin).
+
+    Fast path and checked path as in the module docstring.  ``int(line)``
+    accepts a line only where ``_read_csv_checked`` reads the same int
+    (``str.strip`` drops more control characters than ``int`` does, and
+    those lines fall back).  A file that cannot be rewound, such as a pipe,
+    takes the checked path directly.
     """
-    origin = 0
-    samples: List[Sample] = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
+        if not fh.seekable():
+            return _read_csv_checked(fh)
+        origin = 0
+        try:
+            line = fh.readline()
             text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
+            while text.startswith("#"):
                 body = text[1:].strip()
                 if body.startswith("origin="):
-                    try:
-                        origin = int(body[len("origin="):])
-                    except ValueError:
-                        raise ValueError(
-                            f"line {lineno}: bad origin {body!r}") from None
-                continue
-            try:
-                samples.append(_parse_sample(text))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                    origin = int(body[len("origin="):])
+                line = fh.readline()
+                text = line.strip()
+            samples = list(map(int, chain((line,), fh)))
+        except ValueError:
+            fh.seek(0)
+            return _read_csv_checked(fh)
     return samples, origin
 
 
+def _read_csv_checked(fh) -> Tuple[List[Sample], int]:
+    """``read_csv_signal`` line by line from an open text file: parses
+    rationals, skips blank and comment lines anywhere, and names the line
+    of a bad sample or origin."""
+    origin = 0
+    samples: List[Sample] = []
+    for lineno, line in enumerate(fh, 1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text[1:].strip()
+            if body.startswith("origin="):
+                try:
+                    origin = int(body[len("origin="):])
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: bad origin {body!r}") from None
+            continue
+        try:
+            samples.append(_parse_sample(text))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return samples, origin
+
+
+_WRITE_CHUNK = 65536  # samples formatted into one string per write
+
+
 def write_csv_signal(path, samples: Sequence[Sample], origin: int = 0) -> None:
+    """``# origin=<origin>`` then one sample per line, each as ``str`` gives it.
+
+    One ``%`` format per chunk converts the samples in C; it builds the text
+    in about half the time of ``"\\n".join(map(str, chunk))``.
+    """
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# origin={origin}\n")
-        for v in samples:
-            fh.write(f"{v}\n")
+        for i in range(0, len(samples), _WRITE_CHUNK):
+            chunk = tuple(samples[i:i + _WRITE_CHUNK])
+            fh.write("%s\n" * len(chunk) % chunk)

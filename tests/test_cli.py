@@ -202,3 +202,41 @@ def test_failed_encode_leaves_output_alone(tmp_path, capsys):
     code, _, _ = run(capsys, "encode", str(huge), "-o", str(out))
     assert code == 2
     assert out.read_bytes() == before
+
+
+_PHASES = {
+    "encode": ("read", "encode", "container_write"),
+    "decode": ("container_read", "decode", "write"),
+    "stats": ("read", "container_read"),
+    "analyze": ("read",),
+}
+
+
+def test_timings_flag(tmp_path, capsys):
+    sig, enc, out_csv = (tmp_path / n for n in ("in.csv", "sig.fsg", "out.csv"))
+    write_csv_signal(sig, [9, 4, 4, 8], origin=-2)
+    cases = {"encode": (str(sig), "-o", str(enc)),
+             "decode": (str(enc), "-o", str(out_csv)),
+             "stats": (str(sig), str(enc)),
+             "analyze": (str(sig),)}
+
+    def written():
+        return [p.read_bytes() for p in (enc, out_csv) if p.exists()]
+
+    for command, argv in cases.items():
+        code, out, err = run(capsys, command, *argv)
+        files = written()
+        assert code == 0 and err == ""
+        code, timed_out, timed_err = run(capsys, "--timings", command, *argv)
+        assert code == 0 and timed_out == out and written() == files
+        keys, values = zip(*(line.split("=") for line in timed_err.splitlines()))
+        assert keys == tuple(f"timing.{p}_ms" for p in _PHASES[command])
+        assert all(float(v) >= 0 for v in values)
+    # a failing phase is not timed; the phases before it are
+    bad = tmp_path / "bad.fsg"
+    bad.write_bytes(b"not a container")
+    code, _, err = run(capsys, "--timings", "stats", str(sig), str(bad))
+    assert code == 2
+    assert err.splitlines()[0] == "error: bad magic"
+    assert [line.split("=")[0] for line in err.splitlines()[1:]] == [
+        "timing.read_ms"]

@@ -70,6 +70,9 @@ def test_encode_rejects_empty_and_junk():
         encode([True, False])
     with pytest.raises(ValueError):
         encode([1, 2], policy="best")
+    with pytest.raises(ValueError, match="^an image is encoded at origin 0; "
+                                         "got origin=3$"):
+        encode([[1, 2]], origin=3)
 
 
 def test_decode_hand_built_records():
@@ -477,6 +480,8 @@ _T_BIG = ArrowRecord(KIND_TRANSLATION, 1 << 63, 1, 1, 1, (0,))
      r"^delta value 9223372036854775808 does not fit in a signed 64-bit int$"),
     (dict(records=(dpcm(-1, 0)._replace(kind=True, shift=True),)),
      r"^unknown record kind True$"),
+    (dict(records=(dpcm(-1, 0)._replace(kind=1.0),)),
+     r"^unknown record kind 1\.0$"),
 ])
 def test_container_write_error_texts_and_order(change, pattern):
     with pytest.raises(ValueError, match=pattern):
@@ -496,6 +501,7 @@ def test_container_read_truncated_2d_header():
     (dict(amp_num=0), _AMP_FAULT),
     (dict(stride=0), "record stride is zero"),
     (dict(kind=7), "unknown record kind 7"),
+    (dict(kind=1.0), "unknown record kind 1.0"),
 ])
 def test_decode_refuses_what_the_reader_refuses(change, text):
     enc = EncodedSignal(1, (2,), 0, "detected", (1,),
