@@ -3,67 +3,47 @@
 Malformed input raises ValueError with a one-line description; the CLI maps
 that (together with OSError) to its I/O-format exit code.
 
-CSV text is read by a fast path and a checked path.  The fast path streams
-the lines after the leading comments through ``map(int, ...)`` and keeps
-only the ints.  It either returns exactly what the checked path,
-``_read_csv_checked``, would return, or, at its first ``ValueError``,
-rewinds the file and hands it to the checked path, which alone parses
-rationals, skips blank and later comment lines, and words every error.
-Neither path holds the whole text: a list of every line's ``str`` takes
-more memory than the ints parsed from them.
+Each text reader makes one pass over its input, and the work per byte runs
+in C.  A PGM header is matched by one regex and a P2 raster is split by
+``bytes.split``.  CSV text is read in chunks of ``_READ_CHUNK`` lines, each
+parsed by one ``map(int, ...)``; only a chunk that holds some other line
+(a comment, a blank line, a rational or bad text) goes line by line, and
+nothing is read twice.  The CSV reader never holds the whole text: a list
+of every line's ``str`` takes more memory than the ints parsed from them.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import List, Sequence, Tuple, Union
 
 MAX_PGM_VALUE = 65535
 
-
-def _pgm_tokens(data: bytes):
-    """Yield header tokens, skipping whitespace and # comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-            j += 1
-        yield data[i:j], j
-        i = j
+# Up to four header tokens, each after any whitespace and # comments.  The
+# lookahead makes a comment run to the end of its line: without it the regex
+# could end a comment early and read the comment's tail as a token.
+_HEADER = re.compile(rb"(?:(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+))?" * 4)
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def read_pgm(path) -> Tuple[List[List[int]], int]:
     """Read a P2 or P5 PGM file; returns (rows, maxval)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data)
-
-    def next_token():
-        try:
-            return next(tokens)
-        except StopIteration:
-            raise ValueError("truncated PGM header") from None
-
-    magic, _ = next_token()
+    header = _HEADER.match(data)
+    magic, *fields = header.groups()
+    if magic is None:
+        raise ValueError("truncated PGM header")
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
-    fields = []
-    end = 0
-    for _ in range(3):
-        tok, end = next_token()
+    for i, tok in enumerate(fields):
+        if tok is None:
+            raise ValueError("truncated PGM header")
         try:
-            fields.append(int(tok))
+            fields[i] = int(tok)
         except ValueError:
             raise ValueError(f"bad PGM header token {tok!r}") from None
     width, height, maxval = fields
@@ -73,13 +53,16 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
         raise ValueError(f"PGM maxval must be in 1..{MAX_PGM_VALUE}")
 
     count = width * height
+    end = header.end()
     if magic == b"P2":
-        values = []
-        for tok, _ in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ValueError(f"bad P2 sample {tok!r}") from None
+        tokens = _COMMENT.sub(b" ", data[end:]).split()
+        # a sample is ASCII digits, as write_pgm writes it: int() would also
+        # take a sign or an underscore
+        if not b"".join(tokens).isdigit():
+            for tok in tokens:
+                if not tok.isdigit():
+                    raise ValueError(f"bad P2 sample {tok!r}")
+        values = list(map(int, tokens))
         if len(values) != count:
             raise ValueError(f"P2 sample count {len(values)} != {count}")
     else:
@@ -146,45 +129,47 @@ def _parse_sample(text: str) -> Sample:
     return frac
 
 
+_READ_CHUNK = 4096  # lines parsed by one map(int, ...)
+
+
 def read_csv_signal(path) -> Tuple[List[Sample], int]:
     """One integer or rational per line; optional ``# origin=<i>`` header.
 
     Other comment lines and blank lines are skipped.  Returns
     (samples, origin).
 
-    Fast path and checked path as in the module docstring.  ``int(line)``
-    accepts a line only where ``_read_csv_checked`` reads the same int
-    (``str.strip`` drops more control characters than ``int`` does, and
-    those lines fall back).  A file that cannot be rewound, such as a pipe,
-    takes the checked path directly.
+    ``int(line)`` accepts a line only where ``_parse_lines`` reads the same
+    int (``str.strip`` drops more control characters than ``int`` does, and
+    such a line sends its chunk line by line).  A decode error is raised
+    after the lines before it are parsed, so a bad sample on an earlier line
+    is reported first.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        if not fh.seekable():
-            return _read_csv_checked(fh)
-        origin = 0
-        try:
-            line = fh.readline()
-            text = line.strip()
-            while text.startswith("#"):
-                body = text[1:].strip()
-                if body.startswith("origin="):
-                    origin = int(body[len("origin="):])
-                line = fh.readline()
-                text = line.strip()
-            samples = list(map(int, chain((line,), fh)))
-        except ValueError:
-            fh.seek(0)
-            return _read_csv_checked(fh)
-    return samples, origin
-
-
-def _read_csv_checked(fh) -> Tuple[List[Sample], int]:
-    """``read_csv_signal`` line by line from an open text file: parses
-    rationals, skips blank and comment lines anywhere, and names the line
-    of a bad sample or origin."""
     origin = 0
     samples: List[Sample] = []
-    for lineno, line in enumerate(fh, 1):
+    lineno = 0
+    with open(path, "r", encoding="ascii") as fh:
+        while True:
+            lines: List[str] = []
+            try:
+                lines.extend(islice(fh, _READ_CHUNK))
+            except UnicodeDecodeError:
+                _parse_lines(lines, lineno, samples, origin)
+                raise
+            if not lines:
+                return samples, origin
+            try:
+                samples += list(map(int, lines))
+            except ValueError:
+                origin = _parse_lines(lines, lineno, samples, origin)
+            lineno += len(lines)
+
+
+def _parse_lines(lines: Sequence[str], lineno: int, samples: List[Sample],
+                 origin: int) -> int:
+    """Parse ``lines``, which follow line ``lineno``, into ``samples``:
+    rationals too, blank and comment lines skipped, and a bad sample or
+    origin named by its line.  Returns the origin in force after them."""
+    for lineno, line in enumerate(lines, lineno + 1):
         text = line.strip()
         if not text:
             continue
@@ -201,7 +186,7 @@ def _read_csv_checked(fh) -> Tuple[List[Sample], int]:
             samples.append(_parse_sample(text))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return samples, origin
+    return origin
 
 
 _WRITE_CHUNK = 65536  # samples formatted into one string per write

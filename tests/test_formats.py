@@ -1,8 +1,12 @@
 """PGM and CSV readers/writers."""
 
+import ast
 import os
 import random
+import struct
+from collections import Counter
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 
@@ -56,11 +60,173 @@ def test_pgm_errors(tmp_path):
         p.write_bytes(raw)
         with pytest.raises(ValueError):
             read_pgm(p)
+    # a P2 sample is ASCII digits, though int() takes a sign or an underscore
+    for sample in (b"-3", b"+3", b"1_0"):
+        p.write_bytes(b"P2\n2 1\n255\n4 " + sample + b"\n")
+        with pytest.raises(ValueError) as exc:
+            read_pgm(p)
+        assert str(exc.value) == f"bad P2 sample {sample!r}"
     for raw in (b"P5\n1 1\n10\n\x0b",        # 1-byte sample above maxval
                 b"P5\n1 1\n300\n\x01\x2d"):  # 2-byte sample 301 above maxval
         p.write_bytes(raw)
         with pytest.raises(ValueError, match="exceeds maxval"):
             read_pgm(p)
+
+
+# ----------------------------------------------- PGM reader vs parent reader
+
+def _pgm_tokens(data: bytes):
+    """Yield header tokens, skipping whitespace and # comments."""
+    i = 0
+    n = len(data)
+    while i < n:
+        c = data[i:i + 1]
+        if c.isspace():
+            i += 1
+            continue
+        if c == b"#":
+            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
+                i += 1
+            continue
+        j = i
+        while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+            j += 1
+        yield data[i:j], j
+        i = j
+
+
+def _read_pgm_per_byte(path) -> Tuple[List[List[int]], int]:
+    """The PGM reader as it was with a per-byte tokenizer: the oracle."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    tokens = _pgm_tokens(data)
+
+    def next_token():
+        try:
+            return next(tokens)
+        except StopIteration:
+            raise ValueError("truncated PGM header") from None
+
+    magic, _ = next_token()
+    if magic not in (b"P2", b"P5"):
+        raise ValueError(f"not a PGM file (magic {magic!r})")
+    fields = []
+    end = 0
+    for _ in range(3):
+        tok, end = next_token()
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad PGM header token {tok!r}") from None
+    width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise ValueError("PGM dimensions must be positive")
+    if not 0 < maxval <= formats.MAX_PGM_VALUE:
+        raise ValueError(f"PGM maxval must be in 1..{formats.MAX_PGM_VALUE}")
+
+    count = width * height
+    if magic == b"P2":
+        values = []
+        for tok, _ in tokens:
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"bad P2 sample {tok!r}") from None
+        if len(values) != count:
+            raise ValueError(f"P2 sample count {len(values)} != {count}")
+    else:
+        # P5 raster starts exactly one whitespace byte after maxval
+        raster = data[end + 1:]
+        if maxval < 256:
+            if len(raster) != count:
+                raise ValueError(f"P5 raster size {len(raster)} != {count}")
+            values = list(raster)
+        else:
+            if len(raster) != 2 * count:
+                raise ValueError(f"P5 raster size {len(raster)} != {2 * count}")
+            values = list(struct.unpack(f">{count}H", raster))
+    if max(values) > maxval:
+        raise ValueError("PGM sample exceeds maxval")
+    return [values[r * width:(r + 1) * width] for r in range(height)], maxval
+
+
+# Pieces a fuzzed PGM file is drawn from.  Separators cover every ASCII
+# whitespace byte, comments inside, after and between tokens, and a # that
+# ends the file; tokens cover signs, underscores, leading zeros and junk.
+_PGM_SEPS = (b" ", b"\n", b"\r", b"\r\n", b"\t", b"\x0b", b"\x0c", b" \n ",
+             b"#c\n", b"# a b\r\n", b"#\r", b"\n#x 9\n", b"#1\x0c2\n")
+_PGM_DIMS = (b"1", b"2", b"3", b"02", b"0", b"-1", b"+2", b"1_0", b"x", b"2#c\n")
+_PGM_MAXVALS = (b"1", b"10", b"255", b"255", b"256", b"300", b"65535",
+                b"70000", b"0", b"2_55", b"25#5\n")
+_P2_SAMPLES = (b"0", b"1", b"5", b"9", b"10", b"255", b"300", b"007", b"-3",
+               b"+3", b"1_0", b"x", b"3#c", b"4#", b"\xe9")
+
+
+def _random_pgm(rng) -> bytes:
+    def sep():
+        return rng.choice(_PGM_SEPS)
+
+    magic = rng.choice((b"P2", b"P5") * 4
+                       + (b"P2#c\n", b"#c\nP5", b"P3", b"", b"P5\x1c"))
+    width = rng.choice(_PGM_DIMS[:3] * 3 + _PGM_DIMS)
+    height = rng.choice(_PGM_DIMS[:3] * 3 + _PGM_DIMS)
+    maxval = rng.choice(_PGM_MAXVALS)
+    raw = sep().join((magic, width, height, maxval))
+    try:
+        count = int(width) * int(height) + rng.choice((0, 0, 0, -1, 1))
+        wide = int(maxval) >= 256
+    except ValueError:
+        count, wide = rng.randint(0, 4), False
+    count = max(count, 0)
+    if b"P2" in magic:
+        for _ in range(count):
+            raw += sep() + rng.choice(_P2_SAMPLES[:7] * 4 + _P2_SAMPLES)
+        raw += rng.choice((b"", b"\n", b"#", b"# end", b" \r\n"))
+    else:
+        raw += rng.choice((b"\n", b"\n", b" ", b"\t", b"\r", b"#"))
+        raw += bytes(rng.randrange(256) for _ in range(count * (1 + wide)))
+    if rng.random() < 0.15:
+        raw = raw[:rng.randrange(len(raw) + 1)]
+    return raw
+
+
+def _pgm_outcome(read, path):
+    """(rows, maxval) or (exception type, text)."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_pgm_reader_matches_per_byte_reader(tmp_path):
+    rng = random.Random(9)
+    p = tmp_path / "fuzz.pgm"
+    kinds = Counter()
+    for _ in range(4000):
+        raw = _random_pgm(rng)
+        p.write_bytes(raw)
+        new = _pgm_outcome(read_pgm, p)
+        old = _pgm_outcome(_read_pgm_per_byte, p)
+        if new[0] is ValueError:
+            kinds[new[1].split(" ")[0]] += 1
+        else:
+            kinds[next(_pgm_tokens(raw))[0], new[1] >= 256] += 1
+        if new == old:
+            continue
+        # the one intended difference: a P2 sample int() takes but that is
+        # not ASCII digits, found before any later raster error
+        assert new[0] is ValueError and new[1].startswith("bad P2 sample "), raw
+        tok = ast.literal_eval(new[1][len("bad P2 sample "):])
+        assert not tok.isdigit(), raw
+        int(tok)  # which the per-byte reader took
+        assert (old[0] is not ValueError
+                or old[1].startswith(("bad P2 sample ", "P2 sample count",
+                                      "PGM sample exceeds"))), raw
+        kinds["digit rule"] += 1
+    # the fuzz reaches every outcome: each raster read, and each error
+    for kind in ((b"P2", False), (b"P2", True), (b"P5", False), (b"P5", True),
+                 "truncated", "not", "bad", "PGM", "P2", "P5", "digit rule"):
+        assert kinds[kind] >= 20, (kind, kinds)
 
 
 def test_write_pgm_rejections(tmp_path):
@@ -104,10 +270,10 @@ def test_csv_errors(tmp_path):
         read_csv_signal(p)
 
 
-# ------------------------------------------------- CSV fast path vs checked
+# ------------------------------------------ CSV chunked reader vs checked loop
 
-# Lines a generated CSV file is drawn from: ints the fast path takes as they
-# stand, and everything that sends the file to the checked path.
+# Lines a generated CSV file is drawn from: ints that ``int(line)`` takes as
+# they stand, and everything that sends a chunk line by line.
 _INT_LINES = ("0", "7", "-3", "+12", "1_000", "-2_5", "123456789012345678901",
               " 5", "6 ", "\t-8\t", "9\x0b", "\x0c10")
 _ODD_LINES = ("", "   ", "# note", "#", "# origin=5", "#origin=-2",
@@ -128,9 +294,36 @@ def _random_csv(rng) -> str:
     return text + newline if rng.random() < 0.8 else text
 
 
+def _read_csv_checked(fh) -> Tuple[List[formats.Sample], int]:
+    """``read_csv_signal`` line by line from an open text file: parses
+    rationals, skips blank and comment lines anywhere, and names the line
+    of a bad sample or origin."""
+    origin = 0
+    samples: List[formats.Sample] = []
+    for lineno, line in enumerate(fh, 1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text[1:].strip()
+            if body.startswith("origin="):
+                try:
+                    origin = int(body[len("origin="):])
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: bad origin {body!r}") from None
+            continue
+        try:
+            samples.append(formats._parse_sample(text))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return samples, origin
+
+
 def _read_checked(path):
+    """The whole-file line-by-line reader, kept as the oracle."""
     with open(path, "r", encoding="ascii") as fh:
-        return formats._read_csv_checked(fh)
+        return _read_csv_checked(fh)
 
 
 def _outcome(read, path):
@@ -143,31 +336,68 @@ def _outcome(read, path):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_csv_fast_path_matches_checked_path(tmp_path, seed):
+def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
     p = tmp_path / "sig.csv"
     for _ in range(300):
         raw = _random_csv(rng).encode("utf-8")
         p.write_bytes(raw)
-        assert _outcome(read_csv_signal, p) == _outcome(_read_checked, p), raw
+        expected = _outcome(_read_checked, p)
+        # chunk boundaries fall after every line, every other and every third
+        for chunk in (1, 2, 3, formats._READ_CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr(formats, "_READ_CHUNK", chunk)
+                assert _outcome(read_csv_signal, p) == expected, (chunk, raw)
+
+
+@pytest.mark.parametrize("bad, undecodable, error", [
+    (11, 3001, "line 11: bad sample 'banana'"),
+    (3001, 3, "'ascii' codec can't decode byte 0xc3"),
+])
+def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
+                                               error):
+    """Whichever of a bad sample and a non-ASCII byte comes first is
+    reported, also when both fall in one chunk."""
+    assert formats._READ_CHUNK > max(bad, undecodable)
+    lines = [str(i) for i in range(5000)]
+    lines[bad - 1] = "banana"
+    lines[undecodable - 1] = "é"
+    p = tmp_path / "sig.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcome = _outcome(read_csv_signal, p)
+    assert outcome == _outcome(_read_checked, p)
+    assert outcome[1].startswith(error)
 
 
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
-    def refuse(fh):
-        raise AssertionError("checked path taken")
+    """Only the chunks holding the header and the trailing blank line go
+    line by line; the whole-int chunks between them do not."""
+    calls = []
+    parse_lines = formats._parse_lines
 
+    def counted(lines, lineno, samples, origin):
+        calls.append(lineno)
+        return parse_lines(lines, lineno, samples, origin)
+
+    n = 3 * formats._READ_CHUNK
     p = tmp_path / "sig.csv"
-    p.write_text("# sensor 4\n # origin= -6\n#\n" + "\n".join(_INT_LINES))
+    p.write_text("# sensor 4\n # origin= -6\n#\n"
+                 + "\n".join((_INT_LINES * n)[:n]) + "\n\n")
     expected = _read_checked(p)
-    monkeypatch.setattr(formats, "_read_csv_checked", refuse)
+    monkeypatch.setattr(formats, "_parse_lines", counted)
     samples, origin = read_csv_signal(p)
     assert (samples, origin) == expected
-    assert origin == -6 and all(type(v) is int for v in samples)
+    assert origin == -6 and len(samples) == n
+    assert calls == [0, n]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("text", ["# origin=2\n1\n-3\n",
-                                  "# origin=2\n1\n\n# mid\n3/4\n"])
+@pytest.mark.parametrize("text", [
+    "# origin=2\n1\n-3\n",
+    "# origin=2\n1\n\n# mid\n3/4\n",
+    pytest.param("# origin=2\n" + "1\n-3\n" * formats._READ_CHUNK + "\n",
+                 id="longer-than-a-chunk"),
+])
 def test_csv_from_a_pipe(tmp_path, text):
     p = tmp_path / "sig.csv"
     p.write_text(text)
