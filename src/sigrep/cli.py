@@ -35,13 +35,8 @@ from .formats import read_csv_signal, read_pgm, write_csv_signal, write_pgm
 from .laws import run_all
 from .signal import prototype_decomposition, redundancy_report, segment_signal
 
-_DETECTOR_ALIASES = {
-    "translation": "translation",
-    "affine": "affine",
-    "amp": "amp_affine",
-    "amp_affine": "amp_affine",
-    "amp-affine": "amp_affine",
-}
+_DETECTOR_ALIASES = {**{name: name for name in KIND_NAMES},
+                     "amp": "amp_affine", "amp-affine": "amp_affine"}
 
 
 def _parse_tol(text: str):
@@ -214,7 +209,7 @@ def cmd_stats(args) -> int:
     for name, value in container_layout(enc)._asdict().items():
         print(f"{name}={value}")
     kinds = Counter(rec.kind for rec in enc.records)
-    for kind, name in KIND_NAMES.items():
+    for kind, name in enumerate(KIND_NAMES):
         print(f"records.{name}={kinds[kind]}")
     return 0
 

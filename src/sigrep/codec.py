@@ -38,9 +38,8 @@ from math import log2
 from operator import sub
 from typing import List
 
-from .container import (KIND_AMP_AFFINE, KIND_TRANSLATION, POLICY_IDS,
-                        ArrowRecord, EncodedSignal, _fits_i64, _record_fault,
-                        write_container)
+from .container import (POLICY_IDS, ArrowRecord, EncodedSignal, _fits_i64,
+                        _record_fault, write_container)
 from .errors import CorruptContainer, EmptySignal, PolicyMismatch
 from .signal import Number, _check_samples
 
@@ -81,14 +80,12 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
     above = None
     for row in grid:
         if above is not None:
-            append(ArrowRecord(KIND_TRANSLATION, -width, 1, 1, 1,
-                               (row[0] - above[0],)))
+            append(ArrowRecord(-width, 1, 1, 1, (row[0] - above[0],)))
         if width > 1:
-            append(ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1,
-                               tuple(map(sub, row[1:], row))))
+            append(ArrowRecord(-1, 1, 1, 1, tuple(map(sub, row[1:], row))))
         above = row
     shape, origin = ((len(grid), width), 0) if image else ((width,), origin)
-    return EncodedSignal(len(shape), shape, origin, "predecessor",
+    return EncodedSignal(shape, origin, "predecessor",
                          (grid[0][0],), tuple(records))
 
 
@@ -131,7 +128,7 @@ def _encode_detected(samples: List[Number], origin: int) -> EncodedSignal:
             first[y] = k
             if y:
                 nonzero.append((k, y))
-    return EncodedSignal(1, (n,), origin, "detected",
+    return EncodedSignal((n,), origin, "detected",
                          (samples[0],), tuple(records))
 
 
@@ -139,13 +136,12 @@ def _detected_record(samples, k, y, first, nonzero, origin) -> ArrowRecord:
     """The record of sample ``k``; see _encode_detected."""
     i = first.get(y)
     if i is not None:
-        return ArrowRecord(KIND_TRANSLATION, i - k, 1, 1, 1, (0,))
+        return ArrowRecord(i - k, 1, 1, 1, (0,))
     if y:
         for i, x in nonzero:
             c = Fraction(y, x)
             if _fits_i64(c.numerator) and _fits_i64(c.denominator):
-                return ArrowRecord(KIND_AMP_AFFINE, i - k, 1, c.numerator,
-                                   c.denominator, (0,))
+                return ArrowRecord(i - k, 1, c.numerator, c.denominator, (0,))
     best = None  # (squared residual, index, residual)
     for i in range(k):
         d = y - samples[i]
@@ -154,7 +150,7 @@ def _detected_record(samples, k, y, first, nonzero, origin) -> ArrowRecord:
     if best is None:
         raise ValueError(f"detected policy: no earlier sample leaves an "
                          f"integral residual for {y} at position {origin + k}")
-    return ArrowRecord(KIND_TRANSLATION, best[1] - k, 1, 1, 1, (best[2],))
+    return ArrowRecord(best[1] - k, 1, 1, 1, (best[2],))
 
 
 def _check_predecessor_record(rec: ArrowRecord, flat: int, width: int) -> bool:
@@ -166,8 +162,7 @@ def _check_predecessor_record(rec: ArrowRecord, flat: int, width: int) -> bool:
     runs.
     """
     n = len(rec.delta)
-    if (rec.kind != KIND_TRANSLATION or rec.stride != 1
-            or rec.amp_num != rec.amp_den or n == 0):
+    if rec.stride != 1 or rec.amp_num != rec.amp_den or n == 0:
         return False
     col = flat % width
     if col == 0:
@@ -175,18 +170,25 @@ def _check_predecessor_record(rec: ArrowRecord, flat: int, width: int) -> bool:
     return rec.shift == -1 and col + n <= width
 
 
+def _exact(v) -> Number:
+    """A decoded sample as decode keeps it: an integral Fraction as an int."""
+    if isinstance(v, Fraction):
+        return int(v) if v.denominator == 1 else v
+    return _check_samples((v,))[0]  # TypeError unless an int
+
+
 def decode(enc: EncodedSignal):
     """Exact inverse of encode: a list (1-D) or list of rows (2-D).
 
     Raises CorruptContainer for structurally impossible records (count
-    mismatch, a record the container reader would refuse -- unknown kind,
-    zero stride, zero or undefined amplitude -- or a reference to a
-    not-yet-decoded position) and PolicyMismatch when a predecessor-policy
-    container holds anything but the fixed predecessor arrows.
+    mismatch, a record the container reader would refuse -- zero stride,
+    zero or undefined amplitude -- or a reference to a not-yet-decoded
+    position) and PolicyMismatch when a predecessor-policy container holds
+    anything but the fixed predecessor arrows.  Samples come back as ints,
+    or Fractions where not integral; any other value raises TypeError.
     """
-    if enc.dimension not in (1, 2) or len(enc.shape) != enc.dimension:
-        raise CorruptContainer(f"shape {enc.shape} does not fit dimension "
-                               f"{enc.dimension}")
+    if enc.dimension not in (1, 2):
+        raise CorruptContainer(f"shape {enc.shape} is neither 1-D nor 2-D")
     n = enc.total_samples
     width = enc.shape[-1]
     total_decl = len(enc.seed) + sum(len(r.delta) for r in enc.records)
@@ -204,7 +206,7 @@ def decode(enc: EncodedSignal):
             raise PolicyMismatch("predecessor-policy container holds a "
                                  "non-predecessor record")
         num, den, s, t = rec.amp_num, rec.amp_den, rec.stride, rec.shift
-        fault = _record_fault(rec.kind, s, num, den)
+        fault = _record_fault(s, num, den)
         if fault:
             raise CorruptContainer(fault)
         # an integral amplitude stays an int, so int samples stay ints
@@ -212,6 +214,9 @@ def decode(enc: EncodedSignal):
         if c == 1 and s == 1 and t == -1:  # hot path: plain DPCM along the run
             vals.extend(islice(accumulate(rec.delta, initial=vals[-1]),
                                1, None))
+            # a sum keeps the type of any Fraction or float that entered it
+            if type(vals[-1]) is not int:
+                vals[fill:] = map(_exact, vals[fill:])
             fill = len(vals)
             continue
         for d in rec.delta:
@@ -220,9 +225,7 @@ def decode(enc: EncodedSignal):
                 raise CorruptContainer(
                     f"record references undecoded position {src + origin}")
             v = c * vals[src] + d
-            if v.denominator == 1:
-                v = int(v)
-            vals.append(v)
+            vals.append(v if type(v) is int else _exact(v))
             fill += 1
     if enc.dimension == 1:
         return vals

@@ -7,17 +7,18 @@ Layout (all multi-byte values little-endian):
   2-D writes [rows, cols, origin];
 * policy id byte (0 = predecessor, 1 = detected);
 * seed: unsigned 64-bit count, then signed 64-bit samples;
-* records: unsigned 64-bit count, then per record: kind byte
-  (0 = translation, 1 = affine, 2 = amp_affine), T, S as signed 64-bit,
-  amplitude as two signed 64-bit ints (numerator, denominator), delta as an
-  unsigned 64-bit count plus signed 64-bit values.
+* records: unsigned 64-bit count, then per record: kind byte (0 =
+  translation, 1 = affine, 2 = amp_affine; ``signal.arrow_kind`` of S and
+  the amplitude), T, S as signed 64-bit, amplitude as two signed 64-bit ints
+  (numerator, denominator), delta as an unsigned 64-bit count plus signed
+  64-bit values.
 
 Parsing is strict: anything structurally off -- bad magic, unknown version,
 unknown policy id, truncated section, non-positive size, empty seed, a
-record ``_record_fault`` refuses, or trailing bytes -- raises
-CorruptContainer.  The writer refuses with ValueError, in the reader's
-words, each of these an encoding can hold, and a bool or a value that is
-not a signed 64-bit int.
+record ``_record_fault`` refuses, a kind byte S and the amplitude do not
+give, or trailing bytes -- raises CorruptContainer.  The writer refuses
+with ValueError, in the reader's words, each of these an encoding can
+hold, and a bool or a value that is not a signed 64-bit int.
 One header struct per dimension (``_HEADS``) serves the writer, the reader
 and ``container_layout``.  A record packs as one ``_REC_HEAD`` and one bulk
 delta array; a bool or a value that does not pack goes through
@@ -32,17 +33,13 @@ from itertools import chain
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import CorruptContainer
+from .signal import KIND_NAMES, arrow_kind
 
 MAGIC = b"FSG1"
 VERSION = 1
 
 POLICY_IDS = {"predecessor": 0, "detected": 1}
 POLICY_NAMES = {v: k for k, v in POLICY_IDS.items()}
-
-KIND_TRANSLATION = 0
-KIND_AFFINE = 1
-KIND_AMP_AFFINE = 2
-KIND_NAMES = {0: "translation", 1: "affine", 2: "amp_affine"}
 
 _HEADS = {d: struct.Struct(f"<4sBB{d}qqBQ") for d in (1, 2)}  # magic..seed count
 _REC_HEAD = struct.Struct("<BqqqqQ")  # kind, T, S, amp_num, amp_den, delta count
@@ -51,7 +48,6 @@ _REC_FIELDS = ("record T", "record S", "amp numerator", "amp denominator")
 
 class ArrowRecord(NamedTuple):
     """One stored arrow: target positions are implicit (scan order)."""
-    kind: int
     shift: int        # T of the lookup map sigma(j) = S*j + T
     stride: int       # S
     amp_num: int
@@ -62,14 +58,21 @@ class ArrowRecord(NamedTuple):
     def amp(self) -> Fraction:
         return Fraction(self.amp_num, self.amp_den)
 
+    @property
+    def kind(self) -> int:
+        return arrow_kind(self.stride, self.amp_num, self.amp_den)
+
 
 class EncodedSignal(NamedTuple):
-    dimension: int                 # 1 or 2
     shape: Tuple[int, ...]         # (length,) or (rows, cols)
     origin: int
     policy: str
     seed: Tuple[int, ...]
     records: Tuple[ArrowRecord, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.shape)
 
     @property
     def total_samples(self) -> int:
@@ -98,8 +101,6 @@ def _head(enc: EncodedSignal) -> struct.Struct:
     """The header struct of ``enc``; ValueError for an arity FSG1 lacks."""
     if enc.dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    if len(enc.shape) != enc.dimension:
-        raise ValueError("shape arity must match dimension")
     return _HEADS[enc.dimension]
 
 
@@ -119,10 +120,8 @@ def _check_i64(value, what: str) -> int:
     return value
 
 
-def _record_fault(kind, stride, amp_num, amp_den) -> Optional[str]:
+def _record_fault(stride, amp_num, amp_den) -> Optional[str]:
     """Why a record with this head cannot be decoded; None if it can."""
-    if type(kind) is not int or kind not in KIND_NAMES:  # refuses bool, 1.0
-        return f"unknown record kind {kind!r}"
     if stride == 0:
         return "record stride is zero"
     if amp_num == 0 or amp_den == 0:
@@ -152,10 +151,10 @@ def write_container(enc: EncodedSignal) -> bytes:
                   POLICY_IDS[enc.policy], len(seed)),
         struct.pack(f"<{len(seed)}qQ", *seed, len(enc.records))]
     for rec in enc.records:
-        fault = _record_fault(rec.kind, rec.stride, rec.amp_num, rec.amp_den)
+        fault = _record_fault(rec.stride, rec.amp_num, rec.amp_den)
         if fault:
             raise ValueError(fault)
-        fields = rec[1:5]  # T, S, amp_num, amp_den
+        fields = rec[:4]  # T, S, amp_num, amp_den
         try:
             # struct packs a bool as 0/1, so bools take the checked path too
             if bool not in set(map(type, chain(fields, rec.delta))):
@@ -206,17 +205,22 @@ def read_container(data: bytes) -> EncodedSignal:
             raise CorruptContainer("truncated record")
         kind, t, s, num, den, dlen = head_unpack(data, off)
         off += head_size
-        fault = _record_fault(kind, s, num, den)
+        fault = _record_fault(s, num, den)
         if fault:
             raise CorruptContainer(fault)
+        if kind != arrow_kind(s, num, den):
+            raise CorruptContainer(
+                f"unknown record kind {kind}" if kind >= len(KIND_NAMES) else
+                f"record kind {kind} ({KIND_NAMES[kind]}) does not match "
+                f"stride {s} and amplitude {num}/{den}")
         if dlen * 8 > total - off:
             raise CorruptContainer("truncated delta array")
         delta = struct.unpack_from(f"<{dlen}q", data, off)
         off += 8 * dlen
-        append(ArrowRecord(kind, t, s, num, den, delta))
+        append(ArrowRecord(t, s, num, den, delta))
     if off != total:
         raise CorruptContainer("trailing bytes after records")
-    return EncodedSignal(dim, shape, origin, POLICY_NAMES[policy_id],
+    return EncodedSignal(shape, origin, POLICY_NAMES[policy_id],
                          tuple(seed), tuple(records))
 
 

@@ -66,16 +66,15 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
         if len(values) != count:
             raise ValueError(f"P2 sample count {len(values)} != {count}")
     else:
-        # P5 raster starts exactly one whitespace byte after maxval
-        raster = data[end + 1:]
-        if maxval < 256:
-            if len(raster) != count:
-                raise ValueError(f"P5 raster size {len(raster)} != {count}")
-            values = list(raster)
-        else:
-            if len(raster) != 2 * count:
-                raise ValueError(f"P5 raster size {len(raster)} != {2 * count}")
-            values = list(struct.unpack(f">{count}H", raster))
+        sep, raster = data[end:end + 1], data[end + 1:]
+        if sep and not sep.isspace():
+            raise ValueError(f"P5 raster must follow one whitespace byte, "
+                             f"not {sep!r}")
+        size = count if maxval < 256 else 2 * count
+        if len(raster) != size:
+            raise ValueError(f"P5 raster size {len(raster)} != {size}")
+        values = (list(raster) if maxval < 256
+                  else list(struct.unpack(f">{count}H", raster)))
     if max(values) > maxval:
         raise ValueError("PGM sample exceeds maxval")
     return [values[r * width:(r + 1) * width] for r in range(height)], maxval
@@ -140,9 +139,10 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
 
     ``int(line)`` accepts a line only where ``_parse_lines`` reads the same
     int (``str.strip`` drops more control characters than ``int`` does, and
-    such a line sends its chunk line by line).  A decode error is raised
-    after the lines before it are parsed, so a bad sample on an earlier line
-    is reported first.
+    such a line sends its chunk line by line).  A non-ASCII byte is reported
+    after the lines the text reader returned before it are parsed, so a bad
+    sample on an earlier line is reported first, unless it lies in the
+    8 KiB block that fails to decode; see ``_not_ascii`` for the text.
     """
     origin = 0
     samples: List[Sample] = []
@@ -152,9 +152,9 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
             lines: List[str] = []
             try:
                 lines.extend(islice(fh, _READ_CHUNK))
-            except UnicodeDecodeError:
+            except UnicodeDecodeError as exc:
                 _parse_lines(lines, lineno, samples, origin)
-                raise
+                raise _not_ascii(fh, exc, lineno + len(lines)) from None
             if not lines:
                 return samples, origin
             try:
@@ -162,6 +162,26 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
             except ValueError:
                 origin = _parse_lines(lines, lineno, samples, origin)
             lineno += len(lines)
+
+
+def _not_ascii(fh, exc: UnicodeDecodeError, lineno: int) -> ValueError:
+    """The error for the byte that stopped ``fh``'s text reader after
+    ``lineno`` lines: its line, and its offset if ``fh`` can tell.  The
+    failed block ``exc.object`` ends where ``fh.buffer`` stands; a CR that
+    ended the block before waits in the reader for an LF, so it is re-read
+    (a pipe cannot seek, and counts a lone one one line short)."""
+    head = exc.object[:exc.start]
+    line = lineno + len((head + b"x").splitlines())  # LF, CRLF or lone CR
+    try:
+        block = fh.buffer.tell() - len(exc.object)
+        if block and not head.startswith(b"\n"):
+            fh.buffer.seek(block - 1)
+            line += fh.buffer.read(1) == b"\r"
+        where = f", offset {block + exc.start}"
+    except OSError:  # a pipe can neither tell nor seek
+        where = ""
+    return ValueError(f"line {line}{where}: non-ASCII byte "
+                      f"0x{exc.object[exc.start]:02x}")
 
 
 def _parse_lines(lines: Sequence[str], lineno: int, samples: List[Sample],

@@ -120,6 +120,19 @@ def segment_signal(samples: Sequence[Number], origin: int,
             for a, b in zip(cuts, cuts[1:])]
 
 
+KIND_NAMES = ("translation", "affine", "amp_affine")  # by kind byte or rank
+_TRANSLATION, _AFFINE, _AMP_AFFINE = range(3)
+
+
+def arrow_kind(stride, amp_num, amp_den=1) -> int:
+    """The kind of an arrow with stride S and amplitude c = amp_num/amp_den,
+    as an index into KIND_NAMES: a translation has S = 1 and c = 1, an
+    affine arrow has c = 1, and any other arrow is amplitude-affine."""
+    if amp_num != amp_den:
+        return _AMP_AFFINE
+    return _TRANSLATION if stride == 1 else _AFFINE
+
+
 class SegmentArrow:
     """A structure arrow between two segments; see the module docstring.
 
@@ -163,11 +176,7 @@ class SegmentArrow:
 
     @property
     def kind(self) -> str:
-        if self.stride == 1 and self.amp == 1:
-            return "translation"
-        if self.amp == 1:
-            return "affine"
-        return "amp_affine"
+        return KIND_NAMES[arrow_kind(self.stride, self.amp)]
 
     @property
     def is_identity(self) -> bool:
@@ -332,9 +341,6 @@ def _sq_sum(diffs, cap: Optional[int]) -> Optional[int]:
         if cap is not None and acc > cap:
             return None
     return acc
-
-
-_TRANSLATION, _AFFINE, _AMP_AFFINE = range(3)
 
 
 def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
@@ -601,12 +607,9 @@ class RedundancyReport:
         return len(self.entries) + 1
 
 
-_DETECTOR_ORDER = ("translation", "affine", "amp_affine")
-
-
 def redundancy_report(segments: Sequence[Segment], tol=0,
                       strides=(-2, -1, 1, 2),
-                      detectors=_DETECTOR_ORDER) -> RedundancyReport:
+                      detectors=KIND_NAMES) -> RedundancyReport:
     """For each segment after the first, the best observed isomorphism from
     any earlier segment, if one lands within tolerance.
 
@@ -623,9 +626,9 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
     candidate, and only the winner is built as an arrow.
     """
     for d in detectors:
-        if d not in _DETECTOR_ORDER:
+        if d not in KIND_NAMES:
             raise ValueError(f"unknown detector {d!r}")
-    ranks = [r for r, name in enumerate(_DETECTOR_ORDER) if name in detectors]
+    ranks = [r for r, name in enumerate(KIND_NAMES) if name in detectors]
     scaled, limit = _scaled(segments, tol)
     if _AFFINE in ranks or _AMP_AFFINE in ranks:
         strides = _check_strides(strides)
@@ -639,7 +642,7 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
         else:
             rsq, rank, src_i, arr = best
             entries.append(RedundancyEntry(tgt_i, src_i,
-                                           _DETECTOR_ORDER[rank], rsq, arr))
+                                           KIND_NAMES[rank], rsq, arr))
     count = sum(1 for e in entries if e.redundant)
     return RedundancyReport(tuple(entries), tol, count)
 

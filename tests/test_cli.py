@@ -2,7 +2,8 @@
 
 import pytest
 
-from sigrep import read_csv_signal, read_pgm, write_csv_signal, write_pgm
+from sigrep import (ArrowRecord, EncodedSignal, read_csv_signal, read_pgm,
+                    write_container_file, write_csv_signal, write_pgm)
 from sigrep.cli import main
 
 
@@ -131,6 +132,22 @@ def test_stats(tmp_path, capsys):
     assert lines["records"] == "4"
     assert (lines["records.translation"], lines["records.affine"],
             lines["records.amp_affine"]) == ("1", "0", "3")
+
+
+def test_stats_counts_the_kind_each_arrow_has(tmp_path, capsys):
+    # an amplitude-3 record and a plain translation, hand-built: the counts
+    # come from each record's S and amplitude
+    sig = tmp_path / "in.csv"
+    enc = tmp_path / "sig.fsg"
+    write_csv_signal(sig, [1, 3, 3])
+    write_container_file(enc, EncodedSignal(
+        (3,), 0, "detected", (1,),
+        (ArrowRecord(-1, 1, 3, 1, (0,)), ArrowRecord(-1, 1, 1, 1, (0,)))))
+    code, out, _ = run(capsys, "stats", str(sig), str(enc))
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert (lines["records.translation"], lines["records.affine"],
+            lines["records.amp_affine"]) == ("1", "0", "1")
 
 
 def test_stats_image_split(tmp_path, capsys):

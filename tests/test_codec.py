@@ -1,6 +1,7 @@
 """Differential codec and the FSG1 container: round trips and strictness."""
 
 import random
+import re
 import struct
 from fractions import Fraction
 from math import log2
@@ -11,12 +12,11 @@ from sigrep import (ArrowRecord, CorruptContainer, EmptySignal, EncodedSignal,
                     PolicyMismatch, decode, encode, metrics, read_container,
                     read_container_file, write_container, write_container_file,
                     zeroth_order_entropy)
-from sigrep.container import (KIND_AMP_AFFINE, KIND_TRANSLATION,
-                              container_layout)
+from sigrep.container import KIND_NAMES, container_layout
 
 
 def dpcm(shift, *deltas):
-    return ArrowRecord(KIND_TRANSLATION, shift, 1, 1, 1, deltas)
+    return ArrowRecord(shift, 1, 1, 1, deltas)
 
 
 def per_sample(enc):
@@ -76,7 +76,7 @@ def test_encode_rejects_empty_and_junk():
 
 
 def test_decode_hand_built_records():
-    enc = EncodedSignal(1, (3,), 0, "predecessor", (0,),
+    enc = EncodedSignal((3,), 0, "predecessor", (0,),
                         (dpcm(-1, 1), dpcm(-1, -1)))
     assert decode(enc) == [0, 1, 0]
 
@@ -94,6 +94,9 @@ def test_roundtrip_fraction_samples():
     sig = [Fraction(1, 2), Fraction(3, 2), Fraction(3, 2)]
     enc = encode(sig)
     assert decode(enc) == sig
+    # a run through a non-integral sample comes back to an int
+    out = decode(encode([5, Fraction(11, 2), 6]))
+    assert out == [5, Fraction(11, 2), 6] and type(out[-1]) is int
     with pytest.raises(ValueError):
         write_container(enc)
 
@@ -178,13 +181,13 @@ def test_detected_exploits_amplitude():
     # every later sample is a rational multiple of the seed: zero residuals
     enc = encode([2, 3, 5, 7], policy="detected")
     assert all(rec.delta == (0,) for rec in enc.records)
-    assert enc.records[0].kind == KIND_AMP_AFFINE
+    assert KIND_NAMES[enc.records[0].kind] == "amp_affine"
     assert enc.records[0].amp == Fraction(3, 2)
     assert decode(enc) == [2, 3, 5, 7]
 
 
 def test_decode_policy_mismatch():
-    enc = EncodedSignal(1, (2,), 0, "predecessor", (0,),
+    enc = EncodedSignal((2,), 0, "predecessor", (0,),
                         (dpcm(-2, 1),))  # wrong shift for 1-D predecessor
     with pytest.raises(PolicyMismatch):
         decode(enc)
@@ -232,49 +235,82 @@ def test_per_sample_layout_still_reads_decodes_and_rewrites():
         assert decode(back) == raw
         assert write_container(back) == blob  # byte-identical rewrite
     # runs split anywhere inside a row are fine too
-    mixed = EncodedSignal(2, (2, 3), 0, "predecessor", (1,),
+    mixed = EncodedSignal((2, 3), 0, "predecessor", (1,),
                           (dpcm(-1, 1), dpcm(-1, 1), dpcm(-3, 3),
                            dpcm(-1, 1, 1)))
     assert decode(mixed) == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_decode_count_mismatch():
-    enc = EncodedSignal(1, (3,), 0, "predecessor", (0,), (dpcm(-1, 1),))
+    enc = EncodedSignal((3,), 0, "predecessor", (0,), (dpcm(-1, 1),))
     with pytest.raises(CorruptContainer):
         decode(enc)
 
 
-@pytest.mark.parametrize("dimension, shape", [
-    (1, (2, 3)), (2, (6,)), (0, ()), (3, (1, 2, 3)),
-])
-def test_decode_shape_must_fit_dimension(dimension, shape):
-    enc = EncodedSignal(dimension, shape, 0, "predecessor", (0,),
+@pytest.mark.parametrize("shape", [(), (1, 2, 3)])
+def test_decode_dimension_must_be_1_or_2(shape):
+    enc = EncodedSignal(shape, 0, "predecessor", (0,),
                         (dpcm(-1, 1, 1, 1, 1, 1),))
-    with pytest.raises(CorruptContainer, match="does not fit dimension"):
+    with pytest.raises(CorruptContainer, match="is neither 1-D nor 2-D$"):
         decode(enc)
+
+
+def test_dimension_is_the_length_of_the_shape():
+    assert encode([1, 2]).dimension == 1
+    assert encode([[1, 2]]).dimension == 2
+    with pytest.raises(AttributeError):
+        encode([1, 2]).dimension = 2
+    with pytest.raises(ValueError):  # not a field, so not replaceable
+        encode([1, 2])._replace(dimension=2)
 
 
 def test_decode_needs_a_seed():
     # the reader refuses a zero seed count; a hand-built encoding is caught too
-    enc = EncodedSignal(1, (1,), 0, "predecessor", (), (dpcm(-1, 5),))
+    enc = EncodedSignal((1,), 0, "predecessor", (), (dpcm(-1, 5),))
     with pytest.raises(CorruptContainer):
         decode(enc)
 
 
 def test_decode_forward_reference():
-    bad = EncodedSignal(1, (2,), 0, "detected", (5,),
-                        (ArrowRecord(KIND_TRANSLATION, 1, 1, 1, 1, (0,)),))
+    bad = EncodedSignal((2,), 0, "detected", (5,),
+                        (ArrowRecord(1, 1, 1, 1, (0,)),))
     with pytest.raises(CorruptContainer):
         decode(bad)
-    bad2 = EncodedSignal(1, (2,), 0, "detected", (5,),
-                         (ArrowRecord(KIND_TRANSLATION, 0, 2, 1, 1, (0,)),))
+    bad2 = EncodedSignal((2,), 0, "detected", (5,),
+                         (ArrowRecord(0, 2, 1, 1, (0,)),))
     with pytest.raises(CorruptContainer):
         decode(bad2)
 
 
+@pytest.mark.parametrize("records", [
+    # a left run takes the accumulate path, one record per delta too
+    (dpcm(-1, Fraction(2), Fraction(3)),),
+    (dpcm(-1, Fraction(2)), dpcm(-1, Fraction(3))),
+    # a reversed lookup of the previous sample takes the general loop
+    (ArrowRecord(1, -1, 1, 1, (Fraction(2),)),
+     ArrowRecord(3, -1, 1, 1, (Fraction(3),))),
+])
+def test_decode_paths_give_the_same_types(records):
+    enc = EncodedSignal((3,), 0, "detected", (5,), records)
+    out = decode(enc)
+    assert out == [5, 7, 10]
+    assert [type(v) for v in out] == [int, int, int]
+
+
+@pytest.mark.parametrize("records", [
+    (dpcm(-1, 0.5),),
+    (ArrowRecord(1, -1, 1, 1, (0.5,)),),
+])
+def test_decode_refuses_a_float_on_both_paths(records):
+    enc = EncodedSignal((2,), 0, "detected", (5,), records)
+    with pytest.raises(TypeError,
+                       match=r"^samples must be ints or Fractions, got 5\.5$"):
+        decode(enc)
+
+
 def test_decode_rational_amplitude():
-    enc = EncodedSignal(1, (2,), 0, "detected", (4,),
-                        (ArrowRecord(KIND_AMP_AFFINE, -1, 1, 3, 2, (1,)),))
+    enc = EncodedSignal((2,), 0, "detected", (4,),
+                        (ArrowRecord(-1, 1, 3, 2, (1,)),))
     assert decode(enc) == [4, 7]
 
 
@@ -307,15 +343,15 @@ def test_container_files(tmp_path):
 
 
 def test_container_multi_delta_record():
-    enc = EncodedSignal(1, (3,), 0, "detected", (0,),
-                        (ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (1, 2)),))
+    enc = EncodedSignal((3,), 0, "detected", (0,),
+                        (ArrowRecord(-1, 1, 1, 1, (1, 2)),))
     assert read_container(write_container(enc)) == enc
     assert decode(enc) == [0, 1, 3]
 
 
 def test_container_normalises_fraction_delta():
-    a = EncodedSignal(1, (2,), 0, "detected", (0,),
-                      (ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (Fraction(2),)),))
+    a = EncodedSignal((2,), 0, "detected", (0,),
+                      (ArrowRecord(-1, 1, 1, 1, (Fraction(2),)),))
     b = a._replace(records=(a.records[0]._replace(delta=(2,)),))
     assert write_container(a) == write_container(b)
 
@@ -323,9 +359,7 @@ def test_container_normalises_fraction_delta():
 def test_container_write_rejections():
     ok = encode([1, 2])
     with pytest.raises(ValueError):
-        write_container(ok._replace(dimension=3, shape=(1, 1, 2)))
-    with pytest.raises(ValueError):
-        write_container(ok._replace(shape=(2, 2)))
+        write_container(ok._replace(shape=(1, 1, 2)))
     with pytest.raises(ValueError):
         write_container(ok._replace(policy="guess"))
     with pytest.raises(ValueError):
@@ -333,8 +367,6 @@ def test_container_write_rejections():
     frac = ok.records[0]._replace(delta=(Fraction(1, 2),))
     with pytest.raises(ValueError):
         write_container(ok._replace(records=(frac,)))
-    with pytest.raises(ValueError):
-        write_container(ok._replace(records=(ok.records[0]._replace(kind=9),)))
 
 
 def test_container_write_refuses_bools():
@@ -347,7 +379,6 @@ def test_container_write_refuses_bools():
         rec._replace(shift=True),
         rec._replace(stride=True),
         rec._replace(amp_num=True, amp_den=True),
-        rec._replace(kind=False),
     ]
     for bad in bad_records:
         n = len(bad.delta) + 1
@@ -392,8 +423,8 @@ def test_container_read_rejections():
 
 
 def test_container_read_zero_stride_and_amp():
-    base = EncodedSignal(1, (2,), 0, "detected", (1,),
-                         (ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (0,)),))
+    base = EncodedSignal((2,), 0, "detected", (1,),
+                         (ArrowRecord(-1, 1, 1, 1, (0,)),))
     # writing refuses all of these records, so corrupt a valid blob's bytes
     blob = write_container(base)
     kind_off = 4 + 1 + 1 + 8 + 8 + 1 + 8 + 8 + 8
@@ -415,8 +446,8 @@ def test_container_read_zero_stride_and_amp():
 # A valid 1-D encoding; each case below breaks one field of it and patches
 # the same field (offset, struct format, value) in its written bytes.
 _AMP_FAULT = "record amplitude is zero or undefined"
-_SYMMETRY_BASE = EncodedSignal(1, (2,), 0, "detected", (1,),
-                               (ArrowRecord(KIND_TRANSLATION, -1, 1, 1, 1, (0,)),))
+_SYMMETRY_BASE = EncodedSignal((2,), 0, "detected", (1,),
+                               (ArrowRecord(-1, 1, 1, 1, (0,)),))
 _KIND_OFF = 4 + 1 + 1 + 8 + 8 + 1 + 8 + 8 + 8
 
 
@@ -431,7 +462,8 @@ def _with_record(**kw):
     (_SYMMETRY_BASE._replace(shape=(-3,)), 6, "<q", -3,
      "non-positive dimensions (-3,)"),
     (_SYMMETRY_BASE._replace(seed=()), 23, "<Q", 0, "bad seed count"),
-    (_with_record(kind=7), _KIND_OFF, "<B", 7, "unknown record kind 7"),
+    (_SYMMETRY_BASE._replace(shape=(-(1 << 63),)), 6, "<q", -(1 << 63),
+     "non-positive dimensions (-9223372036854775808,)"),
     (_with_record(stride=0), _KIND_OFF + 9, "<q", 0, "record stride is zero"),
     (_with_record(amp_num=0), _KIND_OFF + 17, "<q", 0, _AMP_FAULT),
     (_with_record(amp_den=0), _KIND_OFF + 25, "<q", 0, _AMP_FAULT),
@@ -446,23 +478,60 @@ def test_writer_refuses_what_the_reader_refuses(enc, off, fmt, value, text):
     assert str(read_err.value) == str(write_err.value) == text
 
 
+@pytest.mark.parametrize("stride, amp_num, amp_den, kind", [
+    (1, 1, 1, 0), (1, -1, -1, 0),   # translation: S = 1, c = 1
+    (2, 1, 1, 1), (-1, 3, 3, 1),    # affine: c = 1
+    (1, 3, 1, 2), (-2, 1, 2, 2),    # amp_affine: any other c
+])
+def test_reader_takes_only_the_kind_byte_the_arrow_gives(stride, amp_num,
+                                                        amp_den, kind):
+    rec = ArrowRecord(-1, stride, amp_num, amp_den, (0,))
+    assert rec.kind == kind
+    enc = _SYMMETRY_BASE._replace(records=(rec,))
+    blob = bytearray(write_container(enc))
+    assert blob[_KIND_OFF] == kind
+    assert read_container(bytes(blob)) == enc
+    for byte in (0, 1, 2, 3, 7, 255):
+        if byte != kind:
+            blob[_KIND_OFF] = byte
+            text = (f"unknown record kind {byte}" if byte > 2 else
+                    f"record kind {byte} ({KIND_NAMES[byte]}) does not match "
+                    f"stride {stride} and amplitude {amp_num}/{amp_den}")
+            with pytest.raises(CorruptContainer, match=f"^{re.escape(text)}$"):
+                read_container(bytes(blob))
+
+
+def test_reader_refuses_a_mislabelled_container():
+    # an amplitude-3 arrow labelled translation, then an amplitude-1 arrow
+    # labelled amp_affine: both decode, but the labels are not their kinds
+    enc = EncodedSignal((3,), 0, "detected", (1,),
+                        (ArrowRecord(-1, 1, 3, 1, (0,)),
+                         ArrowRecord(-1, 1, 1, 1, (0,))))
+    blob = bytearray(write_container(enc))
+    second = _KIND_OFF + 41 + 8
+    assert (blob[_KIND_OFF], blob[second]) == (2, 0)
+    assert decode(read_container(bytes(blob))) == [1, 3, 3]
+    blob[_KIND_OFF], blob[second] = 0, 2
+    with pytest.raises(CorruptContainer, match=r"^record kind 0 \(translation\) "
+                       r"does not match stride 1 and amplitude 3/1$"):
+        read_container(bytes(blob))
+
+
 def test_container_layout_refuses_what_the_writer_refuses():
-    ok = encode([1, 2])
-    for bad in (ok._replace(dimension=3, shape=(1, 1, 2)),
-                ok._replace(shape=(2, 2))):
-        with pytest.raises(ValueError) as layout_err:
-            container_layout(bad)
-        with pytest.raises(ValueError) as write_err:
-            write_container(bad)
-        assert str(layout_err.value) == str(write_err.value)
+    bad = encode([1, 2])._replace(shape=(1, 1, 2))
+    with pytest.raises(ValueError) as layout_err:
+        container_layout(bad)
+    with pytest.raises(ValueError) as write_err:
+        write_container(bad)
+    assert str(layout_err.value) == str(write_err.value)
 
 
-_T_BIG = ArrowRecord(KIND_TRANSLATION, 1 << 63, 1, 1, 1, (0,))
+_T_BIG = ArrowRecord(1 << 63, 1, 1, 1, (0,))
 
 
 @pytest.mark.parametrize("change, pattern", [
     # each encoding breaks two fields; the first one checked is named
-    (dict(dimension=3, shape=(1, 1, 2), policy="guess"),
+    (dict(shape=(1, 1, 2), policy="guess"),
      r"^dimension must be 1 or 2$"),
     (dict(shape=(1 << 63,), origin=1 << 63),
      r"^dimension 9223372036854775808 does not fit in a signed 64-bit int$"),
@@ -478,10 +547,8 @@ _T_BIG = ArrowRecord(KIND_TRANSLATION, 1 << 63, 1, 1, 1, (0,))
      r"^delta value must be an integer, got 1/2$"),
     (dict(records=(dpcm(-1, 1 << 63),)),
      r"^delta value 9223372036854775808 does not fit in a signed 64-bit int$"),
-    (dict(records=(dpcm(-1, 0)._replace(kind=True, shift=True),)),
-     r"^unknown record kind True$"),
-    (dict(records=(dpcm(-1, 0)._replace(kind=1.0),)),
-     r"^unknown record kind 1\.0$"),
+    (dict(records=(dpcm(-1, 0)._replace(stride=0, shift=True),)),
+     r"^record stride is zero$"),
 ])
 def test_container_write_error_texts_and_order(change, pattern):
     with pytest.raises(ValueError, match=pattern):
@@ -500,11 +567,9 @@ def test_container_read_truncated_2d_header():
     (dict(amp_den=0), _AMP_FAULT),
     (dict(amp_num=0), _AMP_FAULT),
     (dict(stride=0), "record stride is zero"),
-    (dict(kind=7), "unknown record kind 7"),
-    (dict(kind=1.0), "unknown record kind 1.0"),
 ])
 def test_decode_refuses_what_the_reader_refuses(change, text):
-    enc = EncodedSignal(1, (2,), 0, "detected", (1,),
+    enc = EncodedSignal((2,), 0, "detected", (1,),
                         (dpcm(-1, 0)._replace(**change),))
     with pytest.raises(CorruptContainer, match=f"^{text}$"):
         decode(enc)

@@ -3,7 +3,9 @@
 Valid containers -- run layout and one record per sample, predecessor and
 detected policy, 1-D and 2-D -- are truncated, spliced and byte-mutated with a
 fixed-seed ``random.Random``.  ``read_container`` followed by ``decode`` must
-either succeed or raise ``CorruptContainer`` / ``PolicyMismatch``.
+either succeed or raise ``CorruptContainer`` / ``PolicyMismatch``, and every
+damaged container that reads must rewrite to the same bytes: the reader takes
+no field, the kind byte included, that the writer would not write.
 """
 
 import random
@@ -66,15 +68,19 @@ def _mutate(rng, blob: bytes) -> bytes:
 
 def test_damaged_containers_raise_only_documented_errors():
     rng = random.Random(20240917)
-    escaped = []
+    escaped, rewritten = [], []
     for name, blob in _bases(rng).items():
         for _ in range(MUTATIONS_PER_BASE):
             damaged = _mutate(rng, blob)
             try:
-                decode(read_container(damaged))
+                enc = read_container(damaged)
+                if write_container(enc) != damaged:
+                    rewritten.append(f"{name}: {damaged.hex()}")
+                decode(enc)
             except (CorruptContainer, PolicyMismatch):
                 pass
             except Exception as exc:  # noqa: BLE001 -- collected and reported
                 escaped.append(f"{name}: {type(exc).__name__}: {exc} "
                                f"on {damaged.hex()}")
     assert not escaped, escaped[:5]
+    assert not rewritten, rewritten[:5]

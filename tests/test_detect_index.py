@@ -22,7 +22,6 @@ from sigrep.container import ArrowRecord, EncodedSignal
 
 INF = float("inf")
 ORDER = ("translation", "affine", "amp_affine")
-KIND = {"translation": 0, "affine": 1, "amp_affine": 2}
 
 # ---------------------------------------------------------------- oracles
 
@@ -140,10 +139,10 @@ def encode_detected_oracle(samples, origin):
         if best is None:
             return None
         arr = best[3]
-        records.append(ArrowRecord(KIND[arr.kind], arr.shift, arr.stride,
-                                   arr.amp.numerator, arr.amp.denominator,
+        records.append(ArrowRecord(arr.shift, arr.stride, arr.amp.numerator,
+                                   arr.amp.denominator,
                                    tuple(int(d) for d in arr.delta)))
-    return EncodedSignal(1, (len(samples),), origin, "detected",
+    return EncodedSignal((len(samples),), origin, "detected",
                          (samples[0],), tuple(records))
 
 
@@ -309,15 +308,15 @@ def test_encoder_falls_back_when_ratios_overflow():
     # no earlier ratio fits: the nearest value wins, the first on a tie
     big = 1 << 70
     enc = encode([1, big, big + 2, big + 1, 2], "detected")
-    assert enc.records[1] == ArrowRecord(0, -1, 1, 1, 1, (2,))
-    assert enc.records[2] == ArrowRecord(0, -2, 1, 1, 1, (1,))
-    assert enc.records[3] == ArrowRecord(2, -4, 1, 2, 1, (0,))
+    assert enc.records[1] == ArrowRecord(-1, 1, 1, 1, (2,))
+    assert enc.records[2] == ArrowRecord(-2, 1, 1, 1, (1,))
+    assert enc.records[3] == ArrowRecord(-4, 1, 2, 1, (0,))
 
 
 def test_encoder_zero_with_no_earlier_zero_takes_nearest_value():
     enc = encode([5, -2, 3, 0, 0], "detected", origin=7)
-    assert enc.records[2] == ArrowRecord(0, -2, 1, 1, 1, (2,))
-    assert enc.records[3] == ArrowRecord(0, -1, 1, 1, 1, (0,))
+    assert enc.records[2] == ArrowRecord(-2, 1, 1, 1, (2,))
+    assert enc.records[3] == ArrowRecord(-1, 1, 1, 1, (0,))
 
 
 def test_encoder_refuses_a_sample_with_no_integral_residual():

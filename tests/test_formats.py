@@ -66,6 +66,14 @@ def test_pgm_errors(tmp_path):
         with pytest.raises(ValueError) as exc:
             read_pgm(p)
         assert str(exc.value) == f"bad P2 sample {sample!r}"
+    # one whitespace byte, and nothing else, separates maxval from a raster
+    p.write_bytes(b"P5\n1 1\n255#\x05")
+    with pytest.raises(ValueError) as exc:
+        read_pgm(p)
+    assert str(exc.value) == "P5 raster must follow one whitespace byte, not b'#'"
+    p.write_bytes(b"P5\n1 1\n255")
+    with pytest.raises(ValueError, match=r"^P5 raster size 0 != 1$"):
+        read_pgm(p)
     for raw in (b"P5\n1 1\n10\n\x0b",        # 1-byte sample above maxval
                 b"P5\n1 1\n300\n\x01\x2d"):  # 2-byte sample 301 above maxval
         p.write_bytes(raw)
@@ -213,8 +221,15 @@ def test_pgm_reader_matches_per_byte_reader(tmp_path):
             kinds[next(_pgm_tokens(raw))[0], new[1] >= 256] += 1
         if new == old:
             continue
-        # the one intended difference: a P2 sample int() takes but that is
-        # not ASCII digits, found before any later raster error
+        # two differences are intended; the first: a P5 raster after a
+        # byte that is not whitespace, which the per-byte reader skipped
+        if new[1] == "P5 raster must follow one whitespace byte, not b'#'":
+            assert old[0] is not ValueError or old[1].startswith(
+                ("P5 raster size", "PGM sample exceeds")), raw
+            kinds["separator rule"] += 1
+            continue
+        # the second: a P2 sample int() takes but that is not ASCII digits,
+        # found before any later raster error
         assert new[0] is ValueError and new[1].startswith("bad P2 sample "), raw
         tok = ast.literal_eval(new[1][len("bad P2 sample "):])
         assert not tok.isdigit(), raw
@@ -225,7 +240,8 @@ def test_pgm_reader_matches_per_byte_reader(tmp_path):
         kinds["digit rule"] += 1
     # the fuzz reaches every outcome: each raster read, and each error
     for kind in ((b"P2", False), (b"P2", True), (b"P5", False), (b"P5", True),
-                 "truncated", "not", "bad", "PGM", "P2", "P5", "digit rule"):
+                 "truncated", "not", "bad", "PGM", "P2", "P5", "digit rule",
+                 "separator rule"):
         assert kinds[kind] >= 20, (kind, kinds)
 
 
@@ -335,6 +351,24 @@ def _outcome(read, path):
     return [(type(v), v) for v in samples], (type(origin), origin)
 
 
+def _not_ascii_text(data: bytes) -> str:
+    """The error for the first non-ASCII byte of ``data``; LF, CRLF and a
+    lone CR each end a line."""
+    off = next(i for i, b in enumerate(data) if b > 0x7f)
+    head = data[:off]
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return f"line {line}, offset {off}: non-ASCII byte 0x{data[off]:02x}"
+
+
+def _checked_outcome(path):
+    """The oracle's outcome; where it fails to decode, the ValueError that
+    names the byte's line and offset instead."""
+    outcome = _outcome(_read_checked, path)
+    if outcome[0] is UnicodeDecodeError:
+        return ValueError, _not_ascii_text(path.read_bytes())
+    return outcome
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
@@ -342,7 +376,7 @@ def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
     for _ in range(300):
         raw = _random_csv(rng).encode("utf-8")
         p.write_bytes(raw)
-        expected = _outcome(_read_checked, p)
+        expected = _checked_outcome(p)
         # chunk boundaries fall after every line, every other and every third
         for chunk in (1, 2, 3, formats._READ_CHUNK):
             with monkeypatch.context() as m:
@@ -352,7 +386,7 @@ def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
 
 @pytest.mark.parametrize("bad, undecodable, error", [
     (11, 3001, "line 11: bad sample 'banana'"),
-    (3001, 3, "'ascii' codec can't decode byte 0xc3"),
+    (3001, 3, "line 3, offset 4: non-ASCII byte 0xc3"),
 ])
 def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
                                                error):
@@ -365,8 +399,41 @@ def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
     p = tmp_path / "sig.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outcome = _outcome(read_csv_signal, p)
-    assert outcome == _outcome(_read_checked, p)
-    assert outcome[1].startswith(error)
+    assert outcome == _checked_outcome(p)
+    assert outcome[1] == error
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("chunk", [1, 700, 4096])
+def test_csv_non_ascii_byte_names_its_line_and_offset(tmp_path, monkeypatch,
+                                                      newline, chunk):
+    """The offset counts from the start of the file, not from the block the
+    text decoder was given, and the line counts every kind of line end."""
+    monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
+    lines = [str(i) for i in range(5000)]
+    lines[3000] = "é"
+    p = tmp_path / "sig.csv"
+    data = newline.join(lines).encode("utf-8")
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        read_csv_signal(p)
+    assert str(exc.value) == _not_ascii_text(data)
+    assert str(exc.value).startswith("line 3001, offset ")
+
+
+@pytest.mark.parametrize("lone_cr_ends_a_block", [False, True])
+def test_csv_non_ascii_byte_after_a_cr_at_a_block_end(tmp_path,
+                                                      lone_cr_ends_a_block):
+    # the text reader decodes 8 KiB blocks; a CR that ends one is held back
+    # until the next block shows whether an LF follows
+    data = b"1\r" * 4096 + (b"" if lone_cr_ends_a_block else b"\n") + b"\xc3\xa9"
+    p = tmp_path / "sig.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        read_csv_signal(p)
+    assert str(exc.value) == _not_ascii_text(data)
+    offset = 8192 if lone_cr_ends_a_block else 8193
+    assert str(exc.value).startswith(f"line 4097, offset {offset}:")
 
 
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
@@ -406,6 +473,19 @@ def test_csv_from_a_pipe(tmp_path, text):
         os.write(w, text.encode("ascii"))
         os.close(w)
         assert read_csv_signal(f"/dev/fd/{r}") == read_csv_signal(p)
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_non_ascii_byte_from_a_pipe():
+    # a pipe cannot tell where it stands, so the error names the line alone
+    r, w = os.pipe()
+    try:
+        os.write(w, b"# origin=2\n1\n\xc3\xa9\n")
+        os.close(w)
+        with pytest.raises(ValueError, match=r"^line 3: non-ASCII byte 0xc3$"):
+            read_csv_signal(f"/dev/fd/{r}")
     finally:
         os.close(r)
 
