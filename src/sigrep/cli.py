@@ -12,8 +12,15 @@ stats           sparsity/entropy metrics for a raw file vs its container,
                 arrow kind
 
 The global ``--timings`` flag prints the wall time of each phase a command
-runs -- read, encode, container_write, container_read, decode, write -- to
-stderr as ``timing.<phase>_ms=`` lines, after the command's own output.
+runs to stderr as ``timing.<phase>_ms=`` lines, after the command's own
+output: read, encode, container_write for encode; container_read, decode,
+write for decode; read, container_read for stats; read, detect for analyze;
+one phase per law suite, named by its function (suite_sigma_closure, ...),
+for verify.
+
+analyze finds exact arrows (``--tol 0``) by lookups in an index of the
+earlier segments, in time that grows with the segment count; any other
+tolerance scans every earlier segment, in time that grows with its square.
 
 Exit codes: 0 success, 1 verification failure, 2 input or format error.
 """
@@ -25,6 +32,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from time import perf_counter
 
 from . import codec
@@ -87,7 +95,8 @@ def cmd_verify(args) -> int:
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
     failed = 0
-    results = run_all(seed=args.seed, instances=args.instances)
+    results = run_all(seed=args.seed, instances=args.instances,
+                      phase=partial(_phase, args))
     for res in results:
         print(f"{res.name}: {res.checked} instances, "
               f"{len(res.failures)} failures")
@@ -107,7 +116,9 @@ def cmd_analyze(args) -> int:
     breakpoints = list(range(origin + step, origin + len(samples), step))
     segments = segment_signal(samples, origin, breakpoints)
     detectors = _parse_detectors(args.detectors)
-    report = redundancy_report(segments, tol=args.tol, detectors=detectors)
+    with _phase(args, "detect"):
+        report = redundancy_report(segments, tol=args.tol,
+                                   detectors=detectors)
 
     print(f"signal.path={args.input}")
     print(f"signal.origin={origin}")

@@ -7,6 +7,7 @@ the CLI prints one line per suite and fails if any list is nonempty.
 """
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -660,9 +661,15 @@ ALL_SUITES = (
 )
 
 
-def run_all(seed=0, instances=25):
+def run_all(seed=0, instances=25, phase=None):
+    """Run every suite in ALL_SUITES, each with its own seeded rng.
+
+    ``phase``, if given, takes a suite's function name and returns a context
+    manager entered around that suite's run; the CLI times suites with it.
+    """
     results = []
     for idx, fn in enumerate(ALL_SUITES):
         rng = random.Random(seed * 1000003 + idx)
-        results.append(fn(rng, instances))
+        with phase(fn.__name__) if phase else nullcontext():
+            results.append(fn(rng, instances))
     return results

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from itertools import repeat
+from operator import floordiv, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadBreakpoints, EmptySignal, IntervalMismatch
@@ -274,10 +275,11 @@ def compose_arrows(b: SegmentArrow, a: SegmentArrow) -> SegmentArrow:
 
 
 def _residual_sq(vals) -> Fraction:
-    total = Fraction(0)
-    for v in vals:
-        total += Fraction(v) * v
-    return total
+    """The exact sum of squares of ints and Fractions, summed in ints over
+    their common denominator."""
+    d = lcm(*(v.denominator for v in vals))
+    return Fraction(sum((v.numerator * (d // v.denominator)) ** 2
+                        for v in vals), d * d)
 
 
 def _tol_sq(tol) -> Optional[Fraction]:
@@ -343,6 +345,20 @@ def _sq_sum(diffs, cap: Optional[int]) -> Optional[int]:
     return acc
 
 
+def _window(fv: Tuple[int, ...], stride: int, a: int, m: int) -> Tuple[int, ...]:
+    """The m samples of ``fv`` read from index ``a`` on, ``stride`` apart."""
+    stop = a + stride * m
+    return fv[a:stop if stop >= 0 else None:stride]
+
+
+def _built(f: Segment, g: Segment, stride: int, shift: int, c):
+    """The arrow f -> g with lookup S*j + T and amplitude c, its residual
+    taken from the unscaled samples, and the residual's exact squared norm."""
+    dvals = [y - c * f.samples[stride * j + shift - f.start]
+             for y, j in zip(g.samples, range(g.start, g.end))]
+    return _residual_sq(dvals), SegmentArrow(f, g, stride, shift, c, dvals)
+
+
 def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
                 ranks: Sequence[int], strides: Tuple[int, ...],
                 limit: Optional[Fraction]):
@@ -392,9 +408,7 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
                 if cand == skip:
                     continue
                 s, t = cand
-                a = s * g.start + t - f.start
-                stop = a + s * m
-                u = fv[a:stop if stop >= 0 else None:s]
+                u = _window(fv, s, s * g.start + t - f.start, m)
                 if rank == _AMP_AFFINE:
                     uu = sum(map(mul, u, u))
                     ug = sum(map(mul, u, gv))
@@ -420,10 +434,114 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
         return None
     f, s, t, p, q = win
     c = Fraction(p, q) if best[1] == _AMP_AFFINE else 1
-    dvals = [y - c * f.samples[s * j + t - f.start]
-             for y, j in zip(g.samples, range(g.start, g.end))]
-    return (_residual_sq(dvals), best[1], best[2],
-            SegmentArrow(f, g, s, t, c, dvals))
+    rsq, arrow = _built(f, g, s, t, c)
+    return rsq, best[1], best[2], arrow
+
+
+def _primitive(v: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    """v over the gcd of its entries, signed so that its first nonzero entry
+    is positive: two vectors share it exactly when one is a nonzero rational
+    multiple of the other.  None for an all-zero v, which the
+    amplitude-affine detector skips."""
+    lead = next(filter(None, v), 0)
+    if not lead:
+        return None
+    k = gcd(*v) if lead > 0 else -gcd(*v)
+    return v if k == 1 else tuple(map(floordiv, v, repeat(k)))
+
+
+# what a window is filed under for each rank the window index serves: an
+# exact affine arrow reads the target's samples, an exact amplitude-affine
+# one a nonzero multiple of them
+_INDEX_KEYS = {_AFFINE: lambda v: v, _AMP_AFFINE: _primitive}
+
+
+def _indexed_hit(table, key, keyfn, segments, scaled, g, strides):
+    """The winning window filed under ``key``, as (source index, S, T, the
+    window), or None.  Hits come in order of source index, so the first
+    source with a hit whose own key is ``key`` is the least; among that
+    source's hits the least (|S|, |T|, T, stride position) wins."""
+    m = g.length
+    pick = None
+    for src, si, a in table.get(hash(key), ()):
+        if pick is not None and src != pick[0]:
+            break
+        s = strides[si]
+        window = _window(scaled[src], s, a, m)
+        if keyfn(window) != key:  # a hash collision
+            continue
+        t = segments[src].start + a - s * g.start
+        cand = (src, abs(s), abs(t), t, si, window)
+        if pick is None or cand[:5] < pick[:5]:
+            pick = cand
+    return None if pick is None else (pick[0], strides[pick[4]], pick[3],
+                                      pick[5])
+
+
+def _exact_arrows(segments: Sequence[Segment], scaled, ranks: Sequence[int],
+                  strides: Tuple[int, ...]):
+    """For each segment after the first, in order, what _best_arrow returns
+    at tol = 0, found by exact lookups rather than a scan of every earlier
+    segment.
+
+    Translation looks the target's samples up in a map from samples to the
+    least index that has them.  For the other ranks, every window
+    fv[a : a + S*m : S] of a segment, for each stride S and each length m
+    of a later target, is filed under the hash of its key (_INDEX_KEYS) as
+    (segment index, stride position, a); a target looks up its own key and
+    checks each hit's key, so a hash collision costs a comparison and never
+    a wrong arrow.  The first rank with a hit wins, then _indexed_hit's
+    tie-break, as in _best_arrow.  That scan's affine rank skips the
+    stride-1 twin of a translation, which only matters when the twin is
+    exact, and then translation has already won.  A segment is filed only
+    after its own lookup, so every source is an earlier segment.  Each
+    window is stored as three ints, not as its samples.
+
+    Yields (residual_sq, rank, source index, arrow) or None per target.
+    """
+    last = {seg.length: i for i, seg in enumerate(segments) if i}
+    keyed = [(r, _INDEX_KEYS[r]) for r in ranks if r != _TRANSLATION]
+    tables = {(r, m): {} for r, _ in keyed for m in last}
+    firsts: Dict[Tuple[int, ...], int] = {}
+    for i, (g, gv) in enumerate(zip(segments, scaled)):
+        if i:
+            hit = None
+            for rank in ranks:
+                if rank == _TRANSLATION:
+                    src = firsts.get(gv)
+                    if src is not None:
+                        hit = (src, 1, segments[src].start - g.start, gv)
+                else:
+                    keyfn = _INDEX_KEYS[rank]
+                    key = keyfn(gv)
+                    if key is not None:
+                        hit = _indexed_hit(tables[rank, g.length], key, keyfn,
+                                           segments, scaled, g, strides)
+                if hit is not None:
+                    break
+            if hit is None:
+                yield None
+            else:
+                src, s, t, window = hit
+                c = 1
+                if rank == _AMP_AFFINE:  # the ratio of the first nonzeros
+                    c = Fraction(next(filter(None, gv)),
+                                 next(filter(None, window)))
+                rsq, arrow = _built(segments[src], g, s, t, c)
+                yield rsq, rank, src, arrow
+        firsts.setdefault(gv, i)
+        for m, last_target in last.items():
+            if last_target <= i:
+                continue
+            for si, s in enumerate(strides):
+                reach = s * (m - 1)
+                for a in range(max(0, -reach), len(gv) - max(0, reach)):
+                    window = _window(gv, s, a, m)
+                    for rank, keyfn in keyed:
+                        key = keyfn(window)
+                        if key is not None:
+                            tables[rank, m].setdefault(hash(key), []).append(
+                                (i, si, a))
 
 
 def _detect(f: Segment, g: Segment, rank: int, strides,
@@ -615,28 +733,39 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
 
     Candidates are ranked by exact squared residual, then detector priority
     (translation, affine, amplitude-affine), then source index, then the
-    detector's own tie-break.  Entries with no in-tolerance candidate are
-    reported as not redundant.
+    detector's own tie-break (least |S|, then |T|, then T, then the stride's
+    position in ``strides``).  Entries with no in-tolerance candidate are
+    reported as not redundant.  An empty list of segments raises
+    EmptySignal; bad strides or detector names raise ValueError, whichever
+    detectors are chosen.
 
-    All candidates of a target go through one search (_best_arrow) with
-    early abandoning: a candidate's residual is summed in exact ints and
-    dropped as soon as it exceeds the tolerance or the best candidate so
-    far, and a detector is skipped once an exact arrow of equal or higher
-    priority is in hand.  That finds the same winner as scoring every
-    candidate, and only the winner is built as an arrow.
+    With ``tol=0`` only exact arrows count, and they are found by lookups in
+    an index of the earlier segments (_exact_arrows), at a cost that grows
+    with the number of segments, not its square.  With ``tol > 0`` every
+    candidate of a target goes through one scan of the earlier segments
+    (_best_arrow) with early abandoning: a candidate's residual is summed in
+    exact ints and dropped as soon as it exceeds the tolerance or the best
+    candidate so far, and a detector is skipped once an exact arrow of
+    equal or higher priority is in hand.  Both find the winner that scoring
+    every candidate finds, and only the winner is built as an arrow.
     """
+    if not segments:
+        raise EmptySignal("a redundancy report needs at least one segment")
     for d in detectors:
         if d not in KIND_NAMES:
             raise ValueError(f"unknown detector {d!r}")
     ranks = [r for r, name in enumerate(KIND_NAMES) if name in detectors]
+    strides = _check_strides(strides)
     scaled, limit = _scaled(segments, tol)
-    if _AFFINE in ranks or _AMP_AFFINE in ranks:
-        strides = _check_strides(strides)
-    sources = list(zip(range(len(segments)), segments, scaled))
+    if limit == 0:
+        found = _exact_arrows(segments, scaled, ranks, strides)
+    else:
+        sources = list(zip(range(len(segments)), segments, scaled))
+        found = (_best_arrow(segments[i], scaled[i], sources[:i], ranks,
+                             strides, limit)
+                 for i in range(1, len(segments)))
     entries = []
-    for tgt_i in range(1, len(segments)):
-        best = _best_arrow(segments[tgt_i], scaled[tgt_i], sources[:tgt_i],
-                           ranks, strides, limit)
+    for tgt_i, best in enumerate(found, 1):
         if best is None:
             entries.append(RedundancyEntry(tgt_i, None, None, None, None))
         else:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from sigrep import (ArrowRecord, EncodedSignal, read_csv_signal, read_pgm,
-                    write_container_file, write_csv_signal, write_pgm)
+from sigrep import (ALL_SUITES, ArrowRecord, EncodedSignal, read_csv_signal,
+                    read_pgm, write_container_file, write_csv_signal,
+                    write_pgm)
 from sigrep.cli import main
 
 
@@ -225,7 +226,8 @@ _PHASES = {
     "encode": ("read", "encode", "container_write"),
     "decode": ("container_read", "decode", "write"),
     "stats": ("read", "container_read"),
-    "analyze": ("read",),
+    "analyze": ("read", "detect"),
+    "verify": tuple(fn.__name__ for fn in ALL_SUITES),
 }
 
 
@@ -235,7 +237,8 @@ def test_timings_flag(tmp_path, capsys):
     cases = {"encode": (str(sig), "-o", str(enc)),
              "decode": (str(enc), "-o", str(out_csv)),
              "stats": (str(sig), str(enc)),
-             "analyze": (str(sig),)}
+             "analyze": (str(sig),),
+             "verify": ("--instances", "1")}
 
     def written():
         return [p.read_bytes() for p in (enc, out_csv) if p.exists()]

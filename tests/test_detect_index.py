@@ -1,4 +1,5 @@
-"""The indexed `detected` encoder and the early-abandoning detector ranking
+"""The indexed `detected` encoder, the exact arrow index behind
+`redundancy_report` at tol = 0, and the early-abandoning detector ranking,
 against the exhaustive searches they replaced.
 
 The oracles below are the earlier implementations, kept here as references:
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import sigrep.signal as signal_mod
 from sigrep import (Segment, SegmentArrow, detect_affine, detect_amp_affine,
                     detect_translation, encode, redundancy_report,
                     segment_signal, write_container)
@@ -224,26 +226,31 @@ DETECTOR_SETS = (ORDER, ("translation",), ("affine",), ("amp_affine",),
 STRIDE_SETS = ((-2, -1, 1, 2), (1,), (2, -2), (-1, 2, -1))
 
 
+def check_report(segs, tol, strides, detectors):
+    """The report agrees with report_oracle entry for entry; returns it."""
+    rep = redundancy_report(segs, tol=tol, strides=strides,
+                            detectors=detectors)
+    want = report_oracle(segs, tol, strides, detectors)
+    assert len(rep.entries) == len(want)
+    for e, w in zip(rep.entries, want):
+        if w is None:
+            assert (e.source_index, e.detector, e.residual_sq,
+                    e.arrow) == (None, None, None, None)
+            continue
+        assert (e.source_index, e.detector, e.residual_sq) == w[:3]
+        assert type(e.residual_sq) is Fraction
+        assert_same_arrow(e.arrow, w[3])
+    assert rep.redundant_count == sum(w is not None for w in want)
+    return rep
+
+
 @pytest.mark.parametrize("tol", TOLS, ids=str)
 def test_report_matches_exhaustive_ranking(tol):
     rng = random.Random(f"report:{tol}")
     for _ in range(60):
         segs = segmented(rng)
         detectors = rng.choice(DETECTOR_SETS)
-        strides = rng.choice(STRIDE_SETS)
-        rep = redundancy_report(segs, tol=tol, strides=strides,
-                                detectors=detectors)
-        want = report_oracle(segs, tol, strides, detectors)
-        assert len(rep.entries) == len(want)
-        for e, w in zip(rep.entries, want):
-            if w is None:
-                assert (e.source_index, e.detector, e.residual_sq,
-                        e.arrow) == (None, None, None, None)
-                continue
-            assert (e.source_index, e.detector, e.residual_sq) == w[:3]
-            assert type(e.residual_sq) is Fraction
-            assert_same_arrow(e.arrow, w[3])
-        assert rep.redundant_count == sum(w is not None for w in want)
+        check_report(segs, tol, rng.choice(STRIDE_SETS), detectors)
 
 
 def test_report_on_cut_signals():
@@ -260,6 +267,168 @@ def test_report_on_cut_signals():
                    (e.source_index, e.detector, e.residual_sq, e.arrow)
                    for e in rep.entries]
             assert got == want
+
+
+# ---------------------------------------------------------------- tol = 0
+
+
+def check_exact(segs):
+    """check_report at tol = 0 under every detector and stride set."""
+    for detectors in DETECTOR_SETS:
+        for strides in STRIDE_SETS:
+            check_report(segs, 0, strides, detectors)
+
+
+def test_exact_index_on_zero_runs():
+    segs = [Segment(0, 4, [0, 0, 0, 0]), Segment(4, 7, [0, 0, 0]),
+            Segment(7, 11, [0, 0, 0, 0]), Segment(11, 15, [3, 0, 0, 0]),
+            Segment(15, 19, [0, 0, 0, -6]), Segment(19, 22, [0, 0, 12]),
+            Segment(22, 24, [0, 0])]
+    check_exact(segs)
+    # the amplitude detector skips an all-zero target and all-zero windows
+    rep = redundancy_report(segs, tol=0, detectors=("amp_affine",))
+    assert [e.redundant for e in rep.entries] == [False, False, False,
+                                                 True, True, False]
+    assert rep.entries[3].arrow.amp == -2
+    assert rep.entries[4].arrow.amp == 4  # from segment 3, not -2 from 4
+    rng = random.Random("zero runs")
+    for _ in range(40):
+        check_exact([Segment(s.start, s.end, [v if rng.random() < 0.4 else 0
+                                              for v in s.samples])
+                     for s in segmented(rng)])
+
+
+@pytest.mark.parametrize("strides, stride", (((1, -1), 1), ((-1, 1), -1),
+                                             ((-2, 1, 2, -1), 1)))
+def test_exact_index_breaks_a_tie_of_plus_and_minus_stride_by_position(
+        strides, stride):
+    # at g.start = 0 the windows read from -2 forward and backward both
+    # have T = -2; the stride named first in ``strides`` wins
+    segs = [Segment(-3, 0, [5, 7, 5]), Segment(0, 1, [7])]
+    rep = check_report(segs, 0, strides, ORDER)
+    arrow = rep.entries[0].arrow
+    assert (arrow.stride, arrow.shift) == (stride, -2)
+    check_exact(segs)
+
+
+def test_exact_index_breaks_ties_by_abs_shift_then_shift():
+    # T = -1 (S = 1) and T = 1 (S = -1) tie on |S| and |T|; T = -1 wins
+    segs = [Segment(-2, 3, [4, 0, 0, 0, 4]), Segment(3, 4, [4])]
+    rep = check_report(segs, 0, (-1, 1), ORDER)
+    arrow = rep.entries[0].arrow
+    assert (arrow.stride, arrow.shift) == (1, -1)
+    check_exact(segs)
+    # the nearer of two hits wins: T = -3 over T = -5
+    segs = [Segment(-5, 0, [5, 1, 5, 0, 2]), Segment(0, 1, [5])]
+    assert check_report(segs, 0, (1,), ORDER).entries[0].arrow.shift == -3
+
+
+def test_exact_index_with_duplicate_strides():
+    segs = [Segment(0, 6, [1, 2, 3, 4, 5, 6]), Segment(6, 9, [1, 3, 5]),
+            Segment(9, 12, [3, 2, 1]), Segment(12, 15, [2, 6, 10]),
+            Segment(15, 18, [5, 3, 1])]
+    rep = check_report(segs, 0, (-1, 2, -1), ORDER)
+    # no stride -2, so 5, 3, 1 is read backwards from segment 1, not 0
+    assert [(e.source_index, e.detector, e.arrow.stride, e.arrow.amp)
+            for e in rep.entries] == [(0, "affine", 2, 1), (0, "affine", -1, 1),
+                                      (0, "amp_affine", 2, 2),
+                                      (1, "affine", -1, 1)]
+    check_exact(segs)
+    rng = random.Random("duplicates")
+    for _ in range(30):
+        check_report(segmented(rng), 0, (-1, 2, -1), rng.choice(DETECTOR_SETS))
+
+
+def test_exact_index_on_fraction_samples():
+    h, q, t = Fraction(1, 2), Fraction(3, 4), Fraction(-1, 3)
+    segs = [Segment(0, 3, [h, q, t]), Segment(3, 6, [1, 2 * q, 2 * t]),
+            Segment(6, 9, [t, q, h]), Segment(9, 12, [h, q, t]),
+            Segment(12, 14, [q, -t]), Segment(14, 16, [Fraction(1, 5), 0])]
+    rep = check_report(segs, 0, (-2, -1, 1, 2), ORDER)
+    assert [e.detector for e in rep.entries] == [
+        "amp_affine", "affine", "translation", None, None]
+    assert rep.entries[0].arrow.amp == 2
+    check_exact(segs)
+    rng = random.Random("fractions")
+    for _ in range(30):
+        segs = segmented(rng)
+        check_exact([Segment(s.start, s.end, [Fraction(v) / rng.choice((1, 3))
+                                              for v in s.samples])
+                     for s in segs])
+
+
+def test_exact_index_labels_amplitude_one_amp_affine():
+    segs = [Segment(0, 3, [1, 2, 3]), Segment(3, 6, [1, 2, 3]),
+            Segment(6, 9, [3, 2, 1])]
+    rep = check_report(segs, 0, (-2, -1, 1, 2), ("amp_affine",))
+    for e in rep.entries:
+        assert e.detector == "amp_affine" and e.arrow.amp == 1
+        assert all(type(d) is Fraction for d in e.arrow.delta)
+    assert [e.arrow.kind for e in rep.entries] == ["translation", "affine"]
+
+
+def test_exact_index_with_a_shorter_last_segment():
+    segs = segment_signal([1, 2, 3, 4, 4, 3, 2, 1, 6, 2], 5, [9, 13])
+    rep = check_report(segs, 0, (-2, -1, 1, 2), ORDER)
+    assert [(e.source_index, e.detector, e.arrow.stride, e.arrow.amp)
+            for e in rep.entries] == [(0, "affine", -1, 1),
+                                      (0, "amp_affine", -2, 2)]
+    check_exact(segs)
+    rng = random.Random("tails")
+    for _ in range(30):
+        samples = rand_signal(rng, rng.randint(6, 20))
+        step = rng.randint(2, 5)
+        check_exact(segment_signal(samples, 0, list(range(step, len(samples),
+                                                          step))))
+
+
+def test_exact_index_survives_hash_collisions(monkeypatch):
+    # every key filed under one hash: each hit is checked against its key
+    monkeypatch.setattr(signal_mod, "hash", lambda key: 0, raising=False)
+    rng = random.Random("collisions")
+    for _ in range(40):
+        check_report(segmented(rng), 0, rng.choice(STRIDE_SETS),
+                     rng.choice(DETECTOR_SETS))
+
+
+def test_tol_zero_never_scans_and_tol_one_does(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(signal_mod, "_best_arrow", scan)
+    segs = segment_signal([1, 2, 3, 3, 2, 1, 2, 4, 6], 0, [3, 6])
+    for tol in (0, Fraction(0), 0.0):
+        assert redundancy_report(segs, tol=tol).redundant_count == 2
+    with pytest.raises(AssertionError, match="scanned"):
+        redundancy_report(segs, tol=1)
+
+
+def test_exact_index_scales_to_long_signals():
+    """4,096 segments in detect-1d's layout: a fresh motif, then its repeat,
+    its reversal, its x2 and its x-3 copy.  Scanning every earlier segment
+    takes minutes here."""
+    rng = random.Random("long")
+    samples, expected = [], []
+    for idx in range(4096):
+        kind = idx % 5
+        if kind == 0:
+            motif = [rng.choice((-1, 1)) * rng.randint(1, 40)
+                     for _ in range(8)]
+            fresh = idx
+        samples += ([motif, motif, motif[::-1], [2 * v for v in motif],
+                     [-3 * v for v in motif]][kind])
+        expected.append(None if kind == 0 else
+                        [(fresh, "translation", 1, 1),
+                         (fresh, "affine", -1, 1),
+                         (fresh, "amp_affine", 1, 2),
+                         (fresh, "amp_affine", 1, -3)][kind - 1])
+    assert len(samples) == 32768
+    segs = segment_signal(samples, -9, list(range(-1, 32768 - 9, 8)))
+    rep = redundancy_report(segs, tol=0)
+    got = [None if e.arrow is None else
+           (e.source_index, e.detector, e.arrow.stride, e.arrow.amp)
+           for e in rep.entries]
+    assert got == expected[1:]
 
 
 def test_detectors_match_exhaustive_scoring():

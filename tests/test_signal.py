@@ -368,6 +368,23 @@ def test_redundancy_detector_subset():
         redundancy_report(segs, detectors=("translation", "mystery"))
 
 
+@pytest.mark.parametrize("tol", (0, 1), ids=str)
+@pytest.mark.parametrize("strides", ((0,), (1, 0), (1.5,), ("1",)), ids=str)
+def test_redundancy_refuses_bad_strides_for_every_detector(strides, tol):
+    segs = [Segment(0, 2, [1, 2]), Segment(2, 4, [1, 2])]
+    for detectors in (("translation",), ("affine",), ("amp_affine",)):
+        with pytest.raises(ValueError, match="strides must be nonzero ints"):
+            redundancy_report(segs, tol=tol, strides=strides,
+                              detectors=detectors)
+
+
+def test_redundancy_refuses_no_segments():
+    with pytest.raises(EmptySignal):
+        redundancy_report([])
+    rep = redundancy_report([Segment(0, 1, [5])])
+    assert rep.entries == () and rep.segment_count == 1
+
+
 # ---------------------------------------------------------------- prototype
 
 
