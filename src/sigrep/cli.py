@@ -18,9 +18,9 @@ write for decode; read, container_read for stats; read, detect for analyze;
 one phase per law suite, named by its function (suite_sigma_closure, ...),
 for verify.
 
-analyze finds exact arrows (``--tol 0``) by lookups in an index of the
-earlier segments, in time that grows with the segment count; any other
-tolerance scans every earlier segment, in time that grows with its square.
+analyze finds exact arrows by lookups in an index of the earlier segments
+at every tolerance; with ``--tol`` above 0, only a segment without one
+scans every earlier segment, in time that grows with their count.
 
 Exit codes: 0 success, 1 verification failure, 2 input or format error.
 """

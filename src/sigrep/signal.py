@@ -134,6 +134,22 @@ def arrow_kind(stride, amp_num, amp_den=1) -> int:
     return _TRANSLATION if stride == 1 else _AFFINE
 
 
+def _shift_range(f: Segment, stride: int, t_start: int, m: int) -> Tuple[int, int]:
+    """Bounds (lo, hi) of the shifts T whose lookups S*j + T, for the m
+    target positions from ``t_start``, all fall inside f (none if lo > hi)."""
+    if stride > 0:
+        return (f.start - stride * t_start,
+                f.end - 1 - stride * (t_start + m - 1))
+    return (f.start - stride * (t_start + m - 1),
+            f.end - 1 - stride * t_start)
+
+
+def _window(fv: Tuple, stride: int, a: int, m: int) -> Tuple:
+    """The m entries of ``fv`` read from index ``a`` on, ``stride`` apart."""
+    stop = a + stride * m
+    return fv[a:stop if stop >= 0 else None:stride]
+
+
 class SegmentArrow:
     """A structure arrow between two segments; see the module docstring.
 
@@ -146,7 +162,7 @@ class SegmentArrow:
 
     def __init__(self, source: Segment, target: Segment, stride: int,
                  shift: int, amp, delta: Sequence[Number]):
-        if not isinstance(stride, int) or stride == 0:
+        if type(stride) is not int or stride == 0:
             raise ValueError("stride must be a nonzero int")
         if not isinstance(shift, int):
             raise ValueError("shift must be an int")
@@ -156,12 +172,12 @@ class SegmentArrow:
         delta = _check_samples(tuple(delta))
         if len(delta) != target.length:
             raise ValueError("need one residual value per target position")
-        for j in range(target.start, target.end):
-            pos = stride * j + shift
-            if not source.start <= pos < source.end:
-                raise IntervalMismatch(
-                    f"lookup position {pos} for target {j} falls outside "
-                    f"the source interval [{source.start}, {source.end})")
+        lo, hi = _shift_range(source, stride, target.start, target.length)
+        if not lo <= shift <= hi:
+            raise IntervalMismatch(
+                f"lookup j->{stride}*j{shift:+d} on [{target.start}, "
+                f"{target.end}) leaves the source interval "
+                f"[{source.start}, {source.end})")
         self.source = source
         self.target = target
         self.stride = stride
@@ -183,28 +199,16 @@ class SegmentArrow:
     def is_identity(self) -> bool:
         return (self.stride == 1 and self.shift == 0 and self.amp == 1
                 and self.source.interval == self.target.interval
-                and all(d == 0 for d in self.delta))
+                and self.is_exact)
 
     @property
     def is_exact(self) -> bool:
         return all(d == 0 for d in self.delta)
 
-    def forward_coeffs(self) -> Tuple[Fraction, Fraction]:
-        """(slope, intercept) of the forward resampling map
-        i -> (i - T)/S on the used source positions."""
-        return (Fraction(1, self.stride), Fraction(-self.shift, self.stride))
-
-    def forward(self, i: int) -> Fraction:
-        a, b = self.forward_coeffs()
-        return a * i + b
-
     @property
     def measure_factor(self) -> Fraction:
         """Length-measure ratio carried by the resampling: 1/|S|."""
         return Fraction(1, abs(self.stride))
-
-    def used_source_positions(self) -> List[int]:
-        return [self.lookup(j) for j in range(self.target.start, self.target.end)]
 
     # -- action on segments ---------------------------------------------------
 
@@ -212,9 +216,11 @@ class SegmentArrow:
         """The transferred segment c * f(sigma(.)) over the target interval."""
         if f.interval != self.source.interval:
             raise IntervalMismatch("segment does not match the arrow's source interval")
-        c = 1 if self.amp == 1 else self.amp  # amplitude 1 keeps int samples
-        vals = [c * f.sample_at(self.lookup(j))
-                for j in range(self.target.start, self.target.end)]
+        vals = _window(f.samples, self.stride,
+                       self.lookup(self.target.start) - f.start,
+                       self.target.length)
+        if self.amp != 1:  # amplitude 1 keeps int samples
+            vals = [self.amp * v for v in vals]
         return Segment(self.target.start, self.target.end, vals)
 
     def apply(self, f: Segment) -> Segment:
@@ -265,12 +271,9 @@ def compose_arrows(b: SegmentArrow, a: SegmentArrow) -> SegmentArrow:
     stride = a.stride * b.stride
     shift = a.stride * b.shift + a.shift
     amp = a.amp * b.amp
-    out = []
-    for k in range(b.target.start, b.target.end):
-        j = b.lookup(k)
-        da = a.delta[j - a.target.start]
-        db = b.delta[k - b.target.start]
-        out.append(b.amp * da + db)
+    da = _window(a.delta, b.stride, b.lookup(b.target.start) - a.target.start,
+                 b.target.length)
+    out = [b.amp * x + y for x, y in zip(da, b.delta)]
     return SegmentArrow(a.source, b.target, stride, shift, amp, out)
 
 
@@ -292,21 +295,11 @@ def _tol_sq(tol) -> Optional[Fraction]:
     return tol * tol
 
 
-def _shift_range(f: Segment, stride: int, t_start: int, m: int) -> Tuple[int, int]:
-    """Bounds (lo, hi) of the shifts T whose lookups S*j + T, for the m
-    target positions from ``t_start``, all fall inside f (none if lo > hi)."""
-    if stride > 0:
-        return (f.start - stride * t_start,
-                f.end - 1 - stride * (t_start + m - 1))
-    return (f.start - stride * (t_start + m - 1),
-            f.end - 1 - stride * t_start)
-
-
 def _check_strides(strides) -> Tuple[int, ...]:
     """The distinct strides in their given order; each a nonzero int."""
     out: List[int] = []
     for s in strides:
-        if not isinstance(s, int) or s == 0:
+        if type(s) is not int or s == 0:
             raise ValueError("strides must be nonzero ints")
         if s not in out:
             out.append(s)
@@ -345,24 +338,21 @@ def _sq_sum(diffs, cap: Optional[int]) -> Optional[int]:
     return acc
 
 
-def _window(fv: Tuple[int, ...], stride: int, a: int, m: int) -> Tuple[int, ...]:
-    """The m samples of ``fv`` read from index ``a`` on, ``stride`` apart."""
-    stop = a + stride * m
-    return fv[a:stop if stop >= 0 else None:stride]
-
-
 def _built(f: Segment, g: Segment, stride: int, shift: int, c):
     """The arrow f -> g with lookup S*j + T and amplitude c, its residual
     taken from the unscaled samples, and the residual's exact squared norm."""
-    dvals = [y - c * f.samples[stride * j + shift - f.start]
-             for y, j in zip(g.samples, range(g.start, g.end))]
+    u = _window(f.samples, stride, stride * g.start + shift - f.start,
+                g.length)
+    dvals = [y - c * x for y, x in zip(g.samples, u)]
     return _residual_sq(dvals), SegmentArrow(f, g, stride, shift, c, dvals)
 
 
 def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
                 ranks: Sequence[int], strides: Tuple[int, ...],
                 limit: Optional[Fraction]):
-    """The best arrow into g from any of ``sources``, or None.
+    """The best arrow into g from any of ``sources``, or None, for a target
+    with no exact arrow from them (_found asks only then, and only at
+    tol > 0).
 
     ``sources`` holds (index, segment, scaled samples) triples and ``ranks``
     the detector ranks to run (0 translation, 1 affine, 2 amplitude-affine).
@@ -376,11 +366,10 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
     candidate index), which is the detectors' own tie-break followed by the
     report's.  A candidate is abandoned once its partial sum is strictly
     greater than the bound min(limit, best so far), so candidates equal to
-    the best stay in the tie-break; a detector is skipped outright once the
-    best so far is exact and of its rank or lower.  When translation runs on
-    an equal-length pair, the affine detector skips its stride-1 candidate:
-    that is the translation candidate again, at a lower priority, so it can
-    never win.  Only the winner becomes a SegmentArrow.
+    the best stay in the tie-break.  When translation runs on an
+    equal-length pair, the affine detector skips its stride-1 candidate: that
+    is the translation candidate again, at a lower priority, so it can never
+    win.  Only the winner becomes a SegmentArrow.
 
     Returns (residual_sq, rank, source index, arrow), residual unscaled.
     """
@@ -393,8 +382,6 @@ def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
         lookups = None  # the affine detectors' candidates, shared by both
         twin = (1, f.start - g.start) if translating and f.length == m else None
         for rank in ranks:
-            if best is not None and best[0] == 0 and best[1] <= rank:
-                continue
             if rank == _TRANSLATION:
                 if twin is None:
                     continue
@@ -480,9 +467,9 @@ def _indexed_hit(table, key, keyfn, segments, scaled, g, strides):
 
 def _exact_arrows(segments: Sequence[Segment], scaled, ranks: Sequence[int],
                   strides: Tuple[int, ...]):
-    """For each segment after the first, in order, what _best_arrow returns
-    at tol = 0, found by exact lookups rather than a scan of every earlier
-    segment.
+    """For each segment after the first, in order, the best exact arrow into
+    it from an earlier segment, found by lookups rather than a scan of every
+    earlier segment.
 
     Translation looks the target's samples up in a map from samples to the
     least index that has them.  For the other ranks, every window
@@ -490,12 +477,11 @@ def _exact_arrows(segments: Sequence[Segment], scaled, ranks: Sequence[int],
     of a later target, is filed under the hash of its key (_INDEX_KEYS) as
     (segment index, stride position, a); a target looks up its own key and
     checks each hit's key, so a hash collision costs a comparison and never
-    a wrong arrow.  The first rank with a hit wins, then _indexed_hit's
-    tie-break, as in _best_arrow.  That scan's affine rank skips the
-    stride-1 twin of a translation, which only matters when the twin is
-    exact, and then translation has already won.  A segment is filed only
-    after its own lookup, so every source is an earlier segment.  Each
-    window is stored as three ints, not as its samples.
+    a wrong arrow.  Every exact arrow has residual 0, so the report's
+    ranking reduces to the first rank with a hit, then _indexed_hit's
+    tie-break.  A segment is filed only after its own lookup, so every
+    source is an earlier segment.  Each window is stored as three ints, not
+    as its samples.
 
     Yields (residual_sq, rank, source index, arrow) or None per target.
     """
@@ -544,12 +530,30 @@ def _exact_arrows(segments: Sequence[Segment], scaled, ranks: Sequence[int],
                                 (i, si, a))
 
 
+def _found(segments: Sequence[Segment], ranks: Sequence[int],
+           strides: Tuple[int, ...], tol):
+    """For each segment after the first, in order, the best arrow into it
+    from an earlier segment: (residual_sq, rank, source index, arrow), or
+    None when none lands within ``tol``.
+
+    Exact arrows come from the index (_exact_arrows) at every tolerance.
+    Only a target with no exact arrow, and only at tol > 0, scans the
+    earlier segments (_best_arrow).
+    """
+    scaled, limit = _scaled(segments, tol)
+    exact = _exact_arrows(segments, scaled, ranks, strides)
+    for i, best in enumerate(exact, 1):
+        if best is None and limit != 0:
+            best = _best_arrow(segments[i], scaled[i],
+                               zip(range(i), segments, scaled), ranks,
+                               strides, limit)
+        yield best
+
+
 def _detect(f: Segment, g: Segment, rank: int, strides,
             tol) -> Optional[SegmentArrow]:
-    """One detector on one pair of segments, through _best_arrow."""
-    (fv, gv), limit = _scaled((f, g), tol)
-    best = _best_arrow(g, gv, ((0, f, fv),), (rank,), _check_strides(strides),
-                       limit)
+    """One detector on one pair of segments: the report on [f, g]."""
+    best = next(_found((f, g), (rank,), _check_strides(strides), tol))
     return None if best is None else best[3]
 
 
@@ -718,7 +722,10 @@ class RedundancyEntry:
 class RedundancyReport:
     entries: Tuple[RedundancyEntry, ...]
     tol: object
-    redundant_count: int
+
+    @property
+    def redundant_count(self) -> int:
+        return sum(e.redundant for e in self.entries)
 
     @property
     def segment_count(self) -> int:
@@ -739,15 +746,14 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
     EmptySignal; bad strides or detector names raise ValueError, whichever
     detectors are chosen.
 
-    With ``tol=0`` only exact arrows count, and they are found by lookups in
-    an index of the earlier segments (_exact_arrows), at a cost that grows
-    with the number of segments, not its square.  With ``tol > 0`` every
-    candidate of a target goes through one scan of the earlier segments
-    (_best_arrow) with early abandoning: a candidate's residual is summed in
-    exact ints and dropped as soon as it exceeds the tolerance or the best
-    candidate so far, and a detector is skipped once an exact arrow of
-    equal or higher priority is in hand.  Both find the winner that scoring
-    every candidate finds, and only the winner is built as an arrow.
+    Exact arrows come from lookups in an index of the earlier segments
+    (_exact_arrows) at every tolerance, at a cost that grows with the number
+    of segments, not its square.  With ``tol > 0``, only a target without an
+    exact arrow scans the earlier segments (_best_arrow), with early
+    abandoning: a candidate's residual is summed in exact ints and dropped
+    as soon as it exceeds the tolerance or the best candidate so far.  Both
+    find the winner that scoring every candidate finds, and only the winner
+    is built as an arrow.
     """
     if not segments:
         raise EmptySignal("a redundancy report needs at least one segment")
@@ -756,24 +762,15 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
             raise ValueError(f"unknown detector {d!r}")
     ranks = [r for r, name in enumerate(KIND_NAMES) if name in detectors]
     strides = _check_strides(strides)
-    scaled, limit = _scaled(segments, tol)
-    if limit == 0:
-        found = _exact_arrows(segments, scaled, ranks, strides)
-    else:
-        sources = list(zip(range(len(segments)), segments, scaled))
-        found = (_best_arrow(segments[i], scaled[i], sources[:i], ranks,
-                             strides, limit)
-                 for i in range(1, len(segments)))
     entries = []
-    for tgt_i, best in enumerate(found, 1):
+    for tgt_i, best in enumerate(_found(segments, ranks, strides, tol), 1):
         if best is None:
             entries.append(RedundancyEntry(tgt_i, None, None, None, None))
         else:
             rsq, rank, src_i, arr = best
             entries.append(RedundancyEntry(tgt_i, src_i,
                                            KIND_NAMES[rank], rsq, arr))
-    count = sum(1 for e in entries if e.redundant)
-    return RedundancyReport(tuple(entries), tol, count)
+    return RedundancyReport(tuple(entries), tol)
 
 
 # ---------------------------------------------------------------- prototype

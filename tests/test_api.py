@@ -32,6 +32,13 @@ def test_deleted_aliases_are_gone(module, name):
     assert name not in sigrep.__all__
 
 
+@pytest.mark.parametrize("name", ["forward_coeffs", "forward",
+                                  "used_source_positions"])
+def test_segment_arrow_has_no_forward_views(name):
+    # the lookup sigma and measure_factor carry the same information
+    assert not hasattr(sigrep.SegmentArrow, name)
+
+
 @pytest.mark.parametrize("name", [
     "atom_elements",  # 1 << j
     "sym_diff",       # a ^ b

@@ -392,15 +392,40 @@ def test_exact_index_survives_hash_collisions(monkeypatch):
 
 
 def test_tol_zero_never_scans_and_tol_one_does(monkeypatch):
-    def scan(*args):
-        raise AssertionError("scanned")
+    """The scan runs once for each target with no exact arrow, and only at
+    tol > 0; exact arrows come from the index at every tolerance."""
+    scanned = []
+    scan = signal_mod._best_arrow
 
-    monkeypatch.setattr(signal_mod, "_best_arrow", scan)
-    segs = segment_signal([1, 2, 3, 3, 2, 1, 2, 4, 6], 0, [3, 6])
+    def counted(g, *args):
+        scanned.append(g)
+        return scan(g, *args)
+
+    monkeypatch.setattr(signal_mod, "_best_arrow", counted)
+    exact = segment_signal([1, 2, 3, 3, 2, 1, 2, 4, 6], 0, [3, 6])
+    mixed = segment_signal([1, 2, 3, 3, 2, 1, 5, 0, 9], 0, [3, 6])
+    f, g = mixed[0], mixed[2]
     for tol in (0, Fraction(0), 0.0):
-        assert redundancy_report(segs, tol=tol).redundant_count == 2
-    with pytest.raises(AssertionError, match="scanned"):
-        redundancy_report(segs, tol=1)
+        assert redundancy_report(exact, tol=tol).redundant_count == 2
+        assert redundancy_report(mixed, tol=tol).redundant_count == 1
+        for detector in (detect_affine, detect_amp_affine):
+            assert detector(exact[0], exact[1], tol=tol) is not None
+            assert detector(f, g, tol=tol) is None
+        assert detect_translation(exact[0], exact[0], tol) is not None
+        assert detect_translation(f, g, tol) is None
+    assert scanned == []
+    # every target exact: no scan at tol = 1 either
+    assert redundancy_report(exact, tol=1).redundant_count == 2
+    assert detect_affine(exact[0], exact[1], tol=1) is not None
+    assert detect_translation(exact[0], exact[0], 1) is not None
+    assert scanned == []
+    # [5, 0, 9] alone has no exact arrow: one scan, for it alone
+    assert redundancy_report(mixed, tol=1).redundant_count == 1
+    assert scanned == [g]
+    for detector in (detect_affine, detect_amp_affine):
+        assert detector(f, g, tol=1) is None
+    assert detect_translation(f, g, 1) is None
+    assert scanned == [g] * 4
 
 
 def test_exact_index_scales_to_long_signals():

@@ -1,6 +1,7 @@
 """Segments, arrows, detectors, category laws, redundancy reports."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -86,9 +87,6 @@ def test_arrow_views():
     assert a.kind == "affine"
     assert a.is_exact
     assert a.measure_factor == Fraction(1, 2)
-    assert a.used_source_positions() == [0, 2, 4]
-    assert a.forward(4) == 2
-    assert a.forward_coeffs() == (Fraction(1, 2), Fraction(0))
     assert a.predict(f) == g
 
 
@@ -127,6 +125,8 @@ def test_identity_and_composition():
     assert compose_arrows(identity_arrow(g), a) == a
     with pytest.raises(IntervalMismatch):
         compose_arrows(a, b)
+    assert identity_arrow(f).is_identity
+    assert not SegmentArrow(f, f, 1, 0, 1, [0, 1, 0]).is_identity
 
 
 def test_composite_residual_exact_random():
@@ -141,6 +141,27 @@ def test_composite_residual_exact_random():
         b = detect_translation(g, h, tol=float("inf"))
         ba = compose_arrows(b, a)
         assert ba.apply(f) == h
+    for _ in range(60):  # strides, amplitudes and nonzero residuals
+        n, m, k = sorted(rng.randint(1, 9) for _ in range(3))[::-1]
+        f, g, h = (Segment(s, s + n, [rng.randint(-9, 9) for _ in range(n)])
+                   for s, n in ((-4, n), (3, m), (20, k)))
+        a = detect_amp_affine(f, g, STRIDES, float("inf"))
+        b = detect_amp_affine(g, h, STRIDES, float("inf"))
+        if a is not None and b is not None:
+            assert compose_arrows(b, a).apply(f) == h
+
+
+@pytest.mark.parametrize("stride", (-3, -2, -1, 1, 2, 3))
+def test_arrow_takes_exactly_the_shifts_that_stay_in_the_source(stride):
+    f = Segment(-2, 5, range(7))
+    for g in (Segment(3, 4, [0]), Segment(-1, 2, [0, 0, 0])):
+        for shift in range(-25, 26):
+            if all(f.start <= stride * j + shift < f.end
+                   for j in range(g.start, g.end)):
+                SegmentArrow(f, g, stride, shift, 1, [0] * g.length)
+            else:
+                with pytest.raises(IntervalMismatch):
+                    SegmentArrow(f, g, stride, shift, 1, [0] * g.length)
 
 
 def test_compose_strides_and_amps():
@@ -376,6 +397,23 @@ def test_redundancy_refuses_bad_strides_for_every_detector(strides, tol):
         with pytest.raises(ValueError, match="strides must be nonzero ints"):
             redundancy_report(segs, tol=tol, strides=strides,
                               detectors=detectors)
+
+
+def test_bool_strides_are_refused():
+    f, g = Segment(0, 4, [1, 2, 3, 4]), Segment(4, 6, [2, 3])
+    with pytest.raises(ValueError, match="strides must be nonzero ints"):
+        redundancy_report([f, g], strides=(True,), detectors=("affine",))
+    with pytest.raises(ValueError, match="strides must be nonzero ints"):
+        detect_affine(f, g, strides=(True,))
+    with pytest.raises(ValueError, match="stride must be a nonzero int"):
+        SegmentArrow(f, g, True, -3, 1, [0, 0])
+
+
+def test_redundant_count_is_derived_from_the_entries():
+    segs = segment_signal([1, 2, 3, 1, 2, 3, 9, 0, 7], 0, [3, 6])
+    rep = redundancy_report(segs)
+    assert [fl.name for fl in fields(rep)] == ["entries", "tol"]
+    assert rep.redundant_count == 1 == sum(e.redundant for e in rep.entries)
 
 
 def test_redundancy_refuses_no_segments():
