@@ -19,7 +19,7 @@ from typing import List, Mapping, Sequence
 
 from .errors import (NonConstantOnAtom, NotADirectSum, NotHom, NotIMP,
                      NotNonsingular, SpaceMismatch)
-from .measure import INFINITY, FiniteMeasureSpace, MeasurableMap
+from .measure import INFINITY, FiniteMeasureSpace, MeasurableMap, _bits
 from .quotient import BooleanHom, MeasureAlgebra
 
 TAGS = ("L0", "L2")
@@ -49,8 +49,7 @@ class FnClass:
         vals = tuple(values)
         if len(vals) != space.carrier.size:
             raise ValueError("value tuple length must equal carrier size")
-        null = space.null_mask
-        if any((null >> i & 1) and v != 0 for i, v in enumerate(vals)):
+        if any(vals[i] != 0 for i in _bits(space.null_mask)):
             raise ValueError("values not canonical: nonzero on a null point")
         self.space = space
         self.values = vals
@@ -132,8 +131,8 @@ def canonical_class(raw, space: FiniteMeasureSpace, tag: str = "L0") -> FnClass:
         if len(seq) != len(pts):
             raise ValueError("sequence length must equal carrier size")
         vals = [_as_value(v) for v in seq]
-    null = space.null_mask
-    vals = [Fraction(0) if null >> i & 1 else v for i, v in enumerate(vals)]
+    for i in _bits(space.null_mask):
+        vals[i] = Fraction(0)
     return FnClass(space, vals, tag)
 
 
@@ -226,8 +225,7 @@ def pullback(phi: MeasurableMap, g: FnClass) -> FnClass:
         if not phi.is_nonsingular:
             raise NotNonsingular("an L0 class only pulls back along a "
                                  "nonsingular map")
-    vals = [g.value(phi.mapping[p]) for p in phi.source.carrier.points]
-    return canonical_class(vals, phi.source, g.tag)
+    return canonical_class([g.values[t] for t in phi._targets], phi.source, g.tag)
 
 
 # ---------------------------------------------------------------- dual side
@@ -325,10 +323,9 @@ def duality_bridge(space: FiniteMeasureSpace, f: FnClass) -> DualElement:
     if f.space != space:
         raise SpaceMismatch("class lives over a different space")
     malg = MeasureAlgebra(space)
-    size = space.carrier.size
     vals = []
     for j, pmask in enumerate(malg.atom_point_masks):
-        seen = {f.values[i] for i in range(size) if pmask >> i & 1}
+        seen = {f.values[i] for i in _bits(pmask)}
         if len(seen) != 1:
             labels = space.carrier.labels_of(pmask)
             raise NonConstantOnAtom(
@@ -345,10 +342,9 @@ def duality_bridge_inverse(space: FiniteMeasureSpace, u: DualElement,
     if u.malg.space != space:
         raise SpaceMismatch("dual element belongs to a different measure algebra")
     vals = [Fraction(0)] * space.carrier.size
-    for j, pmask in enumerate(u.malg.atom_point_masks):
-        for i in range(space.carrier.size):
-            if pmask >> i & 1:
-                vals[i] = u.atom_values[j]
+    for v, pmask in zip(u.atom_values, u.malg.atom_point_masks):
+        for i in _bits(pmask):
+            vals[i] = v
     return canonical_class(vals, space, tag)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import MapNotTotal, NotADirectSum, SpaceMismatch
@@ -23,9 +24,9 @@ INFINITY = float("inf")
 
 Weight = Union[Fraction, float]  # Fraction, or INFINITY
 
-#: Largest carrier accepted.  Sigma-algebras are stored by their atoms, but a
-#: Boolean hom is a table over all 2**k elements of its source algebra and
-#: ``SigmaAlgebra.members`` lists 2**k masks; 16 points caps both at 65536.
+#: The largest k for which a 2**k table is built (``SigmaAlgebra.members``,
+#: null ideals, measure tables, Boolean homs): 65536 entries.  Carriers and
+#: atoms have no cap; only :func:`_unions` reads this.
 MAX_CARRIER = 16
 
 
@@ -60,11 +61,6 @@ class FiniteCarrier:
             raise TypeError("carrier points must be ints")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("carrier points must be strictly increasing")
-        if len(pts) > MAX_CARRIER:
-            raise ValueError(
-                f"carrier too large for the extensional representation "
-                f"({len(pts)} > {MAX_CARRIER} points)"
-            )
         self.points = pts
         self._index = {p: i for i, p in enumerate(pts)}
 
@@ -93,7 +89,7 @@ class FiniteCarrier:
         """Point labels selected by ``mask``, in increasing order."""
         if mask < 0 or mask > self.full_mask:
             raise ValueError("mask out of range for this carrier")
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
+        return tuple(self.points[i] for i in _bits(mask))
 
     def __eq__(self, other):
         return isinstance(other, FiniteCarrier) and self.points == other.points
@@ -105,14 +101,26 @@ class FiniteCarrier:
         return f"FiniteCarrier({list(self.points)})"
 
 
-def _unions(parts: Sequence[int]) -> List[int]:
-    """All 2**len(parts) unions of ``parts``: entry ``e`` is the OR of
-    ``parts[j]`` over the bits ``j`` set in ``e``, built by peeling off the
-    lowest bit of each ``e``."""
-    out = [0] * (1 << len(parts))
+def _bits(mask: int) -> Iterable[int]:
+    """Indices of the bits set in a nonnegative ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _unions(parts: Sequence, join=or_, zero=0) -> list:
+    """The 2**len(parts) table whose entry ``e`` joins ``parts[j]`` over the
+    bits ``j`` set in ``e``, built by peeling off the lowest bit of each
+    ``e``.  The one builder of such a table: it refuses more than
+    ``MAX_CARRIER`` parts before it allocates."""
+    if len(parts) > MAX_CARRIER:
+        raise ValueError(f"a 2**k table is built for k <= {MAX_CARRIER} only "
+                         f"(k = {len(parts)})")
+    out = [zero] * (1 << len(parts))
     for e in range(1, len(out)):
         low = e & -e
-        out[e] = out[e ^ low] | parts[low.bit_length() - 1]
+        out[e] = join(out[e ^ low], parts[low.bit_length() - 1])
     return out
 
 
@@ -178,6 +186,7 @@ class SigmaAlgebra:
         return iter(sorted(self.members))
 
     def __len__(self):
+        """2**len(atoms); ``len()`` raises OverflowError past 62 atoms."""
         return 1 << len(self.atoms)
 
     def __eq__(self, other):
@@ -189,7 +198,7 @@ class SigmaAlgebra:
         return hash((self.carrier, self.atoms))
 
     def __repr__(self):
-        return f"SigmaAlgebra(|X|={self.carrier.size}, members={len(self)})"
+        return f"SigmaAlgebra(|X|={self.carrier.size}, atoms={len(self.atoms)})"
 
 
 def generate_sigma_algebra(carrier: FiniteCarrier,
@@ -258,18 +267,8 @@ class FiniteMeasureSpace:
         return self._mass(mask)
 
     def _mass(self, mask: int) -> Weight:
-        total = Fraction(0)
-        w = self.weights
-        i = 0
-        while mask:
-            if mask & 1:
-                wi = w[i]
-                if wi is INFINITY or wi == INFINITY:
-                    return INFINITY
-                total += wi
-            mask >>= 1
-            i += 1
-        return total
+        ws = [self.weights[i] for i in _bits(mask)]
+        return INFINITY if INFINITY in ws else sum(ws, Fraction(0))
 
     @property
     def total_mass(self) -> Weight:
@@ -297,9 +296,7 @@ class FiniteMeasureSpace:
 
     def null_ideal(self) -> FrozenSet[int]:
         """All subsets of the carrier contained in a measurable null set."""
-        nm = self.null_mask
-        return frozenset(_unions(
-            [1 << i for i in range(self.carrier.size) if nm >> i & 1]))
+        return frozenset(_unions([1 << i for i in _bits(self.null_mask)]))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteMeasureSpace)
@@ -311,7 +308,7 @@ class FiniteMeasureSpace:
 
     def __repr__(self):
         return (f"FiniteMeasureSpace(points={list(self.carrier.points)}, "
-                f"|sigma|={len(self.sigma)}, weights={list(self.weights)})")
+                f"atoms={len(self.sigma.atoms)}, weights={list(self.weights)})")
 
 
 def counting_space(labels: Iterable[int]) -> FiniteMeasureSpace:
@@ -344,7 +341,7 @@ class MeasurableMap:
     so the flags are decided on the preimages of the target atoms alone.
     """
 
-    __slots__ = ("source", "target", "mapping", "_flags")
+    __slots__ = ("source", "target", "mapping", "_targets", "_flags")
 
     def __init__(self, source: FiniteMeasureSpace, target: FiniteMeasureSpace,
                  mapping: Mapping[int, int]):
@@ -353,28 +350,19 @@ class MeasurableMap:
         missing = [p for p in source.carrier.points if p not in mapping]
         if missing:
             raise MapNotTotal(f"no image for source points {missing}")
-        for p in source.carrier.points:
-            target.carrier.index(mapping[p])  # raises KeyError on bad image
         self.mapping = {p: mapping[p] for p in source.carrier.points}
+        #: target point index of each source point; raises KeyError on a bad image
+        self._targets = tuple(map(target.carrier.index, self.mapping.values()))
         self._flags = None
 
     def __call__(self, label: int) -> int:
         return self.mapping[label]
 
     def preimage_mask(self, target_mask: int) -> int:
-        tgt = self.target.carrier
-        m = 0
-        for i, p in enumerate(self.source.carrier.points):
-            if target_mask >> tgt.index(self.mapping[p]) & 1:
-                m |= 1 << i
-        return m
+        return sum(1 << i for i, t in enumerate(self._targets) if target_mask >> t & 1)
 
     def image_mask(self) -> int:
-        tgt = self.target.carrier
-        m = 0
-        for p in self.source.carrier.points:
-            m |= 1 << tgt.index(self.mapping[p])
-        return m
+        return sum(1 << t for t in set(self._targets))
 
     @property
     def flags(self) -> MapFlags:
@@ -383,13 +371,22 @@ class MeasurableMap:
         return self._flags
 
     def _classify(self) -> MapFlags:
+        """Measurable exactly when each source atom lands inside one target
+        atom; a target atom's preimage is the union of those in it."""
         src, tgt = self.source, self.target
+        atom_of = [0] * tgt.carrier.size
+        for j, atom in enumerate(tgt.sigma.atoms):
+            for i in _bits(atom):
+                atom_of[i] = j
+        pres = [0] * len(tgt.sigma.atoms)
+        for atom in src.sigma.atoms:
+            hit = {atom_of[self._targets[i]] for i in _bits(atom)}
+            if len(hit) != 1:
+                return MapFlags(False, False, False)
+            pres[hit.pop()] |= atom
         nonsingular = True
         imp = True
-        for atom in tgt.sigma.atoms:
-            pre = self.preimage_mask(atom)
-            if pre not in src.sigma:
-                return MapFlags(False, False, False)
+        for atom, pre in zip(tgt.sigma.atoms, pres):
             nu = tgt._mass(atom)
             mu = src._mass(pre)
             if nu == 0 and mu != 0:
@@ -464,7 +461,7 @@ def direct_sum(spaces: Sequence[FiniteMeasureSpace]
     for sp in spaces:
         offsets.append(off)
         off += sp.carrier.size
-    carrier = FiniteCarrier(range(off))  # raises beyond MAX_CARRIER points
+    carrier = FiniteCarrier(range(off))
     # each block sits above the previous one, so the atoms stay sorted
     sigma = SigmaAlgebra._from_atoms(carrier, tuple(
         a << shift for sp, shift in zip(spaces, offsets) for a in sp.sigma.atoms))

@@ -77,3 +77,39 @@ def test_no_module_imports_a_name_it_never_uses():
               for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+
+def _mentions(source, name):
+    """Where ``source`` names ``name`` (as a variable, an attribute or an
+    import): a set of (enclosing function or None, whether it assigns)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+            field = named.get(type(child))
+            if field and getattr(child, field) == name:
+                found.add((where, isinstance(getattr(child, "ctx", None), ast.Store)))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_mention_scan_sees_functions_attributes_and_imports():
+    source = ("from m import CAP\nCAP = 1\n"
+              "def f():\n    return m.CAP\n"
+              "def g():\n    def h():\n        return CAP\n")
+    assert _mentions(source, "CAP") == {(None, False), (None, True),
+                                        ("f", False), ("h", False)}
+
+
+def test_only_the_table_builder_reads_max_carrier():
+    # one guard: every 2**k table goes through measure._unions
+    package = Path(sigrep.__file__).parent
+    mentions = {path.name: _mentions(path.read_text(), "MAX_CARRIER")
+                for path in sorted(package.glob("*.py"))}
+    assert {name: m for name, m in mentions.items() if m} == {
+        "measure.py": {(None, True), ("_unions", False)}}

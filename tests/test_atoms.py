@@ -1,23 +1,28 @@
 """The atom-based measure layer against the exhaustive algorithms it replaced,
-and the advertised 16-point carrier limit.
+at the 16-atom cap on 2**k tables, and on carriers far past it.
 
 The oracles below are the earlier member-family implementations, kept here
 as references: closure by a pairwise fixpoint, closure checks over all pairs,
 map flags from the preimage of every target member, and hom laws over all
-pairs of elements.  Every check runs on random carriers of up to 6 points.
+pairs of elements.  Those checks run on random carriers of up to 6 points;
+the 4,096-point checks at the end compare with per-point oracles instead.
 """
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sigrep import (INFINITY, BooleanHom, FiniteCarrier, FiniteMeasureSpace,
-                    MeasurableMap, MeasureAlgebra, SigmaAlgebra, atoms,
-                    check_hom_laws, counting_space, direct_sum,
-                    generate_sigma_algebra, identity_hom, induced_hom,
-                    power_set_algebra, quotient_measure_algebra)
+                    MeasurableMap, MeasureAlgebra, NonConstantOnAtom,
+                    SigmaAlgebra, atoms, canonical_class, check_hom_laws,
+                    counting_space, direct_sum, duality_bridge,
+                    duality_bridge_inverse, generate_sigma_algebra,
+                    identity_hom, induced_hom, power_set_algebra, pullback,
+                    quotient_measure_algebra)
+from sigrep import measure, quotient
 
 # ---------------------------------------------------------------- oracles
 
@@ -331,3 +336,127 @@ def test_large_family_not_closed_is_refused():
     family.discard(0b1)          # 2047 members; {0}'s complement remains
     with pytest.raises(ValueError):
         SigmaAlgebra(carrier, family)
+
+
+def test_table_builds_are_counted(monkeypatch):
+    built = []
+    unions = measure._unions
+
+    def counted(*args):
+        built.append(len(args[0]))
+        return unions(*args)
+
+    monkeypatch.setattr(measure, "_unions", counted)
+    monkeypatch.setattr(quotient, "_unions", counted)
+    sp = counting_space(range(16))
+    perm = list(range(16))
+    random.Random(127).shuffle(perm)
+    hom = induced_hom(MeasurableMap(sp, sp, dict(enumerate(perm))))
+    assert built == [16]  # the hom's own table; neither quotient tabulates
+    built.clear()
+    assert check_hom_laws(hom).is_measure_preserving
+    duality_bridge(sp, canonical_class(range(16), sp))
+    assert built == []
+    malg = MeasureAlgebra(sp)
+    assert [malg.mu_bar(e) for e in (1, 3, 7, 1)] == [1, 2, 3, 1]
+    assert built == [16]
+
+
+# ---------------------------------------------------------------- 4,096 points
+
+N = 4096
+
+
+def blocked_space(block, weights):
+    """The space on points 0..len(block)-1 whose atoms are the blocks named
+    by ``block[i]``, the block of point i."""
+    gens = {}
+    for i, b in enumerate(block):
+        gens.setdefault(b, []).append(i)
+    carrier = FiniteCarrier(range(len(block)))
+    return FiniteMeasureSpace(generate_sigma_algebra(carrier, gens.values()), weights)
+
+
+def point_flags(src_block, src_w, tgt_block, tgt_w, image):
+    """(measurable, nonsingular, imp) by definition, from the points: the
+    preimage of each target atom must hold every point of each source atom
+    it meets, and carries the summed weight of its points."""
+    meets = Counter((tgt_block[image[i]], b) for i, b in enumerate(src_block))
+    size = Counter(src_block)
+    if any(n != size[b] for (_, b), n in meets.items()):
+        return (False, False, False)
+    mu, nu = Counter(), Counter()
+    for i, w in enumerate(src_w):
+        mu[tgt_block[image[i]]] += w
+    for j, w in enumerate(tgt_w):
+        nu[tgt_block[j]] += w
+    nonsingular = all(mu[t] == 0 for t in nu if nu[t] == 0)
+    return (True, nonsingular, nonsingular and all(mu[t] == nu[t] for t in nu))
+
+
+def point_null(block, weights):
+    """Whether each point lies in a zero-mass block."""
+    mass = Counter()
+    for b, w in zip(block, weights):
+        mass[b] += w
+    return [mass[b] == 0 for b in block]
+
+
+def test_four_thousand_points_match_point_oracles():
+    rng = random.Random(4096)
+    one = [Fraction(1)] * N
+    coarse = [rng.randrange(64) for _ in range(N)]
+    assert len(set(coarse)) == 64
+    # blocks 0..7 weigh nothing; elsewhere a point may weigh 0, 1 or 2
+    coarse_w = [Fraction(0 if b < 8 else rng.randrange(3)) for b in coarse]
+    spaces = {"counting": (counting_space(range(N)), list(range(N)), one),
+              "coarse": (blocked_space(coarse, coarse_w), coarse, coarse_w)}
+    assert len(spaces["coarse"][0].sigma.atoms) == 64
+    perm = list(range(N))
+    rng.shuffle(perm)
+    # block to block, positive blocks to positive ones: nonsingular
+    block_to = [rng.randrange(0 if b < 8 else 8, 64) for b in range(64)]
+    members = [[i for i in range(N) if coarse[i] == b] for b in range(64)]
+    cases = [("counting", "counting", perm),
+             ("counting", "coarse", [rng.randrange(N) for _ in range(N)]),
+             ("coarse", "counting", [rng.randrange(N) for _ in range(N)]),
+             ("coarse", "coarse", [rng.choice(members[block_to[b]]) for b in coarse]),
+             ("coarse", "coarse", [i if coarse[i] < 8 else perm[i] for i in range(N)])]
+    seen = set()
+    for src_name, tgt_name, image in cases:
+        src, src_block, src_w = spaces[src_name]
+        tgt, tgt_block, tgt_w = spaces[tgt_name]
+        phi = MeasurableMap(src, tgt, dict(enumerate(image)))
+        flags = point_flags(src_block, src_w, tgt_block, tgt_w, image)
+        assert (phi.is_measurable, phi.is_nonsingular, phi.is_imp) == flags
+        seen.add(flags)
+        target_mask = rng.getrandbits(N)
+        assert phi.preimage_mask(target_mask) == sum(
+            1 << i for i in range(N) if target_mask >> image[i] & 1)
+        assert phi.image_mask() == sum(1 << j for j in set(image))
+        raw = [Fraction(rng.randrange(-5, 6)) for _ in range(N)]
+        g = canonical_class(raw, tgt)
+        null = point_null(tgt_block, tgt_w)
+        assert list(g.values) == [0 if z else v for z, v in zip(null, raw)]
+        if flags[1]:
+            src_null = point_null(src_block, src_w)
+            assert list(pullback(phi, g).values) == [
+                0 if src_null[i] else g.values[image[i]] for i in range(N)]
+    assert seen == {(True, True, True), (True, True, False),
+                    (True, False, False), (False, False, False)}
+    for sp, block, weights in spaces.values():
+        value_of = [Fraction(rng.randrange(-5, 6)) for _ in range(N)]
+        f = canonical_class([value_of[b] for b in block], sp)
+        assert duality_bridge_inverse(sp, duality_bridge(sp, f)) == f
+    sp, block, weights = spaces["coarse"]
+    bumped = canonical_class([Fraction(i) for i in range(N)], sp)
+    with pytest.raises(NonConstantOnAtom):
+        duality_bridge(sp, bumped)
+
+
+def test_reprs_give_atom_counts_past_62_atoms():
+    sp = counting_space(range(20000))
+    assert repr(sp.sigma) == "SigmaAlgebra(|X|=20000, atoms=20000)"
+    assert "atoms=20000, weights=" in repr(sp)
+    with pytest.raises(OverflowError):
+        len(sp.sigma)

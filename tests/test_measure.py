@@ -1,14 +1,17 @@
 """Measure-space layer: carriers, sigma-algebras, weights, maps, direct sums."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from sigrep import (INFINITY, FiniteCarrier, FiniteMeasureSpace, MapNotTotal,
-                    MeasurableMap, NotADirectSum, SigmaAlgebra, SpaceMismatch,
-                    atoms, compose_maps, counting_space, direct_sum,
-                    generate_sigma_algebra, identity_map, power_set_algebra,
+                    MeasurableMap, MeasureAlgebra, NotADirectSum, SigmaAlgebra,
+                    SpaceMismatch, atoms, canonical_class, compose_maps,
+                    counting_space, direct_sum, duality_bridge,
+                    duality_bridge_inverse, generate_sigma_algebra,
+                    identity_hom, identity_map, induced_hom, power_set_algebra,
                     summand_slices)
 
 
@@ -27,10 +30,10 @@ def test_carrier_points_must_increase():
         FiniteCarrier([0, 0])
 
 
-def test_carrier_size_cap():
-    FiniteCarrier(range(16))
-    with pytest.raises(ValueError):
-        FiniteCarrier(range(17))
+def test_carrier_has_no_size_cap():
+    c = FiniteCarrier(range(17))
+    assert c.size == 17
+    assert c.labels_of(c.full_mask) == tuple(range(17))
 
 
 def test_carrier_masks():
@@ -322,7 +325,50 @@ def test_summand_slices_round_trip():
         summand_slices(a)
 
 
-def test_direct_sum_respects_carrier_cap():
+def test_direct_sum_has_no_carrier_cap():
     parts = [counting_space(range(6)) for _ in range(3)]
-    with pytest.raises(ValueError):
-        direct_sum(parts)
+    total, injections = direct_sum(parts)
+    assert total.carrier.size == 18
+    assert total.sigma.atoms == tuple(1 << i for i in range(18))
+    assert all(inj.is_nonsingular and not inj.is_imp for inj in injections)
+
+
+# ---------------------------------------------------------------- 2**k tables
+
+TABLE_REFUSED = re.escape("a 2**k table is built for k <= 16 only (k = 17)")
+
+
+def seventeen_null_atoms():
+    """One positive point and 17 null ones: a measure algebra of one atom
+    whose classes each hold 2**17 members."""
+    return MeasureAlgebra(full_space([Fraction(1)] + [Fraction(0)] * 17))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: counting_space(range(17)).sigma.members,
+    lambda: seventeen_null_atoms().space.null_ideal(),
+    lambda: MeasureAlgebra(counting_space(range(17))).mu_bar(1),
+    lambda: MeasureAlgebra(counting_space(range(17))).finite_part,
+    lambda: seventeen_null_atoms().class_members(1),
+    lambda: identity_hom(MeasureAlgebra(counting_space(range(17)))),
+    lambda: induced_hom(identity_map(counting_space(range(17)))),
+], ids=["members", "null_ideal", "mu_bar", "finite_part", "class_members",
+        "identity_hom", "induced_hom"])
+def test_tables_refuse_past_sixteen_atoms(build):
+    with pytest.raises(ValueError, match=TABLE_REFUSED):
+        build()
+
+
+def test_atom_level_calls_work_at_forty_atoms():
+    # every third point is null, so 60 points give 40 positive atoms
+    sp = full_space([Fraction(i % 3) for i in range(60)])
+    malg = MeasureAlgebra(sp)
+    assert malg.algebra.atom_count == 40
+    assert malg.project(sp.carrier.full_mask) == malg.algebra.unit
+    assert malg.project(0b110) == 0b11
+    assert [malg.atom_mass(j) for j in range(40)] == [1, 2] * 20
+    assert malg.member_rep(malg.algebra.unit) == sp.carrier.full_mask & ~sp.null_mask
+    f = canonical_class(range(60), sp)
+    u = duality_bridge(sp, f)
+    assert u.atom_values == tuple(i for i in range(60) if i % 3)
+    assert duality_bridge_inverse(sp, u) == f
