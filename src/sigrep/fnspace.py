@@ -26,6 +26,8 @@ TAGS = ("L0", "L2")
 
 
 def _as_value(v) -> Fraction:
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise TypeError("function values must be exact rationals, not floats")
     return Fraction(v)
@@ -149,35 +151,26 @@ def indicator(space: FiniteMeasureSpace, mask: int, tag: str = "L0") -> FnClass:
 def norm2_sq(f: FnClass):
     """Exact weighted squared l2 norm; INFINITY when an infinite-weight point
     carries a nonzero value."""
-    total = Fraction(0)
-    for w, v in zip(f.space.weights, f.values):
-        if v == 0:
-            continue
-        if w == INFINITY:
-            return INFINITY
-        total += w * v * v
-    return total
+    if f.support_mask() & f.space._inf_mask:
+        return INFINITY
+    return sum((w * v * v for w, v in zip(f.space.weights, f.values) if v),
+               Fraction(0))
 
 
 def norm2(f: FnClass) -> float:
     import math
     sq = norm2_sq(f)
-    return math.inf if sq == INFINITY else math.sqrt(sq)
+    return math.inf if sq is INFINITY else math.sqrt(sq)
 
 
 def inner(f: FnClass, g: FnClass):
     """Exact weighted inner product."""
     if f.space != g.space:
         raise SpaceMismatch("inner product needs a common space")
-    total = Fraction(0)
-    for w, a, b in zip(f.space.weights, f.values, g.values):
-        p = a * b
-        if p == 0:
-            continue
-        if w == INFINITY:
-            return INFINITY
-        total += w * p
-    return total
+    if f.support_mask() & g.support_mask() & f.space._inf_mask:
+        return INFINITY
+    return sum((w * a * b for w, a, b in zip(f.space.weights, f.values, g.values)
+                if a and b), Fraction(0))
 
 
 def scale(c, f: FnClass) -> FnClass:
@@ -273,12 +266,13 @@ class DualElement:
 
 
 def dual_norm2_sq(u: DualElement):
+    malg = u.malg
+    inf_mask = malg.space._inf_mask
     total = Fraction(0)
-    for j, v in enumerate(u.atom_values):
+    for v, a, w in zip(u.atom_values, malg.atom_point_masks, malg._atom_mu):
         if v == 0:
             continue
-        w = u.malg.atom_mass(j)
-        if w == INFINITY:
+        if a & inf_mask:
             return INFINITY
         total += w * v * v
     return total

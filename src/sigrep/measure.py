@@ -7,14 +7,18 @@ union is the carrier.  Membership, null sets and map flags are all decided
 on the atoms.
 
 Weights are nonnegative rationals (:class:`fractions.Fraction`), with
-``float("inf")`` as the one admitted infinite value.  The measure of a set is
-the exact sum of the weights of its points.
+``float("inf")`` as the one admitted infinite value.  A space holds its
+finite weights as integer numerators over one common denominator, the lcm
+of theirs, and its infinite-weight points as a mask.  The measure of a set
+is INFINITY when it meets that mask, and otherwise the exact Fraction of
+one int sum of numerators over that denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import or_
 from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -53,7 +57,7 @@ class FiniteCarrier:
     to ``points[i]``.
     """
 
-    __slots__ = ("points", "_index")
+    __slots__ = ("points", "_index", "_full_mask")
 
     def __init__(self, points: Iterable[int]):
         pts = tuple(points)
@@ -63,6 +67,7 @@ class FiniteCarrier:
             raise ValueError("carrier points must be strictly increasing")
         self.points = pts
         self._index = {p: i for i, p in enumerate(pts)}
+        self._full_mask = (1 << len(pts)) - 1
 
     @property
     def size(self) -> int:
@@ -70,7 +75,7 @@ class FiniteCarrier:
 
     @property
     def full_mask(self) -> int:
-        return (1 << len(self.points)) - 1
+        return self._full_mask
 
     def index(self, label: int) -> int:
         try:
@@ -224,10 +229,14 @@ class FiniteMeasureSpace:
 
     ``weights`` maps each carrier label to a nonnegative Fraction or
     ``INFINITY``; the measure of a member mask is the sum of the weights of
-    its points.  The space is point-supported by construction.
+    its points.  The space is point-supported by construction.  It sums
+    masses over ``_den``, the lcm of the finite weights' denominators:
+    ``_nums[i]`` is point ``i``'s weight times ``_den`` (0 at an infinite
+    point), and ``_inf_mask`` marks the infinite-weight points.
     """
 
-    __slots__ = ("sigma", "weights", "summands", "_null_mask")
+    __slots__ = ("sigma", "weights", "summands", "_null_mask",
+                 "_den", "_nums", "_inf_mask")
 
     def __init__(self, sigma: SigmaAlgebra,
                  weights: Union[Mapping[int, object], Sequence[object]],
@@ -248,6 +257,11 @@ class FiniteMeasureSpace:
                 raise ValueError("weight sequence length must equal carrier size")
             wtuple = tuple(_as_weight(w) for w in wseq)
         self.weights = wtuple
+        den = lcm(*(w.denominator for w in wtuple if w is not INFINITY))
+        self._den = den
+        self._nums = tuple(0 if w is INFINITY else w.numerator * (den // w.denominator)
+                           for w in wtuple)
+        self._inf_mask = sum(1 << i for i, w in enumerate(wtuple) if w is INFINITY)
         #: provenance for split_direct_sum: tuple of (component_space, offset)
         self.summands = summands
         self._null_mask = None
@@ -267,8 +281,10 @@ class FiniteMeasureSpace:
         return self._mass(mask)
 
     def _mass(self, mask: int) -> Weight:
-        ws = [self.weights[i] for i in _bits(mask)]
-        return INFINITY if INFINITY in ws else sum(ws, Fraction(0))
+        if mask & self._inf_mask:
+            return INFINITY
+        nums = self._nums
+        return Fraction(sum(nums[i] for i in _bits(mask)), self._den)
 
     @property
     def total_mass(self) -> Weight:

@@ -23,7 +23,7 @@ from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from .errors import DegenerateMeasure, NotHom, NotNonsingular, SpaceMismatch
 from .measure import (INFINITY, FiniteMeasureSpace, MeasurableMap, Weight,
-                      _bits, _unions, atoms)
+                      _bits, _unions)
 
 
 class BooleanAlgebra:
@@ -68,19 +68,34 @@ class MeasureAlgebra:
     Construct it directly, or through :func:`quotient_measure_algebra`,
     which also returns the projection sending each measurable set to its
     class.  Everything in it is determined by the space, so two measure
-    algebras are equal exactly when their spaces are.  It stores the atom
-    masses; the measure of every element is tabulated on first use.
+    algebras are equal exactly when their spaces are.  It weighs each
+    sigma-atom once and stores the positive atoms' masses, with
+    ``_atom_bits``: each sigma-atom paired with the algebra bit of its class
+    (0 for a null atom).  The measure of every element is tabulated on
+    first use.
     """
 
-    __slots__ = ("space", "algebra", "atom_point_masks", "_atom_mu", "_table")
+    __slots__ = ("space", "algebra", "atom_point_masks", "_atom_mu",
+                 "_atom_bits", "_table")
 
     def __init__(self, space: FiniteMeasureSpace):
-        if space.total_mass == 0:
+        masks, mus, bits = [], [], []
+        for a in space.sigma.atoms:
+            mu = space._mass(a)
+            if mu != 0:
+                bits.append((a, 1 << len(masks)))
+                masks.append(a)
+                mus.append(mu)
+            else:
+                bits.append((a, 0))
+        # the sigma-atoms partition the carrier: no positive atom, no mass
+        if not masks:
             raise DegenerateMeasure("total measure is zero; the quotient would collapse")
         self.space = space
-        self.atom_point_masks: Tuple[int, ...] = tuple(atoms(space))
-        self.algebra = BooleanAlgebra(len(self.atom_point_masks))
-        self._atom_mu = tuple(space._mass(a) for a in self.atom_point_masks)
+        self.atom_point_masks: Tuple[int, ...] = tuple(masks)
+        self.algebra = BooleanAlgebra(len(masks))
+        self._atom_mu = tuple(mus)
+        self._atom_bits = tuple(bits)
         self._table = None
 
     @property
@@ -96,14 +111,19 @@ class MeasureAlgebra:
         return element
 
     def project(self, member_mask: int) -> int:
-        """The class of a measurable set: the positive atoms it contains."""
-        if member_mask not in self.space.sigma:
-            raise ValueError("project is defined on sigma-algebra members only")
-        e = 0
-        for j, a in enumerate(self.atom_point_masks):
-            if member_mask & a:
-                e |= 1 << j
-        return e
+        """The class of a measurable set: the positive atoms it contains.
+        One pass over the sigma-atoms checks membership and collects them."""
+        if 0 <= member_mask <= self.space.carrier.full_mask:
+            e = 0
+            for a, bit in self._atom_bits:
+                hit = member_mask & a
+                if hit == a:
+                    e |= bit
+                elif hit:
+                    break
+            else:
+                return e
+        raise ValueError("project is defined on sigma-algebra members only")
 
     def mu_bar(self, element: int) -> Weight:
         """Measure of a class (well-defined: members differ by null sets)."""

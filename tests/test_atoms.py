@@ -4,8 +4,11 @@ at the 16-atom cap on 2**k tables, and on carriers far past it.
 The oracles below are the earlier member-family implementations, kept here
 as references: closure by a pairwise fixpoint, closure checks over all pairs,
 map flags from the preimage of every target member, and hom laws over all
-pairs of elements.  Those checks run on random carriers of up to 6 points;
-the 4,096-point checks at the end compare with per-point oracles instead.
+pairs of elements; and the earlier primitives the integer masses replaced: a
+mass as a sum of Fraction weights, and projection as a membership pass
+followed by a pass over the positive atoms.  Those checks run on random
+carriers of up to 6 points; the 4,096-point checks at the end compare with
+per-point oracles instead.
 """
 
 import random
@@ -15,8 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from sigrep import (INFINITY, BooleanHom, FiniteCarrier, FiniteMeasureSpace,
-                    MeasurableMap, MeasureAlgebra, NonConstantOnAtom,
+from sigrep import (INFINITY, BooleanHom, DegenerateMeasure, FiniteCarrier,
+                    FiniteMeasureSpace, MeasurableMap, MeasureAlgebra,
+                    NonConstantOnAtom,
                     SigmaAlgebra, atoms, canonical_class, check_hom_laws,
                     counting_space, direct_sum, duality_bridge,
                     duality_bridge_inverse, generate_sigma_algebra,
@@ -96,6 +100,24 @@ def failures_oracle(pi):
     if any(pi.target.mu_bar(m[a]) != pi.source.mu_bar(a) for a in range(len(m))):
         out.append("measure not preserved")
     return out
+
+
+def mass_oracle(space, mask):
+    """The mass of ``mask`` as a sum of the points' Fraction weights."""
+    ws = [space.weights[i] for i in measure._bits(mask)]
+    return INFINITY if INFINITY in ws else sum(ws, Fraction(0))
+
+
+def project_oracle(malg, member_mask):
+    """The class of a member: a membership check, then a pass over the
+    positive atoms."""
+    if member_mask not in malg.space.sigma:
+        raise ValueError("project is defined on sigma-algebra members only")
+    e = 0
+    for j, a in enumerate(malg.atom_point_masks):
+        if member_mask & a:
+            e |= 1 << j
+    return e
 
 
 def quotient_oracle(space):
@@ -460,3 +482,87 @@ def test_reprs_give_atom_counts_past_62_atoms():
     assert "atoms=20000, weights=" in repr(sp)
     with pytest.raises(OverflowError):
         len(sp.sigma)
+
+
+# ---------------------------------------------------------------- integer masses
+
+
+def test_mass_matches_fraction_sum():
+    rng = random.Random(1401)
+    pool = [Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(2),
+            Fraction(11, 6), INFINITY]
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        carrier = FiniteCarrier(range(n))
+        sp = FiniteMeasureSpace(rand_sigma(rng, carrier),
+                                [rng.choice(pool) for _ in range(n)])
+        masks = {0, carrier.full_mask, *sp.sigma.atoms,
+                 *(1 << i for i in range(n)),
+                 *(rng.getrandbits(n) for _ in range(4))}
+        for mask in masks:
+            want, got = mass_oracle(sp, mask), sp._mass(mask)
+            assert type(got) is type(want) and got == want
+            if want == INFINITY:
+                assert got is INFINITY
+            kinds.add(type(got))
+        assert sp.total_mass == mass_oracle(sp, carrier.full_mask)
+    assert kinds == {Fraction, float}
+
+
+def test_mass_at_4096_points_over_a_5900_bit_denominator():
+    weights = [Fraction(1, i + 1) for i in range(N)]
+    sp = FiniteMeasureSpace(power_set_algebra(FiniteCarrier(range(N))), weights)
+    assert 5800 < sp._den.bit_length() < 6000
+    rng = random.Random(4097)
+    for mask in (0, 1, 1 << (N - 1), sp.carrier.full_mask, rng.getrandbits(N)):
+        got = sp._mass(mask)
+        assert type(got) is Fraction and got == mass_oracle(sp, mask)
+
+
+def test_project_matches_two_pass_oracle():
+    rng = random.Random(1402)
+    for _ in range(150):
+        malg = MeasureAlgebra(rand_space(rng, positive=True))
+        sigma = malg.space.sigma
+        full = sigma.carrier.full_mask
+        for member in sigma.members:
+            assert malg.project(member) == project_oracle(malg, member)
+        outside = [-1, -full - 1, full + 1, 1 << (full.bit_length() + 3)]
+        outside += [m for m in range(full + 1) if m not in sigma]
+        for mask in outside:
+            with pytest.raises(ValueError) as want:
+                project_oracle(malg, mask)
+            with pytest.raises(ValueError) as got:
+                malg.project(mask)
+            assert str(got.value) == str(want.value)
+
+
+def test_measure_algebra_weighs_each_atom_once(monkeypatch):
+    calls = []
+    mass = FiniteMeasureSpace._mass
+
+    def counted(self, mask):
+        calls.append(mask)
+        return mass(self, mask)
+
+    monkeypatch.setattr(FiniteMeasureSpace, "_mass", counted)
+    malg = MeasureAlgebra(counting_space(range(N)))
+    assert len(calls) == N
+    assert malg.algebra.atom_count == N
+    monkeypatch.undo()
+    discrete = power_set_algebra(FiniteCarrier(range(3)))
+    with pytest.raises(DegenerateMeasure):
+        MeasureAlgebra(FiniteMeasureSpace(discrete, [0, 0, 0]))
+    # an infinite weight is positive mass, beside null points or not
+    for weights in ([0, INFINITY, 0], [INFINITY, INFINITY, 1]):
+        malg = MeasureAlgebra(FiniteMeasureSpace(discrete, weights))
+        assert malg.atom_mass(0) is INFINITY
+
+
+def test_full_mask_is_stored_and_read_only():
+    for n in (0, 1, 5, N):
+        carrier = FiniteCarrier(range(n))
+        assert carrier.full_mask == (1 << n) - 1
+    with pytest.raises(AttributeError):
+        carrier.full_mask = 3

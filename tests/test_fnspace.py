@@ -95,6 +95,57 @@ def test_norm_infinite_weight():
     assert norm2_sq(canonical_class([0, 3], sp)) == 9
 
 
+def test_norms_match_pointwise_weight_loops():
+    """norm2_sq, inner and dual_norm2_sq decide infinity from the space's
+    infinite-point mask; the pointwise loops they replaced test each
+    weight against INFINITY."""
+    def norm_oracle(f):
+        total = Fraction(0)
+        for w, v in zip(f.space.weights, f.values):
+            if v != 0:
+                if w == INFINITY:
+                    return INFINITY
+                total += w * v * v
+        return total
+
+    def inner_oracle(f, g):
+        total = Fraction(0)
+        for w, a, b in zip(f.space.weights, f.values, g.values):
+            if a * b != 0:
+                if w == INFINITY:
+                    return INFINITY
+                total += w * a * b
+        return total
+
+    rng = random.Random(1403)
+    pool = [Fraction(0), Fraction(1, 3), Fraction(2), INFINITY]
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        weights = [rng.choice(pool) for _ in range(n)]
+        if not any(weights):
+            weights[0] = Fraction(1)
+        sp = full_space(weights)
+        f, g = (canonical_class([rng.choice([0, 0, 1, Fraction(-3, 2)])
+                                 for _ in range(n)], sp) for _ in range(2))
+        for got, want in ((norm2_sq(f), norm_oracle(f)),
+                          (inner(f, g), inner_oracle(f, g)),
+                          (dual_norm2_sq(duality_bridge(sp, f)), norm_oracle(f))):
+            assert type(got) is type(want) and got == want
+            assert (got is INFINITY) == (want is INFINITY)
+            seen.add(type(got))
+    assert seen == {Fraction, float}
+
+
+def test_values_keep_their_fraction_objects():
+    x = Fraction(7, 3)
+    f = canonical_class([x, 2, x], SP102)
+    assert f.values[0] is x and type(f.values[2]) is Fraction
+    assert type(canonical_class([1, 2, 3], SP102).values[0]) is Fraction
+    with pytest.raises(TypeError):
+        canonical_class([1, 0, float("inf")], SP102)
+
+
 def test_inner_product():
     sp = counting_space([0, 1, 2])
     f = canonical_class([1, 2, 3], sp)
