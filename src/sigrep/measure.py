@@ -11,7 +11,10 @@ Weights are nonnegative rationals (:class:`fractions.Fraction`), with
 finite weights as integer numerators over one common denominator, the lcm
 of theirs, and its infinite-weight points as a mask.  The measure of a set
 is INFINITY when it meets that mask, and otherwise the exact Fraction of
-one int sum of numerators over that denominator.
+one int sum of numerators over that denominator.  A sigma-atom is null
+exactly when it holds no point of nonzero weight: a space finds those atoms
+once, and null atoms, positive atoms and map flags are read from its
+``null_mask``, so a mass is computed only where its value is read.
 """
 
 from __future__ import annotations
@@ -262,9 +265,10 @@ class FiniteMeasureSpace:
         self._nums = tuple(0 if w is INFINITY else w.numerator * (den // w.denominator)
                            for w in wtuple)
         self._inf_mask = sum(1 << i for i, w in enumerate(wtuple) if w is INFINITY)
+        support = sum(1 << i for i, w in enumerate(wtuple) if w)  # INFINITY too
+        self._null_mask = sum(a for a in sigma.atoms if not a & support)
         #: provenance for split_direct_sum: tuple of (component_space, offset)
         self.summands = summands
-        self._null_mask = None
 
     @property
     def carrier(self) -> FiniteCarrier:
@@ -292,17 +296,9 @@ class FiniteMeasureSpace:
 
     @property
     def null_mask(self) -> int:
-        """Union of all measurable null sets (the largest one).
-
-        A measurable set is null exactly when every atom in it has mass
-        zero, so this is the union of the zero-mass atoms.
-        """
-        if self._null_mask is None:
-            m = 0
-            for a in self.sigma.atoms:
-                if self._mass(a) == 0:
-                    m |= a
-            self._null_mask = m
+        """Union of all measurable null sets (the largest one): the
+        sigma-atoms holding no point of nonzero weight, infinite weights
+        included.  It is computed when the space is built."""
         return self._null_mask
 
     def is_null(self, mask: int) -> bool:
@@ -400,16 +396,14 @@ class MeasurableMap:
             if len(hit) != 1:
                 return MapFlags(False, False, False)
             pres[hit.pop()] |= atom
-        nonsingular = True
-        imp = True
-        for atom, pre in zip(tgt.sigma.atoms, pres):
-            nu = tgt._mass(atom)
-            mu = src._mass(pre)
-            if nu == 0 and mu != 0:
-                nonsingular = False
-            if mu != nu:
-                imp = False
-        return MapFlags(True, nonsingular, imp and nonsingular)
+        # nonsingular: null target atoms pull back into the source's null
+        # mask; then only positive target atoms can differ in mass
+        t_null, s_null = tgt.null_mask, src.null_mask
+        pairs = tuple(zip(tgt.sigma.atoms, pres))
+        if any(pre & ~s_null for atom, pre in pairs if atom & t_null):
+            return MapFlags(True, False, False)
+        return MapFlags(True, True, all(src._mass(pre) == tgt._mass(atom)
+                                        for atom, pre in pairs if not atom & t_null))
 
     @property
     def is_measurable(self) -> bool:
@@ -456,9 +450,11 @@ def atoms(space: FiniteMeasureSpace) -> List[int]:
     measurable subsets are either null or almost all of it.  Such sets differ
     from a positive-mass sigma-atom only by null sets, so each class is
     represented by its sigma-atom, which is its smallest member.  For a
-    counting measure these are exactly the singletons.
+    counting measure these are exactly the singletons.  They are the
+    sigma-atoms outside ``space.null_mask``, so none is weighed.
     """
-    return [a for a in space.sigma.atoms if space._mass(a) != 0]
+    null = space.null_mask
+    return [a for a in space.sigma.atoms if not a & null]
 
 
 def direct_sum(spaces: Sequence[FiniteMeasureSpace]

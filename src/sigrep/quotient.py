@@ -1,9 +1,9 @@
 """Measure algebras: measurable sets modulo null sets.
 
 For a point-supported finite space the largest measurable null set ``M`` is
-the union of the zero-mass atoms of the sigma-algebra, and two measurable
-sets are identified exactly when they agree outside ``M``.  The atoms of the
-quotient are therefore the positive-mass sigma-atoms (``measure.atoms``), and
+the space's ``null_mask``, and two measurable sets are identified exactly
+when they agree outside ``M``.  The atoms of the quotient are therefore the
+sigma-atoms outside ``M`` (``measure.atoms``), the only ones weighed, and
 each class is named by the positive atoms it contains.  Elements are
 represented as atom bitmasks (bit ``j`` = atom ``j``), which makes symmetric
 difference, meet and order single int operations.
@@ -22,8 +22,8 @@ from operator import add
 from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from .errors import DegenerateMeasure, NotHom, NotNonsingular, SpaceMismatch
-from .measure import (INFINITY, FiniteMeasureSpace, MeasurableMap, Weight,
-                      _bits, _unions)
+from .measure import (FiniteMeasureSpace, MeasurableMap, Weight, _bits,
+                      _unions, atoms)
 
 
 class BooleanAlgebra:
@@ -69,33 +69,28 @@ class MeasureAlgebra:
     which also returns the projection sending each measurable set to its
     class.  Everything in it is determined by the space, so two measure
     algebras are equal exactly when their spaces are.  It weighs each
-    sigma-atom once and stores the positive atoms' masses, with
-    ``_atom_bits``: each sigma-atom paired with the algebra bit of its class
-    (0 for a null atom).  The measure of every element is tabulated on
-    first use.
+    positive atom (``measure.atoms``) once, never a null one, and stores
+    their masses, with ``_atom_bits``: each sigma-atom paired with the
+    algebra bit of its class (0 for a null atom).  The measure of every
+    element is tabulated on first use.
     """
 
     __slots__ = ("space", "algebra", "atom_point_masks", "_atom_mu",
                  "_atom_bits", "_table")
 
     def __init__(self, space: FiniteMeasureSpace):
-        masks, mus, bits = [], [], []
-        for a in space.sigma.atoms:
-            mu = space._mass(a)
-            if mu != 0:
-                bits.append((a, 1 << len(masks)))
-                masks.append(a)
-                mus.append(mu)
-            else:
-                bits.append((a, 0))
+        masks = tuple(atoms(space))
         # the sigma-atoms partition the carrier: no positive atom, no mass
         if not masks:
             raise DegenerateMeasure("total measure is zero; the quotient would collapse")
+        null = space.null_mask
+        bits = (1 << j for j in range(len(masks)))
         self.space = space
-        self.atom_point_masks: Tuple[int, ...] = tuple(masks)
+        self.atom_point_masks: Tuple[int, ...] = masks
         self.algebra = BooleanAlgebra(len(masks))
-        self._atom_mu = tuple(mus)
-        self._atom_bits = tuple(bits)
+        self._atom_mu = tuple(map(space._mass, masks))
+        self._atom_bits = tuple((a, 0 if a & null else next(bits))
+                                for a in space.sigma.atoms)
         self._table = None
 
     @property
@@ -131,8 +126,10 @@ class MeasureAlgebra:
 
     @property
     def finite_part(self) -> FrozenSet[int]:
-        """Elements of finite measure."""
-        return frozenset(e for e, mu in enumerate(self._mu) if mu != INFINITY)
+        """Elements of finite measure: unions of the finite-mass atoms."""
+        inf = self.space._inf_mask
+        return frozenset(_unions([1 << j for j, a in enumerate(self.atom_point_masks)
+                                  if not a & inf]))
 
     def member_rep(self, element: int) -> int:
         """The smallest sigma-algebra member in the class ``element``: the

@@ -1,6 +1,7 @@
 """The public API: one name per operation, and no import left unused."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,19 @@ def test_mention_scan_sees_functions_attributes_and_imports():
               "def g():\n    def h():\n        return CAP\n")
     assert _mentions(source, "CAP") == {(None, False), (None, True),
                                         ("f", False), ("h", False)}
+
+
+def test_the_null_mask_is_written_once_and_read_through_its_property():
+    # one null rule: FiniteMeasureSpace.__init__ computes it, and every
+    # other reader goes through the read-only null_mask property
+    package = Path(sigrep.__file__).parent
+    mentions = {path.name: _mentions(path.read_text(), "_null_mask")
+                for path in sorted(package.glob("*.py"))}
+    expected = {("__init__", True), ("null_mask", False)}
+    assert {name: m for name, m in mentions.items() if m} == {"measure.py": expected}
+    assert _mentions(inspect.getsource(measure.FiniteMeasureSpace),
+                     "_null_mask") == expected
+    assert isinstance(measure.FiniteMeasureSpace.__dict__["null_mask"], property)
 
 
 def test_only_the_table_builder_reads_max_carrier():

@@ -4,11 +4,13 @@ at the 16-atom cap on 2**k tables, and on carriers far past it.
 The oracles below are the earlier member-family implementations, kept here
 as references: closure by a pairwise fixpoint, closure checks over all pairs,
 map flags from the preimage of every target member, and hom laws over all
-pairs of elements; and the earlier primitives the integer masses replaced: a
+pairs of elements; the earlier primitives the integer masses replaced: a
 mass as a sum of Fraction weights, and projection as a membership pass
-followed by a pass over the positive atoms.  Those checks run on random
-carriers of up to 6 points; the 4,096-point checks at the end compare with
-per-point oracles instead.
+followed by a pass over the positive atoms; and the earlier null rules the
+null mask replaced, which weighed every atom: null and positive atoms,
+map flags and the finite part, each decided from masses.  Those checks run
+on random carriers of up to 6 points; the 4,096-point checks at the end
+compare with per-point oracles instead.
 """
 
 import random
@@ -24,7 +26,8 @@ from sigrep import (INFINITY, BooleanHom, DegenerateMeasure, FiniteCarrier,
                     SigmaAlgebra, atoms, canonical_class, check_hom_laws,
                     counting_space, direct_sum, duality_bridge,
                     duality_bridge_inverse, generate_sigma_algebra,
-                    identity_hom, induced_hom, power_set_algebra, pullback,
+                    identity_hom, identity_map, induced_hom,
+                    power_set_algebra, pullback,
                     quotient_measure_algebra)
 from sigrep import measure, quotient
 
@@ -120,6 +123,38 @@ def project_oracle(malg, member_mask):
     return e
 
 
+def null_mask_oracle(space):
+    """The union of the sigma-atoms whose mass is zero."""
+    return sum(a for a in space.sigma.atoms if mass_oracle(space, a) == 0)
+
+
+def atoms_oracle(space):
+    """The sigma-atoms whose mass is not zero."""
+    return [a for a in space.sigma.atoms if mass_oracle(space, a) != 0]
+
+
+def flags_loop_oracle(phi):
+    """(measurable, nonsingular, imp) from the preimage of each target atom,
+    weighing every target atom and its preimage."""
+    src, tgt = phi.source, phi.target
+    nonsingular = imp = True
+    for atom in tgt.sigma.atoms:
+        pre = phi.preimage_mask(atom)
+        if pre not in src.sigma:
+            return (False, False, False)
+        nu, mu = mass_oracle(tgt, atom), mass_oracle(src, pre)
+        if nu == 0 and mu != 0:
+            nonsingular = False
+        if mu != nu:
+            imp = False
+    return (True, nonsingular, imp and nonsingular)
+
+
+def finite_part_oracle(malg):
+    """The elements whose entry in the measure table is not INFINITY."""
+    return frozenset(e for e, mu in enumerate(malg._mu) if mu != INFINITY)
+
+
 def quotient_oracle(space):
     """The minimal nonzero reduced masks ``E & ~null`` (the quotient's atoms)
     and the members grouped by reduced mask (its classes)."""
@@ -153,6 +188,17 @@ def rand_space(rng, max_points=6, positive=False):
         weights = [rng.choice(pool) for _ in range(n)]
         if not positive or any(w != 0 for w in weights):
             return FiniteMeasureSpace(rand_sigma(rng, carrier), weights)
+
+
+def rand_null_space(rng):
+    """A space on 0 to 6 points, coarse or discrete, with zero and infinite
+    weights drawn often."""
+    n = rng.randint(0, 6)
+    carrier = FiniteCarrier(sorted(rng.sample(range(12), n)))
+    pool = [Fraction(0), Fraction(0), Fraction(0), Fraction(1, 3), Fraction(2),
+            INFINITY, INFINITY]
+    sigma = rand_sigma(rng, carrier) if n else power_set_algebra(carrier)
+    return FiniteMeasureSpace(sigma, [rng.choice(pool) for _ in range(n)])
 
 
 def rand_malg(rng, max_atoms=3):
@@ -550,6 +596,23 @@ def test_measure_algebra_weighs_each_atom_once(monkeypatch):
     malg = MeasureAlgebra(counting_space(range(N)))
     assert len(calls) == N
     assert malg.algebra.atom_count == N
+    # half the points weigh nothing: only the positive atoms are weighed,
+    # and the null mask, the atom list and a singular map weigh none
+    calls.clear()
+    half = power_set_algebra(FiniteCarrier(range(N)))
+    sp = FiniteMeasureSpace(half, [Fraction(i % 2) for i in range(N)])
+    assert sp.null_mask == sum(1 << i for i in range(0, N, 2))
+    assert atoms(sp) == [1 << i for i in range(1, N, 2)]
+    assert calls == []
+    malg = MeasureAlgebra(sp)
+    assert len(calls) == N // 2
+    assert calls == list(malg.atom_point_masks)
+    calls.clear()
+    shift = MeasurableMap(sp, sp, {i: (i + 1) % N for i in range(N)})
+    assert shift.is_measurable and not shift.is_nonsingular
+    assert calls == []
+    assert identity_map(sp).is_imp
+    assert len(calls) == N
     monkeypatch.undo()
     discrete = power_set_algebra(FiniteCarrier(range(3)))
     with pytest.raises(DegenerateMeasure):
@@ -558,6 +621,48 @@ def test_measure_algebra_weighs_each_atom_once(monkeypatch):
     for weights in ([0, INFINITY, 0], [INFINITY, INFINITY, 1]):
         malg = MeasureAlgebra(FiniteMeasureSpace(discrete, weights))
         assert malg.atom_mass(0) is INFINITY
+
+
+# ---------------------------------------------------------------- the null rule
+
+
+def test_null_rule_matches_atom_masses():
+    rng = random.Random(1501)
+    seen = Counter()
+    for _ in range(400):
+        sp = rand_null_space(rng)
+        assert sp.null_mask == null_mask_oracle(sp)
+        assert atoms(sp) == atoms_oracle(sp)
+        seen["empty" if not sp.carrier.size else
+             "discrete" if len(sp.sigma.atoms) == sp.carrier.size else "coarse"] += 1
+        seen["null"] += sp.null_mask != 0
+        seen["infinite"] += sp._inf_mask != 0
+        if not atoms(sp):
+            with pytest.raises(DegenerateMeasure):
+                MeasureAlgebra(sp)
+            continue
+        malg = MeasureAlgebra(sp)
+        assert malg.atom_point_masks == tuple(atoms_oracle(sp))
+        assert malg.finite_part == finite_part_oracle(malg)
+        seen["finite_part"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_map_flags_match_per_atom_mass_loop():
+    rng = random.Random(1502)
+    seen = set()
+    for _ in range(400):
+        src, tgt = rand_null_space(rng), rand_null_space(rng)
+        if not tgt.carrier.size and src.carrier.size:
+            continue
+        phi = MeasurableMap(src, tgt, {p: rng.choice(tgt.carrier.points)
+                                       for p in src.carrier.points})
+        flags = phi.flags
+        got = (flags.is_measurable, flags.is_nonsingular, flags.is_imp)
+        assert got == flags_loop_oracle(phi)
+        seen.add(got)
+    assert seen == {(True, True, True), (True, True, False),
+                    (True, False, False), (False, False, False)}
 
 
 def test_full_mask_is_stored_and_read_only():

@@ -359,6 +359,20 @@ def test_tables_refuse_past_sixteen_atoms(build):
         build()
 
 
+def test_finite_part_tabulates_only_the_finite_atoms():
+    # 17 positive atoms, 2 of them infinite: 2**15 finite elements, while
+    # the measure table itself would need 2**17 entries
+    weights = [Fraction(1)] * 17
+    weights[3] = weights[11] = INFINITY
+    malg = MeasureAlgebra(full_space(weights))
+    infinite = 1 << 3 | 1 << 11
+    assert malg.finite_part == frozenset(
+        e for e in range(1 << 17) if not e & infinite)
+    assert len(malg.finite_part) == 1 << 15
+    with pytest.raises(ValueError, match=TABLE_REFUSED):
+        malg.mu_bar(1)
+
+
 def test_atom_level_calls_work_at_forty_atoms():
     # every third point is null, so 60 points give 40 positive atoms
     sp = full_space([Fraction(i % 3) for i in range(60)])
