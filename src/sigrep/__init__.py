@@ -29,12 +29,11 @@ from .fnspace import (DualElement, FnClass, canonical_class, covariant_l2_op,
                       scale, split_direct_sum, sup)
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
-from .signal import (FunctorGraph, FunctorLawReport, RedundancyEntry,
-                     RedundancyReport, Segment, SegmentArrow, compose_arrows,
-                     delta, detect_affine, detect_amp_affine,
-                     detect_translation, identity_arrow,
+from .signal import (RedundancyEntry, RedundancyReport, Segment,
+                     SegmentArrow, compose_arrows, delta, detect_affine,
+                     detect_amp_affine, detect_translation, identity_arrow,
                      prototype_decomposition, redundancy_report,
-                     segment_signal, verify_functor_laws)
+                     segment_signal)
 from .container import (ArrowRecord, EncodedSignal, read_container,
                         read_container_file, write_container,
                         write_container_file)
@@ -48,7 +47,7 @@ __all__ = [
     "ALL_SUITES", "ArrowRecord", "BadBreakpoints", "BooleanAlgebra",
     "BooleanHom", "CorruptContainer", "DegenerateMeasure", "DualElement",
     "EmptySignal", "EncodedSignal", "FiniteCarrier", "FiniteMeasureSpace",
-    "FnClass", "FunctorGraph", "FunctorLawReport", "HomLawReport", "INFINITY",
+    "FnClass", "HomLawReport", "INFINITY",
     "IntervalMismatch", "LawResult", "MapNotTotal", "MeasurableMap",
     "MeasureAlgebra", "Metrics", "NonConstantOnAtom", "NotADirectSum",
     "NotHom", "NotIMP", "NotNonsingular", "PartialInjection", "PolicyMismatch",
@@ -66,7 +65,7 @@ __all__ = [
     "quotient_measure_algebra", "read_container", "read_container_file",
     "read_csv_signal", "read_pgm", "redundancy_report", "restriction",
     "run_all", "scale", "segment_signal", "split_direct_sum", "sup",
-    "summand_slices", "verify_functor_laws", "write_container",
+    "summand_slices", "write_container",
     "write_container_file", "write_csv_signal", "write_pgm",
     "zeroth_order_entropy",
 ]

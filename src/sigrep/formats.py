@@ -5,11 +5,13 @@ that (together with OSError) to its I/O-format exit code.
 
 Each text reader makes one pass over its input, and the work per byte runs
 in C.  A PGM header is matched by one regex and a P2 raster is split by
-``bytes.split``.  CSV text is read in chunks of ``_READ_CHUNK`` lines, each
-parsed by one ``map(int, ...)``; only a chunk that holds some other line
-(a comment, a blank line, a rational or bad text) goes line by line, and
-nothing is read twice.  The CSV reader never holds the whole text: a list
-of every line's ``str`` takes more memory than the ints parsed from them.
+``bytes.split``.  A CSV file is read as bytes in chunks of ``_READ_CHUNK``
+lines, each parsed by one ``map(int, ...)``; only a chunk that holds some
+other line (a comment, a blank line, a rational, bad text or a non-ASCII
+byte) goes line by line, and nothing is read twice.  The CSV reader holds
+one chunk of the text at a time, since a list of every line takes more
+memory than the ints parsed from them.  Only a file whose lines end in a
+lone CR is one chunk: a binary file splits at LF alone.
 """
 
 from __future__ import annotations
@@ -135,62 +137,53 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
     """One integer or rational per line; optional ``# origin=<i>`` header.
 
     Other comment lines and blank lines are skipped.  Returns
-    (samples, origin).
+    (samples, origin).  LF, CRLF and a lone CR each end a line.
 
-    ``int(line)`` accepts a line only where ``_parse_lines`` reads the same
-    int (``str.strip`` drops more control characters than ``int`` does, and
-    such a line sends its chunk line by line).  A non-ASCII byte is reported
-    after the lines the text reader returned before it are parsed, so a bad
-    sample on an earlier line is reported first, unless it lies in the
-    8 KiB block that fails to decode; see ``_not_ascii`` for the text.
+    The file is read as bytes.  ``int(line)`` accepts a line only where
+    ``_parse_lines`` reads the same int (``str.strip`` drops more control
+    characters than ``int`` does, and such a line sends its chunk line by
+    line).  A chunk holding a lone CR is split at it first, because ``int``
+    takes a CR inside a line as whitespace.  Errors come in line order: the
+    first bad sample, bad origin or non-ASCII byte is reported, a
+    non-ASCII byte by its line and file offset.
     """
     origin = 0
     samples: List[Sample] = []
-    lineno = 0
-    with open(path, "r", encoding="ascii") as fh:
+    lineno = offset = 0
+    with open(path, "rb") as fh:
         while True:
-            lines: List[str] = []
-            try:
-                lines.extend(islice(fh, _READ_CHUNK))
-            except UnicodeDecodeError as exc:
-                _parse_lines(lines, lineno, samples, origin)
-                raise _not_ascii(fh, exc, lineno + len(lines)) from None
+            lines = list(islice(fh, _READ_CHUNK))
             if not lines:
                 return samples, origin
+            block = b"".join(lines)
+            if block.count(b"\r") != block.count(b"\r\n"):
+                lines = block.splitlines(keepends=True)  # a lone CR too
             try:
                 samples += list(map(int, lines))
+                lineno += len(lines)
             except ValueError:
-                origin = _parse_lines(lines, lineno, samples, origin)
-            lineno += len(lines)
+                origin, lineno = _parse_lines(lines, lineno, offset, samples,
+                                              origin)
+            offset += len(block)
 
 
-def _not_ascii(fh, exc: UnicodeDecodeError, lineno: int) -> ValueError:
-    """The error for the byte that stopped ``fh``'s text reader after
-    ``lineno`` lines: its line, and its offset if ``fh`` can tell.  The
-    failed block ``exc.object`` ends where ``fh.buffer`` stands; a CR that
-    ended the block before waits in the reader for an LF, so it is re-read
-    (a pipe cannot seek, and counts a lone one one line short)."""
-    head = exc.object[:exc.start]
-    line = lineno + len((head + b"x").splitlines())  # LF, CRLF or lone CR
-    try:
-        block = fh.buffer.tell() - len(exc.object)
-        if block and not head.startswith(b"\n"):
-            fh.buffer.seek(block - 1)
-            line += fh.buffer.read(1) == b"\r"
-        where = f", offset {block + exc.start}"
-    except OSError:  # a pipe can neither tell nor seek
-        where = ""
-    return ValueError(f"line {line}{where}: non-ASCII byte "
-                      f"0x{exc.object[exc.start]:02x}")
-
-
-def _parse_lines(lines: Sequence[str], lineno: int, samples: List[Sample],
-                 origin: int) -> int:
-    """Parse ``lines``, which follow line ``lineno``, into ``samples``:
-    rationals too, blank and comment lines skipped, and a bad sample or
-    origin named by its line.  Returns the origin in force after them."""
-    for lineno, line in enumerate(lines, lineno + 1):
-        text = line.strip()
+def _parse_lines(lines: Sequence[bytes], lineno: int, offset: int,
+                 samples: List[Sample], origin: int) -> Tuple[int, int]:
+    """Parse ``lines``, which follow line ``lineno`` from byte ``offset`` on,
+    into ``samples``: rationals too, blank and comment lines skipped, and a
+    bad sample, bad origin or non-ASCII byte named by its line.  Returns the
+    origin in force after them and the number of the last line."""
+    if not all(map(bytes.isascii, lines)):
+        # the lines before the first non-ASCII one may hold an earlier error
+        k = next(k for k, line in enumerate(lines) if not line.isascii())
+        _parse_lines(lines[:k], lineno, offset, samples, origin)
+        line = lines[k]
+        at = next(i for i, b in enumerate(line) if b > 0x7f)
+        raise ValueError(f"line {lineno + k + 1}, "
+                         f"offset {offset + sum(map(len, lines[:k])) + at}: "
+                         f"non-ASCII byte 0x{line[at]:02x}")
+    for lineno, text in enumerate(map(bytes.decode, lines), lineno + 1):
+        text = text.strip()
         if not text:
             continue
         if text.startswith("#"):
@@ -206,7 +199,7 @@ def _parse_lines(lines: Sequence[str], lineno: int, samples: List[Sample],
             samples.append(_parse_sample(text))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return origin
+    return origin, lineno
 
 
 _WRITE_CHUNK = 65536  # samples formatted into one string per write

@@ -52,9 +52,6 @@ class PartialInjection:
     def is_partial_identity(self):
         return self.source == self.target and all(x == y for x, y in self.pairs)
 
-    def __matmul__(self, other):
-        return compose(self, other)
-
     def __eq__(self, other):
         return (isinstance(other, PartialInjection)
                 and self.source == other.source

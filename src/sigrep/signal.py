@@ -196,12 +196,6 @@ class SegmentArrow:
         return KIND_NAMES[arrow_kind(self.stride, self.amp)]
 
     @property
-    def is_identity(self) -> bool:
-        return (self.stride == 1 and self.shift == 0 and self.amp == 1
-                and self.source.interval == self.target.interval
-                and self.is_exact)
-
-    @property
     def is_exact(self) -> bool:
         return all(d == 0 for d in self.delta)
 
@@ -593,114 +587,6 @@ def detect_amp_affine(f: Segment, g: Segment, strides=(-2, -1, 1, 2),
     in detect_affine.
     """
     return _detect(f, g, _AMP_AFFINE, strides, tol)
-
-
-# ---------------------------------------------------------------- graphs
-
-class FunctorGraph:
-    """Named segments plus named arrows between them."""
-
-    def __init__(self):
-        self.objects: Dict[str, Segment] = {}
-        self.arrows: Dict[str, Tuple[str, str, SegmentArrow]] = {}
-
-    def add_object(self, name: str, seg: Segment):
-        if name in self.objects:
-            raise ValueError(f"duplicate object name {name!r}")
-        self.objects[name] = seg
-
-    def add_arrow(self, name: str, source_name: str, target_name: str,
-                  arrow: SegmentArrow):
-        if name in self.arrows:
-            raise ValueError(f"duplicate arrow name {name!r}")
-        src = self.objects[source_name]
-        tgt = self.objects[target_name]
-        if arrow.source != src or arrow.target != tgt:
-            raise IntervalMismatch("arrow endpoints do not match the named objects")
-        self.arrows[name] = (source_name, target_name, arrow)
-
-
-@dataclass(frozen=True)
-class FunctorLawReport:
-    identities_ok: bool
-    associativity_ok: bool
-    groupoid_ok: bool
-    composable_pairs: int
-    checked_triples: int
-    warnings: Tuple[str, ...]
-
-    @property
-    def category_ok(self) -> bool:
-        return self.identities_ok and self.associativity_ok
-
-
-def verify_functor_laws(graph: FunctorGraph) -> FunctorLawReport:
-    """Check category laws on a graph of segments and arrows.
-
-    * identities: every object carries an identity self-arrow, and composing
-      any arrow with the endpoint identities returns the arrow;
-    * associativity: all composable triples associate;
-    * groupoid: every arrow has a two-sided inverse present in the graph;
-    * warnings: duplicate parallel arrows (same endpoints, same data) under
-      different names.
-    """
-    idents: Dict[str, SegmentArrow] = {}
-    for name, seg in graph.objects.items():
-        idents[name] = identity_arrow(seg)
-    identities_ok = True
-    for name, seg in graph.objects.items():
-        if not any(sn == tn == name and arr.is_identity
-                   for sn, tn, arr in graph.arrows.values()):
-            identities_ok = False
-    arrows = list(graph.arrows.items())
-    for _, (sn, tn, arr) in arrows:
-        if (compose_arrows(arr, idents[sn]) != arr
-                or compose_arrows(idents[tn], arr) != arr):
-            identities_ok = False
-
-    pairs = 0
-    triples = 0
-    associativity_ok = True
-    for _, (sa, ta, a) in arrows:
-        for _, (sb, tb, b) in arrows:
-            if ta != sb:
-                continue
-            pairs += 1
-            ba = compose_arrows(b, a)
-            for _, (sc, tc, c) in arrows:
-                if tb != sc:
-                    continue
-                triples += 1
-                if compose_arrows(c, ba) != compose_arrows(compose_arrows(c, b), a):
-                    associativity_ok = False
-
-    groupoid_ok = True
-    for _, (sa, ta, a) in arrows:
-        if a.is_identity:
-            continue
-        found = False
-        for _, (sb, tb, b) in arrows:
-            if sb != ta or tb != sa:
-                continue
-            if (compose_arrows(b, a) == idents[sa]
-                    and compose_arrows(a, b) == idents[ta]):
-                found = True
-                break
-        if not found:
-            groupoid_ok = False
-
-    warnings = []
-    seen: Dict[Tuple[str, str], List[Tuple[str, SegmentArrow]]] = {}
-    for name, (sn, tn, arr) in arrows:
-        for other_name, other in seen.get((sn, tn), []):
-            if other == arr:
-                warnings.append(
-                    f"arrows {other_name!r} and {name!r} duplicate the same "
-                    f"data between {sn!r} and {tn!r}")
-        seen.setdefault((sn, tn), []).append((name, arr))
-
-    return FunctorLawReport(identities_ok, associativity_ok, groupoid_ok,
-                            pairs, triples, tuple(warnings))
 
 
 # ---------------------------------------------------------------- reports

@@ -27,6 +27,14 @@ def test_every_exported_name_resolves_once():
     (measure, "classify_map"),
     (sigrep, "null_ideal"),         # FiniteMeasureSpace.null_ideal()
     (measure, "null_ideal"),
+    (sigrep, "FunctorGraph"),       # laws.suite_segment_category
+    (signal, "FunctorGraph"),
+    (sigrep, "FunctorLawReport"),
+    (signal, "FunctorLawReport"),
+    (sigrep, "verify_functor_laws"),
+    (signal, "verify_functor_laws"),
+    (sigrep.SegmentArrow, "is_identity"),       # == identity_arrow(...)
+    (sigrep.PartialInjection, "__matmul__"),    # compose
 ])
 def test_deleted_aliases_are_gone(module, name):
     assert not hasattr(module, name)
@@ -80,7 +88,6 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-
 def _mentions(source, name):
     """Where ``source`` names ``name`` (as a variable, an attribute or an
     import): a set of (enclosing function or None, whether it assigns)."""
@@ -105,6 +112,31 @@ def test_mention_scan_sees_functions_attributes_and_imports():
               "def g():\n    def h():\n        return CAP\n")
     assert _mentions(source, "CAP") == {(None, False), (None, True),
                                         ("f", False), ("h", False)}
+
+
+def _uncalled(sources):
+    """Module-level private functions that no source names outside their
+    own body."""
+    defined = [node.name for source in sources for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    return [name for name in defined
+            if all(where == name for text in sources if name in text
+                   for where, _ in _mentions(text, name))]
+
+
+def test_caller_scan_skips_a_function_calling_itself():
+    sources = ["def _a():\n    return _b()\n"
+               "def _b(n):\n    return _b(n - 1)\n",
+               "def _c():\n    pass\ndef d():\n    return m._e\n"
+               "def _e():\n    pass\n"]
+    assert _uncalled(sources) == ["_a", "_c"]
+
+
+def test_every_private_function_has_a_caller():
+    # a helper whose callers were deleted goes with them
+    package = Path(sigrep.__file__).parent
+    assert _uncalled([path.read_text()
+                      for path in sorted(package.glob("*.py"))]) == []
 
 
 def test_the_null_mask_is_written_once_and_read_through_its_property():

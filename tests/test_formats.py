@@ -310,13 +310,13 @@ def _random_csv(rng) -> str:
     return text + newline if rng.random() < 0.8 else text
 
 
-def _read_csv_checked(fh) -> Tuple[List[formats.Sample], int]:
-    """``read_csv_signal`` line by line from an open text file: parses
+def _read_csv_checked(lines) -> Tuple[List[formats.Sample], int]:
+    """``read_csv_signal`` line by line over decoded lines: parses
     rationals, skips blank and comment lines anywhere, and names the line
     of a bad sample or origin."""
     origin = 0
     samples: List[formats.Sample] = []
-    for lineno, line in enumerate(fh, 1):
+    for lineno, line in enumerate(lines, 1):
         text = line.strip()
         if not text:
             continue
@@ -337,9 +337,19 @@ def _read_csv_checked(fh) -> Tuple[List[formats.Sample], int]:
 
 
 def _read_checked(path):
-    """The whole-file line-by-line reader, kept as the oracle."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _read_csv_checked(fh)
+    """The whole-file line-by-line reader, kept as the oracle.  Each line
+    is decoded on its own, when it is reached, so the first line with an
+    error names it, whether a bad sample or a non-ASCII byte."""
+    data = path.read_bytes()
+
+    def decoded():
+        for line in data.splitlines(keepends=True):  # LF, CRLF or lone CR
+            try:
+                yield line.decode("ascii")
+            except UnicodeDecodeError:
+                raise ValueError(_not_ascii_text(data)) from None
+
+    return _read_csv_checked(decoded())
 
 
 def _outcome(read, path):
@@ -360,15 +370,6 @@ def _not_ascii_text(data: bytes) -> str:
     return f"line {line}, offset {off}: non-ASCII byte 0x{data[off]:02x}"
 
 
-def _checked_outcome(path):
-    """The oracle's outcome; where it fails to decode, the ValueError that
-    names the byte's line and offset instead."""
-    outcome = _outcome(_read_checked, path)
-    if outcome[0] is UnicodeDecodeError:
-        return ValueError, _not_ascii_text(path.read_bytes())
-    return outcome
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
@@ -376,7 +377,7 @@ def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
     for _ in range(300):
         raw = _random_csv(rng).encode("utf-8")
         p.write_bytes(raw)
-        expected = _checked_outcome(p)
+        expected = _outcome(_read_checked, p)
         # chunk boundaries fall after every line, every other and every third
         for chunk in (1, 2, 3, formats._READ_CHUNK):
             with monkeypatch.context() as m:
@@ -387,6 +388,7 @@ def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
 @pytest.mark.parametrize("bad, undecodable, error", [
     (11, 3001, "line 11: bad sample 'banana'"),
     (3001, 3, "line 3, offset 4: non-ASCII byte 0xc3"),
+    (2, 4, "line 2: bad sample 'banana'"),
 ])
 def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
                                                error):
@@ -399,7 +401,7 @@ def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
     p = tmp_path / "sig.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outcome = _outcome(read_csv_signal, p)
-    assert outcome == _checked_outcome(p)
+    assert outcome == _outcome(_read_checked, p)
     assert outcome[1] == error
 
 
@@ -407,8 +409,8 @@ def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
 @pytest.mark.parametrize("chunk", [1, 700, 4096])
 def test_csv_non_ascii_byte_names_its_line_and_offset(tmp_path, monkeypatch,
                                                       newline, chunk):
-    """The offset counts from the start of the file, not from the block the
-    text decoder was given, and the line counts every kind of line end."""
+    """The offset counts from the start of the file, and the line counts
+    every kind of line end."""
     monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
     lines = [str(i) for i in range(5000)]
     lines[3000] = "é"
@@ -424,8 +426,7 @@ def test_csv_non_ascii_byte_names_its_line_and_offset(tmp_path, monkeypatch,
 @pytest.mark.parametrize("lone_cr_ends_a_block", [False, True])
 def test_csv_non_ascii_byte_after_a_cr_at_a_block_end(tmp_path,
                                                       lone_cr_ends_a_block):
-    # the text reader decodes 8 KiB blocks; a CR that ends one is held back
-    # until the next block shows whether an LF follows
+    # a lone CR ends a line, also where it is the 8,192nd byte of the file
     data = b"1\r" * 4096 + (b"" if lone_cr_ends_a_block else b"\n") + b"\xc3\xa9"
     p = tmp_path / "sig.csv"
     p.write_bytes(data)
@@ -436,15 +437,27 @@ def test_csv_non_ascii_byte_after_a_cr_at_a_block_end(tmp_path,
     assert str(exc.value).startswith(f"line 4097, offset {offset}:")
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_csv_lone_cr_is_counted_on_the_fast_path(tmp_path, monkeypatch,
+                                                 chunk):
+    # int() reads b"\r5\n" as 5, but its lone CR ends a blank line first
+    monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
+    p = tmp_path / "sig.csv"
+    p.write_bytes(b"\r5\n6\r\n7\nbanana\n")
+    outcome = _outcome(read_csv_signal, p)
+    assert outcome == _outcome(_read_checked, p)
+    assert outcome == (ValueError, "line 5: bad sample 'banana'")
+
+
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
     """Only the chunks holding the header and the trailing blank line go
     line by line; the whole-int chunks between them do not."""
     calls = []
     parse_lines = formats._parse_lines
 
-    def counted(lines, lineno, samples, origin):
+    def counted(lines, lineno, offset, samples, origin):
         calls.append(lineno)
-        return parse_lines(lines, lineno, samples, origin)
+        return parse_lines(lines, lineno, offset, samples, origin)
 
     n = 3 * formats._READ_CHUNK
     p = tmp_path / "sig.csv"
@@ -479,15 +492,21 @@ def test_csv_from_a_pipe(tmp_path, text):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_csv_non_ascii_byte_from_a_pipe():
-    # a pipe cannot tell where it stands, so the error names the line alone
-    r, w = os.pipe()
-    try:
-        os.write(w, b"# origin=2\n1\n\xc3\xa9\n")
-        os.close(w)
-        with pytest.raises(ValueError, match=r"^line 3: non-ASCII byte 0xc3$"):
-            read_csv_signal(f"/dev/fd/{r}")
-    finally:
-        os.close(r)
+    # the reader counts its own offsets, so a pipe gives what a file gives
+    for data, error in [
+            (b"# origin=2\n1\n\xc3\xa9\n",
+             "line 3, offset 13: non-ASCII byte 0xc3"),
+            (b"1\r" * 4096 + b"\xc3\xa9",
+             "line 4097, offset 8192: non-ASCII byte 0xc3")]:
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            with pytest.raises(ValueError) as exc:
+                read_csv_signal(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert str(exc.value) == error == _not_ascii_text(data)
 
 
 def _per_line_writer(path, samples, origin=0):

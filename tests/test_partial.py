@@ -44,7 +44,6 @@ def test_composition():
     g = PartialInjection(Y, X, [(0, 3), (2, 2)])
     gf = compose(g, f)
     assert gf.as_dict() == {0: 2, 1: 3}    # 3 -> 1 dies: g undefined at 1
-    assert (g @ f) == gf
     with pytest.raises(SpaceMismatch):
         compose(f, f)
 

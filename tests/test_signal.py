@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from sigrep import (BadBreakpoints, EmptySignal, FunctorGraph,
-                    IntervalMismatch, Segment, SegmentArrow, compose_arrows,
-                    delta, detect_affine, detect_amp_affine,
-                    detect_translation, identity_arrow,
+from sigrep import (BadBreakpoints, EmptySignal, IntervalMismatch, Segment,
+                    SegmentArrow, compose_arrows, delta, detect_affine,
+                    detect_amp_affine, detect_translation, identity_arrow,
                     prototype_decomposition, redundancy_report,
-                    segment_signal, verify_functor_laws)
+                    segment_signal)
 
 STRIDES = (-2, -1, 1, 2)
 
@@ -125,30 +124,41 @@ def test_identity_and_composition():
     assert compose_arrows(identity_arrow(g), a) == a
     with pytest.raises(IntervalMismatch):
         compose_arrows(a, b)
-    assert identity_arrow(f).is_identity
-    assert not SegmentArrow(f, f, 1, 0, 1, [0, 1, 0]).is_identity
+    back = detect_translation(g, f)
+    assert compose_arrows(back, a) == identity_arrow(f)
+    assert compose_arrows(a, back) == identity_arrow(g)
 
 
 def test_composite_residual_exact_random():
-    """delta of a composite reproduces the observed target exactly."""
+    """delta of a composite reproduces the observed target exactly, and
+    composition associates."""
     rng = random.Random(53)
     for _ in range(60):
         n = rng.randint(2, 6)
-        f = Segment(0, n, [rng.randint(-9, 9) for _ in range(n)])
-        g = Segment(0, n, [rng.randint(-9, 9) for _ in range(n)])
-        h = Segment(0, n, [rng.randint(-9, 9) for _ in range(n)])
+        f, g, h, k = (Segment(0, n, [rng.randint(-9, 9) for _ in range(n)])
+                      for _ in range(4))
         a = detect_translation(f, g, tol=float("inf"))
         b = detect_translation(g, h, tol=float("inf"))
+        c = detect_translation(h, k, tol=float("inf"))
         ba = compose_arrows(b, a)
         assert ba.apply(f) == h
+        assert compose_arrows(c, ba) == compose_arrows(compose_arrows(c, b), a)
+    associated = 0
     for _ in range(60):  # strides, amplitudes and nonzero residuals
-        n, m, k = sorted(rng.randint(1, 9) for _ in range(3))[::-1]
-        f, g, h = (Segment(s, s + n, [rng.randint(-9, 9) for _ in range(n)])
-                   for s, n in ((-4, n), (3, m), (20, k)))
+        n, m, k, q = sorted(rng.randint(1, 9) for _ in range(4))[::-1]
+        f, g, h, e = (Segment(s, s + n, [rng.randint(-9, 9) for _ in range(n)])
+                      for s, n in ((-4, n), (3, m), (20, k), (-30, q)))
         a = detect_amp_affine(f, g, STRIDES, float("inf"))
         b = detect_amp_affine(g, h, STRIDES, float("inf"))
+        c = detect_amp_affine(h, e, STRIDES, float("inf"))
         if a is not None and b is not None:
-            assert compose_arrows(b, a).apply(f) == h
+            ba = compose_arrows(b, a)
+            assert ba.apply(f) == h
+            if c is not None:
+                assert (compose_arrows(c, ba)
+                        == compose_arrows(compose_arrows(c, b), a))
+                associated += 1
+    assert associated >= 50
 
 
 @pytest.mark.parametrize("stride", (-3, -2, -1, 1, 2, 3))
@@ -280,68 +290,6 @@ def test_detectors_respect_stride_bounds():
     g = Segment(0, 3, [1, 2, 3])
     # |S|*(m-1)+1 = 5 > 3, so stride 2 yields no candidates
     assert detect_affine(f, g, (2,), float("inf")) is None
-
-
-# ---------------------------------------------------------------- graphs
-
-
-def unit_graph(values, origin=1):
-    segs = [Segment(origin + k, origin + k + 1, (v,))
-            for k, v in enumerate(values)]
-    graph = FunctorGraph()
-    for k, s in enumerate(segs):
-        graph.add_object(f"s{k}", s)
-        graph.add_arrow(f"id{k}", f"s{k}", f"s{k}", identity_arrow(s))
-    return graph, segs
-
-
-def test_prototype_graph_is_groupoid():
-    graph, segs = unit_graph([1, 2, 3, 4, 5])
-    for k in range(1, len(segs)):
-        fwd = detect_translation(segs[k - 1], segs[k], tol=float("inf"))
-        bwd = detect_translation(segs[k], segs[k - 1], tol=float("inf"))
-        graph.add_arrow(f"a{k}", f"s{k-1}", f"s{k}", fwd)
-        graph.add_arrow(f"b{k}", f"s{k}", f"s{k-1}", bwd)
-    rep = verify_functor_laws(graph)
-    assert rep.identities_ok and rep.associativity_ok and rep.groupoid_ok
-    assert rep.category_ok
-    assert not rep.warnings
-    assert rep.composable_pairs > 0 and rep.checked_triples > 0
-
-
-def test_one_way_arrow_breaks_groupoid_only():
-    graph, segs = unit_graph([1, 2])
-    fwd = detect_translation(segs[0], segs[1], tol=float("inf"))
-    graph.add_arrow("a", "s0", "s1", fwd)
-    rep = verify_functor_laws(graph)
-    assert rep.category_ok
-    assert not rep.groupoid_ok
-
-
-def test_duplicate_parallel_arrows_warn():
-    graph, segs = unit_graph([1, 2])
-    fwd = detect_translation(segs[0], segs[1], tol=float("inf"))
-    dup = SegmentArrow(segs[0], segs[1], fwd.stride, fwd.shift, fwd.amp,
-                       fwd.delta)
-    graph.add_arrow("a", "s0", "s1", fwd)
-    graph.add_arrow("a_again", "s0", "s1", dup)
-    rep = verify_functor_laws(graph)
-    assert any("duplicate" in w for w in rep.warnings)
-
-
-def test_graph_rejects_mismatched_endpoints():
-    graph, segs = unit_graph([1, 2])
-    with pytest.raises(IntervalMismatch):
-        graph.add_arrow("bad", "s1", "s0",
-                        detect_translation(segs[0], segs[1], float("inf")))
-
-
-def test_missing_identity_detected():
-    graph = FunctorGraph()
-    s = Segment(0, 1, [1])
-    graph.add_object("s", s)
-    rep = verify_functor_laws(graph)
-    assert not rep.identities_ok
 
 
 # ---------------------------------------------------------------- reports
