@@ -11,7 +11,8 @@ other line (a comment, a blank line, a rational, bad text or a non-ASCII
 byte) goes line by line, and nothing is read twice.  The CSV reader holds
 one chunk of the text at a time, since a list of every line takes more
 memory than the ints parsed from them.  Only a file whose lines end in a
-lone CR is one chunk: a binary file splits at LF alone.
+lone CR is read whole, since a binary file splits at LF alone; its lines are
+still parsed in chunks of ``_READ_CHUNK``.
 """
 
 from __future__ import annotations
@@ -151,20 +152,35 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
     samples: List[Sample] = []
     lineno = offset = 0
     with open(path, "rb") as fh:
-        while True:
-            lines = list(islice(fh, _READ_CHUNK))
-            if not lines:
-                return samples, origin
-            block = b"".join(lines)
-            if block.count(b"\r") != block.count(b"\r\n"):
-                lines = block.splitlines(keepends=True)  # a lone CR too
+        for lines, size in _chunks(fh):
             try:
                 samples += list(map(int, lines))
                 lineno += len(lines)
             except ValueError:
                 origin, lineno = _parse_lines(lines, lineno, offset, samples,
                                               origin)
-            offset += len(block)
+            offset += size
+    return samples, origin
+
+
+def _chunks(fh):
+    """The lines of the binary file ``fh`` in lists of at most
+    ``_READ_CHUNK``, each with its size in bytes.  A binary file splits at
+    LF alone, so lines read that hold a lone CR are split again at it, and
+    the pieces are sliced back into lists of ``_READ_CHUNK``."""
+    while True:
+        lines = list(islice(fh, _READ_CHUNK))
+        if not lines:
+            return
+        block = b"".join(lines)
+        if block.count(b"\r") == block.count(b"\r\n"):
+            yield lines, len(block)
+            continue
+        lines = block.splitlines(keepends=True)  # a lone CR too
+        del block
+        for k in range(0, len(lines), _READ_CHUNK):
+            part = lines[k:k + _READ_CHUNK]
+            yield part, sum(map(len, part))
 
 
 def _parse_lines(lines: Sequence[bytes], lineno: int, offset: int,

@@ -4,9 +4,17 @@ Each suite draws random finite instances and checks the relevant identities
 exactly (rational arithmetic, no tolerances).  A suite returns a LawResult
 with the number of instances checked and a list of failure descriptions;
 the CLI prints one line per suite and fails if any list is nonempty.
+
+Within one instance a suite makes each library call once per distinct
+argument and then compares the values: a loop over members or pairs looks
+them up in a ``_Memo``, and a value that several laws use is kept in a
+local.  Every law is still checked on the same arguments, and the failures
+come in the same order.  A failure message is formatted only when its check
+fails, never for a check that passes.
 """
 
 import random
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,9 +167,24 @@ def rand_segment(rng, length=None, origin=None, span=9):
 
 # ---------------------------------------------------------------- helpers
 
-def _expect(failures, cond, msg):
+def _expect(failures, cond, i, text):
+    """Record ``[i] text`` if ``cond`` is false; only then is it formatted."""
     if not cond:
-        failures.append(msg)
+        failures.append(f"[{i}] {text}")
+
+
+class _Memo(dict):
+    """The values of ``fn``, each computed on its first lookup, so a loop
+    over members or pairs calls ``fn`` once per distinct argument.  An error
+    from ``fn`` propagates and nothing is stored."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 # ---------------------------------------------------------------- suites
@@ -175,15 +198,20 @@ def suite_sigma_closure(rng, instances):
                 for _ in range(rng.randint(0, 3))]
         alg = generate_sigma_algebra(carrier, gens)
         full = carrier.full_mask
+        inside = _Memo(alg.__contains__)
         f = res.failures
-        _expect(f, 0 in alg and full in alg, f"[{i}] missing empty/full")
+        _expect(f, inside[0] and inside[full], i, "missing empty/full")
         for g in gens:
-            _expect(f, carrier.mask_of(g) in alg, f"[{i}] generator missing")
-        for a in alg.members:
-            _expect(f, (full & ~a) in alg, f"[{i}] complement of {a} missing")
-            for b in alg.members:
-                _expect(f, (a | b) in alg, f"[{i}] union missing")
-                _expect(f, (a & b) in alg, f"[{i}] intersection missing")
+            _expect(f, inside[carrier.mask_of(g)], i, "generator missing")
+        members = alg.members
+        for a in members:
+            if not inside[full & ~a]:
+                f.append(f"[{i}] complement of {a} missing")
+            for b in members:
+                if not inside[a | b]:
+                    f.append(f"[{i}] union missing")
+                if not inside[a & b]:
+                    f.append(f"[{i}] intersection missing")
     return res
 
 
@@ -192,21 +220,24 @@ def suite_null_ideal(rng, instances):
     for i in range(instances):
         sp = rand_space(rng, coarse_prob=0.5)
         ideal = sp.null_ideal()
+        null = sp.null_mask
         f = res.failures
-        _expect(f, 0 in ideal, f"[{i}] empty set missing")
+        _expect(f, 0 in ideal, i, "empty set missing")
         for n in ideal:
-            _expect(f, sp._mass(n & sp.null_mask) == 0, f"[{i}] member not null")
+            _expect(f, sp._mass(n & null) == 0, i, "member not null")
             for m in ideal:
-                _expect(f, (n | m) in ideal, f"[{i}] union escapes the ideal")
+                if (n | m) not in ideal:
+                    f.append(f"[{i}] union escapes the ideal")
             sub = n
             while True:  # all subsets of n
-                _expect(f, sub in ideal, f"[{i}] subset escapes the ideal")
+                if sub not in ideal:
+                    f.append(f"[{i}] subset escapes the ideal")
                 if sub == 0:
                     break
                 sub = (sub - 1) & n
         for e in sp.sigma.members:
-            if sp.measure(e) == 0:
-                _expect(f, e in ideal, f"[{i}] null member {e} not in ideal")
+            if sp.measure(e) == 0 and e not in ideal:
+                f.append(f"[{i}] null member {e} not in ideal")
     return res
 
 
@@ -216,33 +247,36 @@ def suite_measure_algebra(rng, instances):
         sp = rand_space(rng, coarse_prob=0.4)
         malg = MeasureAlgebra(sp)
         alg = malg.algebra
+        mu = _Memo(malg.mu_bar)
         f = res.failures
-        _expect(f, malg.mu_bar(alg.zero) == 0, f"[{i}] mu_bar(0) != 0")
-        for e in alg.elements:
-            if e != 0:
-                _expect(f, malg.mu_bar(e) > 0, f"[{i}] mu_bar({e}) not positive")
-        for a in alg.elements:
-            for b in alg.elements:
-                if a & b == 0:
-                    _expect(f, malg.mu_bar(a | b) == malg.mu_bar(a) + malg.mu_bar(b),
-                            f"[{i}] additivity fails at ({a},{b})")
-        proj = malg.project
+        _expect(f, mu[alg.zero] == 0, i, "mu_bar(0) != 0")
+        elements = alg.elements
+        for e in elements:
+            if e != 0 and not mu[e] > 0:
+                f.append(f"[{i}] mu_bar({e}) not positive")
+        for a in elements:
+            for b in elements:
+                if a & b == 0 and mu[a | b] != mu[a] + mu[b]:
+                    f.append(f"[{i}] additivity fails at ({a},{b})")
+        proj = _Memo(malg.project)
+        mass = _Memo(sp._mass)
+        full = sp.carrier.full_mask
         members = sorted(sp.sigma.members)
-        _expect(f, proj(sp.carrier.full_mask) == alg.unit, f"[{i}] unit not hit")
+        _expect(f, proj[full] == alg.unit, i, "unit not hit")
         for ea in members:
+            pa = proj[ea]
             for eb in members:
-                _expect(f, proj(ea ^ eb) == proj(ea) ^ proj(eb),
-                        f"[{i}] projection breaks sym-diff")
-                _expect(f, proj(ea & eb) == proj(ea) & proj(eb),
-                        f"[{i}] projection breaks meet")
-                _expect(f, proj(ea | eb) == proj(ea) | proj(eb),
-                        f"[{i}] projection breaks join (SOC)")
-                order_alg = proj(ea) & ~proj(eb) == 0
-                order_meas = sp._mass(ea & ~eb & sp.carrier.full_mask) == 0
-                _expect(f, order_alg == order_meas,
-                        f"[{i}] order mismatch at ({ea},{eb})")
-            _expect(f, malg.mu_bar(proj(ea)) == sp.measure(ea),
-                    f"[{i}] measure not respected at {ea}")
+                pb = proj[eb]
+                if proj[ea ^ eb] != pa ^ pb:
+                    f.append(f"[{i}] projection breaks sym-diff")
+                if proj[ea & eb] != pa & pb:
+                    f.append(f"[{i}] projection breaks meet")
+                if proj[ea | eb] != pa | pb:
+                    f.append(f"[{i}] projection breaks join (SOC)")
+                if (pa & ~pb == 0) != (mass[ea & ~eb & full] == 0):
+                    f.append(f"[{i}] order mismatch at ({ea},{eb})")
+            if mu[pa] != sp.measure(ea):
+                f.append(f"[{i}] measure not respected at {ea}")
     return res
 
 
@@ -270,10 +304,10 @@ def suite_induced_hom(rng, instances):
         h_chi = induced_hom(chi)
         f = res.failures
         _expect(f, h_chi == compose_homs(h_phi, h_psi),
-                f"[{i}] contravariance fails")
-        _expect(f, h_phi.is_hom and h_phi.is_soc, f"[{i}] flags wrong")
+                i, "contravariance fails")
+        _expect(f, h_phi.is_hom and h_phi.is_soc, i, "flags wrong")
         rep = check_hom_laws(h_phi)
-        _expect(f, rep.is_hom and rep.is_soc, f"[{i}] law report disagrees")
+        _expect(f, rep.is_hom and rep.is_soc, i, "law report disagrees")
     return res
 
 
@@ -288,7 +322,7 @@ def suite_imp_preserving(rng, instances):
             phi = rand_nonsingular_map(rng, a, b)
         hom = induced_hom(phi)
         _expect(res.failures, hom.is_measure_preserving == phi.is_imp,
-                f"[{i}] preservation flag disagrees with imp flag")
+                i, "preservation flag disagrees with imp flag")
     return res
 
 
@@ -302,15 +336,16 @@ def suite_pullback(rng, instances):
         h = rand_fn(rng, b)
         s, t = rand_scalar(rng), rand_scalar(rng)
         T = lambda x: pullback(phi, x)
+        tg, th = T(g), T(h)
         f = res.failures
-        _expect(f, T(scale(s, g) + scale(t, h)) == scale(s, T(g)) + scale(t, T(h)),
-                f"[{i}] linearity fails")
-        _expect(f, T(mul(g, h)) == mul(T(g), T(h)), f"[{i}] multiplicativity fails")
-        _expect(f, T(sup(g, h)) == sup(T(g), T(h)), f"[{i}] sup not preserved")
-        _expect(f, T(inf(g, h)) == inf(T(g), T(h)), f"[{i}] inf not preserved")
+        _expect(f, T(scale(s, g) + scale(t, h)) == scale(s, tg) + scale(t, th),
+                i, "linearity fails")
+        _expect(f, T(mul(g, h)) == mul(tg, th), i, "multiplicativity fails")
+        _expect(f, T(sup(g, h)) == sup(tg, th), i, "sup not preserved")
+        _expect(f, T(inf(g, h)) == inf(tg, th), i, "inf not preserved")
         member = rng.choice(sorted(b.sigma.members))
         _expect(f, T(indicator(b, member)) == indicator(a, phi.preimage_mask(member)),
-                f"[{i}] indicator pullback mismatch")
+                i, "indicator pullback mismatch")
     return res
 
 
@@ -322,8 +357,8 @@ def suite_pullback_isometry(rng, instances):
         h = rand_fn(rng, phi.target, tag="L2")
         tg, th = pullback(phi, g), pullback(phi, h)
         f = res.failures
-        _expect(f, norm2_sq(tg) == norm2_sq(g), f"[{i}] squared norm changed")
-        _expect(f, inner(tg, th) == inner(g, h), f"[{i}] inner product changed")
+        _expect(f, norm2_sq(tg) == norm2_sq(g), i, "squared norm changed")
+        _expect(f, inner(tg, th) == inner(g, h), i, "inner product changed")
     return res
 
 
@@ -339,11 +374,11 @@ def suite_covariant(rng, instances):
         tu = covariant_op(pi, u)
         f = res.failures
         for a in set(u.atom_values) | {Fraction(0)}:
-            _expect(f, tu.threshold(a) == pi(u.threshold(a)),
-                    f"[{i}] threshold family mismatch at {a}")
+            if tu.threshold(a) != pi(u.threshold(a)):
+                f.append(f"[{i}] threshold family mismatch at {a}")
         lhs = covariant_op(compose_homs(theta, pi), u)
-        rhs = covariant_op(theta, covariant_op(pi, u))
-        _expect(f, lhs == rhs, f"[{i}] composition law fails")
+        rhs = covariant_op(theta, tu)
+        _expect(f, lhs == rhs, i, "composition law fails")
     return res
 
 
@@ -357,11 +392,11 @@ def suite_bridge(rng, instances):
         u = rand_dual(rng, malg_b)
         fb = duality_bridge_inverse(b, u)
         f = res.failures
-        _expect(f, duality_bridge(b, fb) == u, f"[{i}] bridge round trip fails")
+        _expect(f, duality_bridge(b, fb) == u, i, "bridge round trip fails")
         hom = induced_hom(phi)
         lhs = duality_bridge(a, pullback(phi, fb))
         rhs = covariant_op(hom, u)
-        _expect(f, lhs == rhs, f"[{i}] naturality square fails")
+        _expect(f, lhs == rhs, i, "naturality square fails")
     return res
 
 
@@ -373,17 +408,19 @@ def suite_linear(rng, instances):
         c, d = rand_scalar(rng), rand_scalar(rng)
         zero = canonical_class([0] * sp.carrier.size, sp)
         f = res.failures
-        _expect(f, (x + y) + z == x + (y + z), f"[{i}] + not associative")
-        _expect(f, x + zero == x and zero + x == x, f"[{i}] zero not neutral")
-        _expect(f, x + (-x) == zero, f"[{i}] negation fails")
-        _expect(f, x + y == y + x, f"[{i}] + not commutative")
-        _expect(f, scale(c, x + y) == scale(c, x) + scale(c, y),
-                f"[{i}] scalar distributivity fails")
-        _expect(f, scale(c + d, x) == scale(c, x) + scale(d, x),
-                f"[{i}] scalar addition fails")
+        xy = x + y
+        _expect(f, xy + z == x + (y + z), i, "+ not associative")
+        _expect(f, x + zero == x and zero + x == x, i, "zero not neutral")
+        _expect(f, x + (-x) == zero, i, "negation fails")
+        _expect(f, xy == y + x, i, "+ not commutative")
+        cx = scale(c, x)
+        _expect(f, scale(c, xy) == cx + scale(c, y),
+                i, "scalar distributivity fails")
+        _expect(f, scale(c + d, x) == cx + scale(d, x),
+                i, "scalar addition fails")
         _expect(f, scale(c * d, x) == scale(c, scale(d, x)),
-                f"[{i}] scalar associativity fails")
-        _expect(f, scale(1, x) == x, f"[{i}] unit scalar fails")
+                i, "scalar associativity fails")
+        _expect(f, scale(1, x) == x, i, "unit scalar fails")
     return res
 
 
@@ -394,23 +431,24 @@ def suite_order_riesz(rng, instances):
         x, y, z, h = (rand_fn(rng, sp) for _ in range(4))
         c = abs(rand_scalar(rng))
         f = res.failures
-        _expect(f, leq_ae(x, x), f"[{i}] order not reflexive")
-        if leq_ae(x, y) and leq_ae(y, x):
-            _expect(f, x == y, f"[{i}] order not antisymmetric")
-        if leq_ae(x, y) and leq_ae(y, z):
-            _expect(f, leq_ae(x, z), f"[{i}] order not transitive")
-        if leq_ae(x, y):
-            _expect(f, leq_ae(x + z, y + z), f"[{i}] order not shift-invariant")
+        _expect(f, leq_ae(x, x), i, "order not reflexive")
+        x_le_y = leq_ae(x, y)
+        if x_le_y and leq_ae(y, x):
+            _expect(f, x == y, i, "order not antisymmetric")
+        if x_le_y and leq_ae(y, z):
+            _expect(f, leq_ae(x, z), i, "order not transitive")
+        if x_le_y:
+            _expect(f, leq_ae(x + z, y + z), i, "order not shift-invariant")
             _expect(f, leq_ae(scale(c, x), scale(c, y)),
-                    f"[{i}] order not scale-invariant")
+                    i, "order not scale-invariant")
         s, m = sup(x, y), inf(x, y)
-        _expect(f, leq_ae(x, s) and leq_ae(y, s), f"[{i}] sup below operand")
-        _expect(f, leq_ae(m, x) and leq_ae(m, y), f"[{i}] inf above operand")
+        _expect(f, leq_ae(x, s) and leq_ae(y, s), i, "sup below operand")
+        _expect(f, leq_ae(m, x) and leq_ae(m, y), i, "inf above operand")
         _expect(f, leq_ae(s, h) == (leq_ae(x, h) and leq_ae(y, h)),
-                f"[{i}] sup universal property fails")
+                i, "sup universal property fails")
         _expect(f, leq_ae(h, m) == (leq_ae(h, x) and leq_ae(h, y)),
-                f"[{i}] inf universal property fails")
-        _expect(f, sup(x, -x) == abs(x), f"[{i}] |x| is not x v -x")
+                i, "inf universal property fails")
+        _expect(f, sup(x, -x) == abs(x), i, "|x| is not x v -x")
     return res
 
 
@@ -421,28 +459,29 @@ def suite_multiplicative(rng, instances):
         x, y, z = (rand_fn(rng, sp) for _ in range(3))
         c = rand_scalar(rng)
         one = canonical_class([1] * sp.carrier.size, sp)
+        xy, xz, yz = mul(x, y), mul(x, z), mul(y, z)
+        ax, ay = abs(x), abs(y)
         f = res.failures
-        _expect(f, mul(x, mul(y, z)) == mul(mul(x, y), z), f"[{i}] x not associative")
-        _expect(f, mul(x, one) == x and mul(one, x) == x, f"[{i}] unit fails")
-        _expect(f, scale(c, mul(x, y)) == mul(scale(c, x), y) ==
-                mul(x, scale(c, y)), f"[{i}] scalar compatibility fails")
-        _expect(f, mul(x, y + z) == mul(x, y) + mul(x, z),
-                f"[{i}] left distributivity fails")
-        _expect(f, mul(x + y, z) == mul(x, z) + mul(y, z),
-                f"[{i}] right distributivity fails")
-        _expect(f, mul(x, y) == mul(y, x), f"[{i}] x not commutative")
-        _expect(f, abs(mul(x, y)) == mul(abs(x), abs(y)), f"[{i}] |xy| != |x||y|")
+        _expect(f, mul(x, yz) == mul(xy, z), i, "x not associative")
+        _expect(f, mul(x, one) == x and mul(one, x) == x, i, "unit fails")
+        _expect(f, scale(c, xy) == mul(scale(c, x), y) ==
+                mul(x, scale(c, y)), i, "scalar compatibility fails")
+        _expect(f, mul(x, y + z) == xy + xz, i, "left distributivity fails")
+        _expect(f, mul(x + y, z) == xz + yz,
+                i, "right distributivity fails")
+        _expect(f, xy == mul(y, x), i, "x not commutative")
+        _expect(f, abs(xy) == mul(ax, ay), i, "|xy| != |x||y|")
         zero = canonical_class([0] * sp.carrier.size, sp)
-        _expect(f, (mul(x, y) == zero) == (inf(abs(x), abs(y)) == zero),
-                f"[{i}] disjointness characterization fails")
+        _expect(f, (xy == zero) == (inf(ax, ay) == zero),
+                i, "disjointness characterization fails")
         # |x| <= |y| iff x = y*z for some z with |z| <= 1
-        dominated = leq_ae(abs(x), abs(y))
+        dominated = leq_ae(ax, ay)
         zvals = [xa / ya if ya != 0 else Fraction(0)
                  for xa, ya in zip(x.values, y.values)]
         zc = canonical_class(zvals, sp)
         witness_ok = leq_ae(abs(zc), one) and mul(y, zc) == x
         _expect(f, dominated == witness_ok,
-                f"[{i}] domination witness characterization fails")
+                i, "domination witness characterization fails")
     return res
 
 
@@ -455,26 +494,26 @@ def suite_restriction_dagger(rng, instances):
         f_ = rand_pinj(rng, x, yy)
         g_same = rand_pinj(rng, x, zz)      # same source as f_
         g_chain = rand_pinj(rng, yy, zz)    # composable after f_
-        fr = restriction(f_)
+        fr, rg = restriction(f_), restriction(g_same)
+        fr_rg = compose(fr, rg)
+        gf = compose(g_chain, f_)
+        fd = dagger(f_)
         fl = res.failures
-        _expect(fl, compose(f_, fr) == f_, f"[{i}] R1 fails")
-        _expect(fl, compose(fr, restriction(g_same)) ==
-                compose(restriction(g_same), fr), f"[{i}] R2 fails")
-        _expect(fl, restriction(compose(f_, restriction(g_same))) ==
-                compose(fr, restriction(g_same)), f"[{i}] R3 fails")
+        _expect(fl, compose(f_, fr) == f_, i, "R1 fails")
+        _expect(fl, fr_rg == compose(rg, fr), i, "R2 fails")
+        _expect(fl, restriction(compose(f_, rg)) == fr_rg, i, "R3 fails")
         _expect(fl, compose(restriction(g_chain), f_) ==
-                compose(f_, restriction(compose(g_chain, f_))), f"[{i}] R4 fails")
-        _expect(fl, dagger(dagger(f_)) == f_, f"[{i}] dagger not involutive")
-        _expect(fl, dagger(compose(g_chain, f_)) ==
-                compose(dagger(f_), dagger(g_chain)),
-                f"[{i}] dagger not contravariant")
-        _expect(fl, compose(dagger(f_), f_) == fr, f"[{i}] f+ f != restriction")
-        _expect(fl, compose(f_, dagger(f_)) == restriction(dagger(f_)),
-                f"[{i}] f f+ != image restriction")
+                compose(f_, restriction(gf)), i, "R4 fails")
+        _expect(fl, dagger(fd) == f_, i, "dagger not involutive")
+        _expect(fl, dagger(gf) == compose(fd, dagger(g_chain)),
+                i, "dagger not contravariant")
+        _expect(fl, compose(fd, f_) == fr, i, "f+ f != restriction")
+        _expect(fl, compose(f_, fd) == restriction(fd),
+                i, "f f+ != image restriction")
         ident = identity_injection(x)
         _expect(fl, compose(f_, ident) == f_ and
                 compose(identity_injection(yy), f_) == f_,
-                f"[{i}] identities fail")
+                i, "identities fail")
     return res
 
 
@@ -486,15 +525,16 @@ def suite_l2_partial(rng, instances):
         f_ = rand_pinj(rng, x, yy)
         g = rand_fn(rng, yy, tag="L2")
         tg = l2_partial(f_, g)
+        ntg, ng = norm2_sq(tg), norm2_sq(g)
         fl = res.failures
-        _expect(fl, norm2_sq(tg) <= norm2_sq(g), f"[{i}] not a contraction")
+        _expect(fl, ntg <= ng, i, "not a contraction")
         covered = g.support_mask() & ~f_.image_mask() == 0
-        _expect(fl, (norm2_sq(tg) == norm2_sq(g)) == covered,
-                f"[{i}] isometry condition mismatch")
+        _expect(fl, (ntg == ng) == covered, i, "isometry condition mismatch")
         fd = f_.as_dict()
         for p in x.carrier.points:
             want = g.value(fd[p]) if p in fd else 0
-            _expect(fl, tg.value(p) == want, f"[{i}] wrong value at {p}")
+            if tg.value(p) != want:
+                fl.append(f"[{i}] wrong value at {p}")
     return res
 
 
@@ -510,16 +550,17 @@ def suite_direct_sum(rng, instances):
             members = rng.sample(members, 128)
         for comp, inj in zip(comps, injections):
             _expect(fl, inj.is_measurable and inj.is_nonsingular,
-                    f"[{i}] injection not nonsingular")
+                    i, "injection not nonsingular")
             img = inj.image_mask()
-            for fm in members:
-                _expect(fl, comp._mass(inj.preimage_mask(fm)) ==
-                        total._mass(fm & img),
-                        f"[{i}] injection not imp onto its image")
+            # each distinct pair is weighed once and fails once per member
+            pairs = Counter((inj.preimage_mask(fm), fm & img) for fm in members)
+            for (pre, part), times in pairs.items():
+                if comp._mass(pre) != total._mass(part):
+                    fl += [f"[{i}] injection not imp onto its image"] * times
         u = rand_fn(rng, total, tag="L2")
         parts = split_direct_sum(u)
         _expect(fl, norm2_sq(u) == sum(norm2_sq(p) for p in parts),
-                f"[{i}] norm not additive over components")
+                i, "norm not additive over components")
     return res
 
 
@@ -539,16 +580,16 @@ def suite_segment_category(rng, instances):
             continue
         ba = compose_arrows(b, a)
         _expect(fl, ba.is_exact and ba.predict(f) == h,
-                f"[{i}] composite does not transfer")
+                i, "composite does not transfer")
         _expect(fl, compose_arrows(a, identity_arrow(f)) == a,
-                f"[{i}] right identity fails")
+                i, "right identity fails")
         _expect(fl, compose_arrows(identity_arrow(g), a) == a,
-                f"[{i}] left identity fails")
+                i, "left identity fails")
         obs = rand_segment(rng, length=f.length, origin=f.start)
         d1 = delta(obs, f)
         d2 = delta(f, obs)
         _expect(fl, all(p == -q for p, q in zip(d1, d2)),
-                f"[{i}] residual not antisymmetric")
+                i, "residual not antisymmetric")
     return res
 
 
@@ -584,10 +625,10 @@ def _exact_candidates(f, g, strides):
         lo, hi = _shift_range(f, s, g.start, m)
         for t in range(lo, hi + 1):
             u = [f.sample_at(s * j + t) for j in range(g.start, g.end)]
-            uu = sum(Fraction(v) * v for v in u)
+            uu = sum(v * v for v in u)
             if uu == 0:
                 continue
-            c = sum(Fraction(v) * w for v, w in zip(u, g.samples)) / uu
+            c = sum(v * w for v, w in zip(u, g.samples)) / uu
             if c != 0 and all(w == c * v for v, w in zip(u, g.samples)):
                 count += 1
     return count
@@ -602,10 +643,11 @@ def suite_detection(rng, instances):
         if arr is None:
             fl.append(f"[{i}] planted arrow missed")
             continue
-        _expect(fl, arr.is_exact, f"[{i}] nonzero residual")
-        _expect(fl, (arr.stride, arr.shift, arr.amp) == (stride, shift, c),
-                f"[{i}] wrong arrow recovered: "
-                f"{(arr.stride, arr.shift, arr.amp)} != {(stride, shift, c)}")
+        _expect(fl, arr.is_exact, i, "nonzero residual")
+        got = (arr.stride, arr.shift, arr.amp)
+        if got != (stride, shift, c):
+            fl.append(f"[{i}] wrong arrow recovered: "
+                      f"{got} != {(stride, shift, c)}")
     return res
 
 
@@ -619,22 +661,22 @@ def suite_codec(rng, instances):
         encoded = {}
         for policy in codec_mod.POLICIES:
             enc = encoded[policy] = codec_mod.encode(sig, policy, origin=origin)
-            _expect(fl, codec_mod.decode(enc) == sig,
-                    f"[{i}] 1-D round trip fails ({policy})")
+            if codec_mod.decode(enc) != sig:
+                fl.append(f"[{i}] 1-D round trip fails ({policy})")
             blob = write_container(enc)
-            again = write_container(read_container(blob))
-            _expect(fl, blob == again, f"[{i}] container bytes unstable ({policy})")
+            if write_container(read_container(blob)) != blob:
+                fl.append(f"[{i}] container bytes unstable ({policy})")
         # compare per sample: one predecessor record covers a whole run
         deltas = {policy: [d for rec in enc.records for d in rec.delta]
                   for policy, enc in encoded.items()}
         for dp, dd in zip(deltas["predecessor"], deltas["detected"]):
-            _expect(fl, Fraction(dd) * dd <= Fraction(dp) * dp,
-                    f"[{i}] detected norm above predecessor")
+            _expect(fl, dd * dd <= dp * dp,
+                    i, "detected norm above predecessor")
         w = rng.randint(1, 8)
         rows = [[rng.randint(0, 255) for _ in range(w)]
                 for _ in range(rng.randint(1, 8))]
         enc2 = codec_mod.encode(rows, "predecessor")
-        _expect(fl, codec_mod.decode(enc2) == rows, f"[{i}] 2-D round trip fails")
+        _expect(fl, codec_mod.decode(enc2) == rows, i, "2-D round trip fails")
     return res
 
 

@@ -332,13 +332,22 @@ def _sq_sum(diffs, cap: Optional[int]) -> Optional[int]:
     return acc
 
 
-def _built(f: Segment, g: Segment, stride: int, shift: int, c):
+def _built(f: Segment, g: Segment, stride: int, shift: int, c,
+           exact: bool = False):
     """The arrow f -> g with lookup S*j + T and amplitude c, its residual
-    taken from the unscaled samples, and the residual's exact squared norm."""
+    taken from the unscaled samples, and the residual's exact squared norm.
+
+    ``exact`` says that the residual is 0, as for an index hit.  Its values
+    then come without a multiply, each a zero of the type y - c*x has:
+    Fraction(0) for a Fraction c, else y - x (c is then the int 1)."""
     u = _window(f.samples, stride, stride * g.start + shift - f.start,
                 g.length)
-    dvals = [y - c * x for y, x in zip(g.samples, u)]
-    return _residual_sq(dvals), SegmentArrow(f, g, stride, shift, c, dvals)
+    if not exact:
+        dvals = [y - c * x for y, x in zip(g.samples, u)]
+        return _residual_sq(dvals), SegmentArrow(f, g, stride, shift, c, dvals)
+    dvals = (repeat(Fraction(0), g.length) if type(c) is Fraction
+             else map(sub, g.samples, u))
+    return Fraction(0), SegmentArrow(f, g, stride, shift, c, dvals)
 
 
 def _best_arrow(g: Segment, gv: Tuple[int, ...], sources,
@@ -507,7 +516,7 @@ def _exact_arrows(segments: Sequence[Segment], scaled, ranks: Sequence[int],
                 if rank == _AMP_AFFINE:  # the ratio of the first nonzeros
                     c = Fraction(next(filter(None, gv)),
                                  next(filter(None, window)))
-                rsq, arrow = _built(segments[src], g, s, t, c)
+                rsq, arrow = _built(segments[src], g, s, t, c, exact=True)
                 yield rsq, rank, src, arrow
         firsts.setdefault(gv, i)
         for m, last_target in last.items():

@@ -21,6 +21,13 @@ def test_verify_green(capsys):
     assert "total:" in out and "0 failures" in out.splitlines()[-1]
 
 
+def test_verify_green_on_the_benchmark_run(capsys):
+    """The run the law-verify benchmark times: seed 0, 25 instances."""
+    code, out, err = run(capsys, "verify", "--seed", "0", "--instances", "25")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "total: 19 suites, 0 failures"
+
+
 def test_verify_bad_instances(capsys):
     code, _, err = run(capsys, "verify", "--instances", "0")
     assert code == 2

@@ -456,6 +456,28 @@ def test_exact_index_scales_to_long_signals():
     assert got == expected[1:]
 
 
+def test_exact_hits_build_their_residual_without_multiplying(monkeypatch):
+    """An index hit has residual 0 by construction, so building its arrow
+    multiplies no sample by the amplitude: 63 amplitude hits of 8 samples
+    each take fewer Fraction multiplies than there are segments."""
+    motif = [3, -1, 4, 1, -5, 9, 2, 6]
+    samples = [v * k for k in range(1, 65) for v in motif]
+    segs = segment_signal(samples, 0, list(range(8, len(samples), 8)))
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(a, b, real=getattr(Fraction, name)):
+            calls.append(b)
+            return real(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    rep = redundancy_report(segs, tol=0)
+    assert [(e.source_index, e.detector, e.arrow.amp) for e in rep.entries] \
+        == [(0, "amp_affine", k) for k in range(2, 65)]
+    assert all(e.residual_sq == 0 and e.arrow.delta == (0,) * 8
+               and all(type(d) is Fraction for d in e.arrow.delta)
+               for e in rep.entries)
+    assert len(calls) < len(segs)
+
+
 def test_detectors_match_exhaustive_scoring():
     rng = random.Random("pairs")
     public = {"translation": lambda f, g, s, t: detect_translation(f, g, t),

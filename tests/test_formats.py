@@ -471,6 +471,48 @@ def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
     assert calls == [0, n]
 
 
+def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
+    """A file whose lines end in a lone CR is one binary line; its lines
+    still reach _parse_lines at most _READ_CHUNK at a time, and it reads as
+    its LF twin does."""
+    sizes = []
+    parse_lines = formats._parse_lines
+
+    def counted(lines, lineno, offset, samples, origin):
+        sizes.append(len(lines))
+        return parse_lines(lines, lineno, offset, samples, origin)
+
+    rng = random.Random(17)
+    walk, v = [], 0
+    for _ in range(3 * formats._READ_CHUNK + 5):
+        v += rng.randint(-3, 3)
+        walk.append(v)
+    text = "# origin=3\n" + "\n".join(map(str, walk)) + "\n"
+    cr, lf = tmp_path / "cr.csv", tmp_path / "lf.csv"
+    cr.write_bytes(text.replace("\n", "\r").encode())
+    lf.write_bytes(text.encode())
+    monkeypatch.setattr(formats, "_parse_lines", counted)
+    assert read_csv_signal(cr) == read_csv_signal(lf) == (walk, 3)
+    assert sizes == [formats._READ_CHUNK] * 2  # the header's chunk, twice
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("bad", ["banana", "é"])
+def test_csv_lone_cr_error_past_the_first_chunk(tmp_path, monkeypatch, chunk,
+                                                bad):
+    monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
+    lines = ["# origin=3"] + [str(i) for i in range(3 * chunk + 50)]
+    k = 2 * chunk + 20  # line k + 1, in the third chunk
+    lines[k] = bad
+    p = tmp_path / "sig.csv"
+    p.write_bytes("\r".join(lines).encode())
+    offset = sum(len(line) + 1 for line in lines[:k])
+    error = (f"line {k + 1}: bad sample 'banana'" if bad == "banana" else
+             f"line {k + 1}, offset {offset}: non-ASCII byte 0xc3")
+    assert _outcome(read_csv_signal, p) == _outcome(_read_checked, p) == (
+        ValueError, error)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("text", [
     "# origin=2\n1\n-3\n",
