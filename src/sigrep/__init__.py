@@ -25,8 +25,8 @@ from .quotient import (BooleanAlgebra, BooleanHom, HomLawReport,
 from .fnspace import (DualElement, FnClass, canonical_class, covariant_l2_op,
                       covariant_op, dual_norm2_sq, duality_bridge,
                       duality_bridge_inverse, indicator, inf, inner,
-                      join_direct_sum, leq_ae, mul, norm2, norm2_sq, pullback,
-                      scale, split_direct_sum, sup)
+                      join_direct_sum, leq_ae, mul, norm2_sq, pullback, scale,
+                      split_direct_sum, sup)
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
 from .signal import (RedundancyEntry, RedundancyReport, Segment,
@@ -60,7 +60,7 @@ __all__ = [
     "duality_bridge_inverse", "encode", "generate_sigma_algebra",
     "identity_arrow", "identity_hom", "identity_injection", "identity_map",
     "indicator", "inf", "inner", "induced_hom", "join_direct_sum",
-    "l2_partial", "leq_ae", "metrics", "mul", "norm2", "norm2_sq",
+    "l2_partial", "leq_ae", "metrics", "mul", "norm2_sq",
     "power_set_algebra", "prototype_decomposition", "pullback",
     "quotient_measure_algebra", "read_container", "read_container_file",
     "read_csv_signal", "read_pgm", "redundancy_report", "restriction",

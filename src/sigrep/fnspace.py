@@ -2,8 +2,7 @@
 
 A function class is a pointwise map canonicalized to 0 on the largest null
 set, so equality of classes is plain tuple equality.  Values are exact
-rationals; squared norms and inner products stay exact, and square roots
-appear only in float-reporting helpers.
+rationals, and squared norms and inner products stay exact.
 
 The dual presentation (:class:`DualElement`) lives on the measure algebra:
 it records one value per algebra atom, which is the same thing as the
@@ -28,8 +27,9 @@ TAGS = ("L0", "L2")
 def _as_value(v) -> Fraction:
     if type(v) is Fraction:
         return v
-    if isinstance(v, float):
-        raise TypeError("function values must be exact rationals, not floats")
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"function values must be exact rationals (int or "
+                        f"Fraction), not {type(v).__name__}")
     return Fraction(v)
 
 
@@ -37,9 +37,11 @@ class FnClass:
     """An equivalence class of functions, stored canonically.
 
     ``values`` is aligned with ``space.carrier.points`` and is zero at every
-    point of the largest measurable null set.  ``tag`` records which space
-    the class is considered to live in ("L0" or "L2"); it changes which maps
-    may pull the class back, not the data.
+    point of the largest measurable null set.  Int values are converted to
+    Fraction and any other non-Fraction value raises TypeError, as in
+    :func:`canonical_class`.  ``tag`` records which space the class is
+    considered to live in ("L0" or "L2"); it changes which maps may pull the
+    class back, not the data.
     """
 
     __slots__ = ("space", "values", "tag")
@@ -51,6 +53,8 @@ class FnClass:
         vals = tuple(values)
         if len(vals) != space.carrier.size:
             raise ValueError("value tuple length must equal carrier size")
+        if not set(map(type, vals)) <= {Fraction}:
+            vals = tuple(map(_as_value, vals))
         if any(vals[i] != 0 for i in _bits(space.null_mask)):
             raise ValueError("values not canonical: nonzero on a null point")
         self.space = space
@@ -66,9 +70,6 @@ class FnClass:
             if v != 0:
                 m |= 1 << i
         return m
-
-    def retag(self, tag: str) -> "FnClass":
-        return FnClass(self.space, self.values, tag)
 
     # -- pointwise arithmetic ------------------------------------------------
 
@@ -89,9 +90,7 @@ class FnClass:
         return self._combine(other, lambda a, b: a - b)
 
     def __mul__(self, other):
-        if isinstance(other, FnClass):
-            return self._combine(other, lambda a, b: a * b)
-        return self.__rmul__(other)
+        return self._combine(other, lambda a, b: a * b)
 
     def __rmul__(self, c):
         c = _as_value(c)
@@ -155,12 +154,6 @@ def norm2_sq(f: FnClass):
         return INFINITY
     return sum((w * v * v for w, v in zip(f.space.weights, f.values) if v),
                Fraction(0))
-
-
-def norm2(f: FnClass) -> float:
-    import math
-    sq = norm2_sq(f)
-    return math.inf if sq is INFINITY else math.sqrt(sq)
 
 
 def inner(f: FnClass, g: FnClass):
@@ -357,16 +350,16 @@ def split_direct_sum(f: FnClass) -> List[FnClass]:
 
 def join_direct_sum(parts: Sequence[FnClass],
                     sum_space: FiniteMeasureSpace) -> FnClass:
-    """Inverse of :func:`split_direct_sum` for matching components."""
+    """Inverse of :func:`split_direct_sum` for matching components.  The sum
+    is tagged "L2" only when every part is, as ``f + g`` is."""
     if sum_space.summands is None:
         raise NotADirectSum("target space was not built by direct_sum")
     if len(parts) != len(sum_space.summands):
         raise SpaceMismatch("component count mismatch")
     vals: List[Fraction] = []
-    tag = "L0"
     for part, (comp, _off) in zip(parts, sum_space.summands):
         if part.space != comp:
             raise SpaceMismatch("component class over the wrong space")
         vals.extend(part.values)
-        tag = part.tag
+    tag = "L2" if all(part.tag == "L2" for part in parts) else "L0"
     return canonical_class(vals, sum_space, tag)

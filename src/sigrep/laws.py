@@ -27,7 +27,7 @@ from .fnspace import (DualElement, canonical_class, covariant_op,
                       inner, leq_ae, mul, norm2_sq, pullback, scale,
                       split_direct_sum, sup)
 from .measure import (FiniteCarrier, FiniteMeasureSpace, MeasurableMap,
-                      _unions, compose_maps, direct_sum,
+                      _unions, compose_maps, counting_space, direct_sum,
                       generate_sigma_algebra, power_set_algebra)
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
@@ -49,20 +49,24 @@ class LawResult:
 
 # ---------------------------------------------------------------- generators
 
-def rand_weights(rng, n, zero_prob=0.35):
+#: the strides a planted arrow uses, and the detector searches
+STRIDES = (-2, -1, 1, 2)
+
+
+def rand_weights(rng, n):
     out = []
     for _ in range(n):
-        if rng.random() < zero_prob:
+        if rng.random() < 0.35:
             out.append(Fraction(0))
         else:
             out.append(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
     return out
 
 
-def rand_space(rng, max_points=5, coarse_prob=0.0, zero_prob=0.35):
+def rand_space(rng, max_points=5, coarse_prob=0.0):
     size = rng.randint(1, max_points)
     carrier = FiniteCarrier(sorted(rng.sample(range(10), size)))
-    weights = rand_weights(rng, size, zero_prob)
+    weights = rand_weights(rng, size)
     if all(w == 0 for w in weights):
         weights[rng.randrange(size)] = Fraction(1)
     if rng.random() < coarse_prob:
@@ -74,14 +78,14 @@ def rand_space(rng, max_points=5, coarse_prob=0.0, zero_prob=0.35):
     return FiniteMeasureSpace(sigma, weights)
 
 
-def rand_fn(rng, space, tag="L0", span=4):
-    vals = [Fraction(rng.randint(-span, span), rng.randint(1, 3))
+def rand_fn(rng, space, tag="L0"):
+    vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             for _ in space.carrier.points]
     return canonical_class(vals, space, tag)
 
 
-def rand_scalar(rng, span=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+def rand_scalar(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def rand_nonsingular_map(rng, src, tgt):
@@ -95,17 +99,17 @@ def rand_nonsingular_map(rng, src, tgt):
     return MeasurableMap(src, tgt, mapping)
 
 
-def rand_composable_nonsingular(rng, max_points=4):
-    a = rand_space(rng, max_points)
-    b = rand_space(rng, max_points)
-    c = rand_space(rng, max_points)
+def rand_composable_nonsingular(rng):
+    a = rand_space(rng, 4)
+    b = rand_space(rng, 4)
+    c = rand_space(rng, 4)
     return rand_nonsingular_map(rng, a, b), rand_nonsingular_map(rng, b, c)
 
 
-def rand_imp_map(rng, max_points=3):
+def rand_imp_map(rng):
     """Split every target weight across fresh source points: the resulting
     surjection is inverse-measure-preserving exactly."""
-    tgt = rand_space(rng, max_points)
+    tgt = rand_space(rng, 3)
     labels = []
     weights = []
     mapping_pairs = []
@@ -138,15 +142,14 @@ def rand_hom(rng, src_malg, tgt_malg):
     return BooleanHom(src_malg, tgt_malg, _unions(images))
 
 
-def rand_dual(rng, malg, pool=(-2, -1, 0, 1, 2, 3)):
-    vals = [Fraction(rng.choice(pool)) for _ in range(malg.algebra.atom_count)]
+def rand_dual(rng, malg):
+    vals = [Fraction(rng.choice((-2, -1, 0, 1, 2, 3)))
+            for _ in range(malg.algebra.atom_count)]
     return DualElement(malg, vals)
 
 
-def rand_counting_space(rng, lo=1, hi=5):
-    size = rng.randint(lo, hi)
-    carrier = FiniteCarrier(sorted(rng.sample(range(10), size)))
-    return FiniteMeasureSpace(power_set_algebra(carrier), [Fraction(1)] * size)
+def rand_counting_space(rng):
+    return counting_space(sorted(rng.sample(range(10), rng.randint(1, 5))))
 
 
 def rand_pinj(rng, src, tgt):
@@ -156,13 +159,11 @@ def rand_pinj(rng, src, tgt):
     return PartialInjection(src, tgt, zip(xs, ys))
 
 
-def rand_segment(rng, length=None, origin=None, span=9):
-    if length is None:
-        length = rng.randint(1, 10)
+def rand_segment(rng, length, origin=None):
     if origin is None:
         origin = rng.randint(-20, 20)
     return Segment(origin, origin + length,
-                   [rng.randint(-span, span) for _ in range(length)])
+                   [rng.randint(-9, 9) for _ in range(length)])
 
 
 # ---------------------------------------------------------------- helpers
@@ -567,7 +568,7 @@ def suite_direct_sum(rng, instances):
 def suite_segment_category(rng, instances):
     res = LawResult("segment arrow category laws", instances)
     for i in range(instances):
-        f = rand_segment(rng, length=rng.randint(2, 8))
+        f = rand_segment(rng, rng.randint(2, 8))
         shift1 = rng.randint(-5, 5)
         shift2 = rng.randint(-5, 5)
         g = Segment(f.start + shift1, f.end + shift1, f.samples)
@@ -585,7 +586,7 @@ def suite_segment_category(rng, instances):
                 i, "right identity fails")
         _expect(fl, compose_arrows(identity_arrow(g), a) == a,
                 i, "left identity fails")
-        obs = rand_segment(rng, length=f.length, origin=f.start)
+        obs = rand_segment(rng, f.length, origin=f.start)
         d1 = delta(obs, f)
         d2 = delta(f, obs)
         _expect(fl, all(p == -q for p, q in zip(d1, d2)),
@@ -593,14 +594,14 @@ def suite_segment_category(rng, instances):
     return res
 
 
-def plant_arrow_case(rng, strides=(-2, -1, 1, 2), max_len=6):
+def plant_arrow_case(rng):
     """A random (f, g, stride, shift, amp) with g an exact scaled resampling
     of f, resampled until that arrow is the unique exact candidate (random
     distinct samples can still be accidentally proportional, which would
     turn detection into a tie)."""
     while True:
-        stride = rng.choice(strides)
-        m = rng.randint(3, max_len)
+        stride = rng.choice(STRIDES)
+        m = rng.randint(3, 6)
         length = abs(stride) * (m - 1) + 1 + rng.randint(0, 4)
         start = rng.randint(-9, 9)
         f = Segment(start, start + length, rng.sample(range(-60, 60), length))
@@ -611,15 +612,16 @@ def plant_arrow_case(rng, strides=(-2, -1, 1, 2), max_len=6):
         g = Segment(t_start, t_start + m,
                     [c * f.sample_at(stride * j + shift)
                      for j in range(t_start, t_start + m)])
-        if _exact_candidates(f, g, strides) == 1:
+        if _exact_candidates(f, g) == 1:
             return f, g, stride, shift, c
 
 
-def _exact_candidates(f, g, strides):
-    """Brute-force count of (S, T, c) with zero residual and c != 0."""
+def _exact_candidates(f, g):
+    """Brute-force count of (S, T, c) over ``STRIDES`` with zero residual and
+    c != 0."""
     count = 0
     m = g.length
-    for s in sorted(set(strides)):
+    for s in STRIDES:
         if abs(s) * (m - 1) + 1 > f.length:
             continue
         lo, hi = _shift_range(f, s, g.start, m)
@@ -638,7 +640,7 @@ def suite_detection(rng, instances):
     res = LawResult("planted arrow detection", instances)
     for i in range(instances):
         f, g, stride, shift, c = plant_arrow_case(rng)
-        arr = detect_amp_affine(f, g, (-2, -1, 1, 2), 0)
+        arr = detect_amp_affine(f, g, STRIDES, 0)
         fl = res.failures
         if arr is None:
             fl.append(f"[{i}] planted arrow missed")

@@ -179,7 +179,7 @@ class SigmaAlgebra:
             self._members = frozenset(_unions(self.atoms))
         return self._members
 
-    def is_member(self, mask: int) -> bool:
+    def __contains__(self, mask: int) -> bool:
         """True when ``mask`` is a union of atoms."""
         if mask < 0 or mask > self.carrier.full_mask:
             return False
@@ -187,8 +187,6 @@ class SigmaAlgebra:
             if mask & a and mask & a != a:
                 return False
         return True
-
-    __contains__ = is_member
 
     def __iter__(self):
         return iter(sorted(self.members))
@@ -230,9 +228,10 @@ def power_set_algebra(carrier: FiniteCarrier) -> SigmaAlgebra:
 class FiniteMeasureSpace:
     """A carrier + sigma-algebra + pointwise weight function.
 
-    ``weights`` maps each carrier label to a nonnegative Fraction or
-    ``INFINITY``; the measure of a member mask is the sum of the weights of
-    its points.  The space is point-supported by construction.  It sums
+    ``weights`` is a sequence aligned with ``carrier.points``, one
+    nonnegative Fraction (or int) or ``INFINITY`` per point; a mapping is
+    refused.  The measure of a member mask is the sum of the weights of its
+    points.  The space is point-supported by construction.  It sums
     masses over ``_den``, the lcm of the finite weights' denominators:
     ``_nums[i]`` is point ``i``'s weight times ``_den`` (0 at an infinite
     point), and ``_inf_mask`` marks the infinite-weight points.
@@ -241,24 +240,16 @@ class FiniteMeasureSpace:
     __slots__ = ("sigma", "weights", "summands", "_null_mask",
                  "_den", "_nums", "_inf_mask")
 
-    def __init__(self, sigma: SigmaAlgebra,
-                 weights: Union[Mapping[int, object], Sequence[object]],
+    def __init__(self, sigma: SigmaAlgebra, weights: Sequence[object],
                  summands: Union[Tuple, None] = None):
         self.sigma = sigma
-        pts = sigma.carrier.points
         if isinstance(weights, Mapping):
-            missing = [p for p in pts if p not in weights]
-            if missing:
-                raise ValueError(f"missing weights for points {missing}")
-            if len(weights) != len(pts):
-                extra = [k for k in weights if k not in sigma.carrier._index]
-                raise ValueError(f"weights given for non-points {extra}")
-            wtuple = tuple(_as_weight(weights[p]) for p in pts)
-        else:
-            wseq = list(weights)
-            if len(wseq) != len(pts):
-                raise ValueError("weight sequence length must equal carrier size")
-            wtuple = tuple(_as_weight(w) for w in wseq)
+            raise TypeError("weights are a sequence aligned with the carrier "
+                            "points, not a mapping")
+        wseq = list(weights)
+        if len(wseq) != sigma.carrier.size:
+            raise ValueError("weight sequence length must equal carrier size")
+        wtuple = tuple(_as_weight(w) for w in wseq)
         self.weights = wtuple
         den = lcm(*(w.denominator for w in wtuple if w is not INFINITY))
         self._den = den
@@ -274,9 +265,6 @@ class FiniteMeasureSpace:
     def carrier(self) -> FiniteCarrier:
         return self.sigma.carrier
 
-    def weight(self, label: int) -> Weight:
-        return self.weights[self.carrier.index(label)]
-
     def measure(self, mask: int) -> Weight:
         """Measure of a member mask (exact; INFINITY if an infinite-weight
         point is selected)."""
@@ -291,20 +279,11 @@ class FiniteMeasureSpace:
         return Fraction(sum(nums[i] for i in _bits(mask)), self._den)
 
     @property
-    def total_mass(self) -> Weight:
-        return self._mass(self.carrier.full_mask)
-
-    @property
     def null_mask(self) -> int:
         """Union of all measurable null sets (the largest one): the
         sigma-atoms holding no point of nonzero weight, infinite weights
         included.  It is computed when the space is built."""
         return self._null_mask
-
-    def is_null(self, mask: int) -> bool:
-        """True when ``mask`` (any subset, measurable or not) belongs to the
-        null ideal, i.e. is contained in some measurable null set."""
-        return mask & ~self.null_mask == 0
 
     def null_ideal(self) -> FrozenSet[int]:
         """All subsets of the carrier contained in a measurable null set."""

@@ -34,23 +34,8 @@ class PartialInjection:
     def as_dict(self):
         return dict(self.pairs)
 
-    def defined_at(self, x):
-        return any(x == a for a, _ in self.pairs)
-
-    def apply(self, x):
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise KeyError(f"{x} is outside the domain")
-
-    def domain_mask(self):
-        return self.source.carrier.mask_of(x for x, _ in self.pairs)
-
     def image_mask(self):
         return self.target.carrier.mask_of(y for _, y in self.pairs)
-
-    def is_partial_identity(self):
-        return self.source == self.target and all(x == y for x, y in self.pairs)
 
     def __eq__(self, other):
         return (isinstance(other, PartialInjection)

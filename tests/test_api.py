@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,17 @@ def test_every_exported_name_resolves_once():
     (signal, "verify_functor_laws"),
     (sigrep.SegmentArrow, "is_identity"),       # == identity_arrow(...)
     (sigrep.PartialInjection, "__matmul__"),    # compose
+    (sigrep.SigmaAlgebra, "is_member"),         # mask in sigma
+    (sigrep.FiniteMeasureSpace, "weight"),      # weights[carrier.index(p)]
+    (sigrep.FiniteMeasureSpace, "total_mass"),  # measure(carrier.full_mask)
+    (sigrep.FiniteMeasureSpace, "is_null"),     # mask & ~null_mask == 0
+    (sigrep.PartialInjection, "defined_at"),    # x in f.as_dict()
+    (sigrep.PartialInjection, "apply"),         # f.as_dict()[x]
+    (sigrep.PartialInjection, "domain_mask"),   # restriction(f).image_mask()
+    (sigrep.PartialInjection, "is_partial_identity"),  # f == restriction(f)
+    (sigrep.FnClass, "retag"),                  # FnClass(f.space, f.values, tag)
+    (sigrep, "norm2"),                          # math.sqrt(norm2_sq(f))
+    (fnspace, "norm2"),
 ])
 def test_deleted_aliases_are_gone(module, name):
     assert not hasattr(module, name)
@@ -60,6 +72,41 @@ def test_segment_arrow_has_no_forward_views(name):
 ])
 def test_boolean_algebra_has_no_bit_op_wrappers(name):
     assert not hasattr(sigrep.BooleanAlgebra, name)
+
+
+def test_weights_are_a_sequence_not_a_mapping():
+    # list() of a dict would read its labels as the weights
+    sigma = sigrep.power_set_algebra(sigrep.FiniteCarrier([0, 1]))
+    with pytest.raises(TypeError, match="not a mapping"):
+        sigrep.FiniteMeasureSpace(sigma, {0: Fraction(1), 1: Fraction(2)})
+
+
+def _class_aliases(source):
+    """``Class.alias`` for each name a class body binds to one of the
+    functions it defines."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        defs = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        found += [f"{cls.name}.{t.id}" for node in cls.body
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Name) and node.value.id in defs
+                  for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_class_alias_scan_sees_only_bound_methods():
+    source = ("class A:\n    def f(self):\n        pass\n    g = f\n"
+              "    h = len\n    k = 1\n"
+              "class B:\n    f = A.f\n")
+    assert _class_aliases(source) == ["A.g"]
+
+
+def test_no_class_binds_a_method_under_a_second_name():
+    package = Path(sigrep.__file__).parent
+    assert [alias for path in sorted(package.glob("*.py"))
+            for alias in _class_aliases(path.read_text())] == []
 
 
 def _unused_imports(source):

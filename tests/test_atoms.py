@@ -552,7 +552,7 @@ def test_mass_matches_fraction_sum():
             if want == INFINITY:
                 assert got is INFINITY
             kinds.add(type(got))
-        assert sp.total_mass == mass_oracle(sp, carrier.full_mask)
+        assert sp.measure(carrier.full_mask) == mass_oracle(sp, carrier.full_mask)
     assert kinds == {Fraction, float}
 
 

@@ -1,5 +1,6 @@
 """Function classes: canonical form, norms, pullback, duality, transport."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,7 @@ from sigrep import (INFINITY, BooleanHom, DualElement, FiniteCarrier,
                     counting_space, covariant_l2_op, covariant_op, direct_sum,
                     dual_norm2_sq, duality_bridge, duality_bridge_inverse,
                     generate_sigma_algebra, indicator, inner, join_direct_sum,
-                    norm2, norm2_sq, power_set_algebra, pullback,
-                    split_direct_sum)
+                    norm2_sq, power_set_algebra, pullback, split_direct_sum)
 from sigrep.fnspace import inf as fn_inf
 from sigrep.fnspace import leq_ae, sup as fn_sup
 
@@ -52,6 +52,15 @@ def test_floats_rejected():
         canonical_class([0.5, 0, 0], SP102)
 
 
+@pytest.mark.parametrize("bad", [0.5, "a"])
+def test_constructor_refuses_values_that_are_not_exact(bad):
+    sp = counting_space([0, 1])
+    with pytest.raises(TypeError):
+        FnClass(sp, [bad, 1])
+    f = FnClass(sp, [Fraction(1, 2), 1])    # an int becomes a Fraction
+    assert f.values == (Fraction(1, 2), 1) and type(f.values[1]) is Fraction
+
+
 def test_indicator_needs_member():
     c = FiniteCarrier([0, 1, 2])
     sp = FiniteMeasureSpace(generate_sigma_algebra(c, [[0]]), [Fraction(1)] * 3)
@@ -64,7 +73,7 @@ def test_indicator_needs_member():
 def test_tags():
     f = canonical_class([1, 2], counting_space([0, 1]), "L2")
     assert f.tag == "L2"
-    assert f.retag("L0").tag == "L0"
+    assert FnClass(f.space, f.values, "L0").tag == "L0"
     g = canonical_class([1, 1], counting_space([0, 1]))
     assert (f + g).tag == "L0"      # mixed tags fall back to L0
     assert (f + f).tag == "L2"
@@ -78,7 +87,7 @@ def test_tags():
 def test_norm_three_four_five():
     f = canonical_class([3, 4], counting_space([0, 1]), "L2")
     assert norm2_sq(f) == 25
-    assert norm2(f) == 5.0
+    assert math.sqrt(norm2_sq(f)) == 5.0
 
 
 def test_norm_uses_weights():
@@ -90,7 +99,7 @@ def test_norm_uses_weights():
 def test_norm_infinite_weight():
     sp = full_space([INFINITY, Fraction(1)])
     assert norm2_sq(canonical_class([1, 1], sp)) == INFINITY
-    assert norm2(canonical_class([1, 1], sp)) == float("inf")
+    assert math.sqrt(norm2_sq(canonical_class([1, 1], sp))) == float("inf")
     # zero value on the infinite point does not blow up
     assert norm2_sq(canonical_class([0, 3], sp)) == 9
 
@@ -162,6 +171,8 @@ def test_vector_and_lattice_ops():
     assert (f + g).values == (1, 3)
     assert (f - g).values == (1, -7)
     assert (Fraction(1, 2) * f).values == (Fraction(1, 2), -1)
+    with pytest.raises(TypeError):
+        f * 2                       # a scalar goes on the left
     assert abs(f).values == (1, 2)
     assert fn_sup(f, g).values == (1, 5)
     assert fn_inf(f, g).values == (0, -2)
@@ -206,7 +217,7 @@ def test_pullback_l2_requires_imp():
     with pytest.raises(NotIMP):
         pullback(phi, g2)
     # the same data as an L0 class passes
-    assert pullback(phi, g2.retag("L0")).values == (1, 1)
+    assert pullback(phi, FnClass(one, g2.values, "L0")).values == (1, 1)
 
 
 def test_pullback_isometry_random():
@@ -441,6 +452,17 @@ def test_split_and_join():
     assert [norm2_sq(p) for p in parts] == [25, 25]
     assert norm2_sq(f) == 50
     assert join_direct_sum(parts, total) == f
+
+
+def test_join_is_l2_only_when_every_part_is():
+    # the tag rule of p + q, whatever the order of the parts
+    a, b = counting_space([0]), counting_space([0, 1])
+    p, q = canonical_class([1], a), canonical_class([2, 3], b, "L2")
+    ab, _ = direct_sum([a, b])
+    ba, _ = direct_sum([b, a])
+    assert join_direct_sum([p, q], ab).tag == "L0"
+    assert join_direct_sum([q, p], ba).tag == "L0"
+    assert join_direct_sum([canonical_class([1], a, "L2"), q], ab).tag == "L2"
 
 
 def test_split_requires_sum_space():

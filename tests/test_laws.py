@@ -18,7 +18,9 @@ from contextlib import contextmanager
 import pytest
 
 from sigrep import codec, laws
+from sigrep.container import ArrowRecord
 from sigrep.errors import SigrepError
+from sigrep.fnspace import DualElement
 from sigrep.measure import FiniteMeasureSpace, MeasurableMap, SigmaAlgebra
 from sigrep.quotient import MeasureAlgebra
 
@@ -99,6 +101,27 @@ def last_sample_altered(decode):
     return wrong
 
 
+def first_atom_raised(covariant_op):
+    """Target atom 0 gets 1 more, when the target has two or more atoms."""
+    def wrong(pi, u):
+        vals = list(covariant_op(pi, u).atom_values)
+        if len(vals) > 1:
+            vals[0] += 1
+        return DualElement(pi.target, vals)
+    return wrong
+
+
+def records_read_the_seed(encode_detected):
+    """Every detected record reads the seed: the signal still decodes
+    exactly, but the residuals are larger than the predecessor's."""
+    def wrong(samples, origin):
+        enc = encode_detected(samples, origin)
+        return enc._replace(records=tuple(
+            ArrowRecord(-k, 1, 1, 1, (y - samples[0],))
+            for k, y in enumerate(samples[1:], 1)))
+    return wrong
+
+
 NOT_HOM = "NotHom: induced mapping failed the homomorphism laws"
 NOT_MEMBER = "ValueError: measure is defined on sigma-algebra members only"
 
@@ -137,6 +160,13 @@ FAULTS = {
     }),
     "decode": (codec, "decode", last_sample_altered, {
         "suite_codec": (50, "f7ca22d62d152aff"),
+    }),
+    "covariant_op": (laws, "covariant_op", first_atom_raised, {
+        "suite_covariant": (22, "f7b6c4b1cf82941b"),
+        "suite_bridge": (16, "07ad54c3d8f0226f"),
+    }),
+    "encode_detected": (codec, "_encode_detected", records_read_the_seed, {
+        "suite_codec": (292, "b509687c478b806d"),
     }),
 }
 

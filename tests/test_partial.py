@@ -31,11 +31,11 @@ def test_validation():
 
 def test_apply_and_masks():
     f = PartialInjection(X, Y, [(0, 2), (3, 1)])
-    assert f.apply(0) == 2
-    assert f.defined_at(3) and not f.defined_at(1)
+    assert f.as_dict()[0] == 2
+    assert 3 in f.as_dict() and 1 not in f.as_dict()
     with pytest.raises(KeyError):
-        f.apply(1)
-    assert f.domain_mask() == 0b1001
+        f.as_dict()[1]
+    assert restriction(f).image_mask() == 0b1001
     assert f.image_mask() == 0b110
 
 
@@ -57,8 +57,8 @@ def test_identity_neutral():
 def test_restriction_is_partial_identity():
     f = PartialInjection(X, Y, [(0, 2), (3, 1)])
     r = restriction(f)
-    assert r.is_partial_identity()
-    assert r.domain_mask() == f.domain_mask()
+    assert r == restriction(r) and f != restriction(f)
+    assert r.image_mask() == X.carrier.mask_of(f.as_dict())
 
 
 def test_restriction_axioms_random():
