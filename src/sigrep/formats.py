@@ -5,14 +5,24 @@ that (together with OSError) to its I/O-format exit code.
 
 Each text reader makes one pass over its input, and the work per byte runs
 in C.  A PGM header is matched by one regex and a P2 raster is split by
-``bytes.split``.  A CSV file is read as bytes in chunks of ``_READ_CHUNK``
-lines, each parsed by one ``map(int, ...)``; only a chunk that holds some
-other line (a comment, a blank line, a rational, bad text or a non-ASCII
-byte) goes line by line, and nothing is read twice.  The CSV reader holds
-one chunk of the text at a time, since a list of every line takes more
-memory than the ints parsed from them.  Only a file whose lines end in a
-lone CR is read whole, since a binary file splits at LF alone; its lines are
-still parsed in chunks of ``_READ_CHUNK``.
+``bytes.split``.  An 8-bit P5 raster is range-checked by one
+``bytes.translate`` that deletes the bytes 0..maxval: any byte left exceeds
+maxval.  ``write_pgm`` packs its samples with ``bytes()``, which checks
+0 <= v <= 255 in C, and takes the largest sample by ``in`` (memchr) from 255
+down; only a sample outside 0..255 sends it to Python-level ``min`` and
+``max`` passes.
+
+A CSV file is read as bytes in chunks of ``_READ_CHUNK`` lines, each parsed
+by ``map(int, ...)``.  A line ``int`` refuses (a comment, a blank line, a
+rational, bad text or a non-ASCII byte) goes alone to the line-by-line
+parser and ``map(int, ...)`` resumes after it; from a second such line on,
+the rest of its chunk goes line by line, and nothing is read twice.  So the
+``# origin=`` header of a file ``write_csv_signal`` wrote costs one slow
+line, not a slow chunk.  The CSV reader holds one chunk of the text at a
+time, since a list of every line takes more memory than the ints parsed
+from them.  Only a file whose lines end in a lone CR is read whole, since a
+binary file splits at LF alone; its lines are still parsed in chunks of
+``_READ_CHUNK``.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
         values = list(map(int, tokens))
         if len(values) != count:
             raise ValueError(f"P2 sample count {len(values)} != {count}")
+        over = max(values) > maxval
     else:
         sep, raster = data[end:end + 1], data[end + 1:]
         if sep and not sep.isspace():
@@ -76,9 +87,14 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
         size = count if maxval < 256 else 2 * count
         if len(raster) != size:
             raise ValueError(f"P5 raster size {len(raster)} != {size}")
-        values = (list(raster) if maxval < 256
-                  else list(struct.unpack(f">{count}H", raster)))
-    if max(values) > maxval:
+        if maxval < 256:
+            # the bytes left after deleting 0..maxval are the samples above it
+            over = raster.translate(None, bytes(range(maxval + 1)))
+            values = list(raster)
+        else:
+            values = list(struct.unpack(f">{count}H", raster))
+            over = max(values) > maxval
+    if over:
         raise ValueError("PGM sample exceeds maxval")
     return [values[r * width:(r + 1) * width] for r in range(height)], maxval
 
@@ -91,11 +107,18 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
     flat = list(chain.from_iterable(rows))
-    # each distinct type is checked once; min and max run at C speed
-    if (any(t is bool or not issubclass(t, int) for t in set(map(type, flat)))
-            or min(flat) < 0):
+    # each distinct type is checked once: bytes() would take a bool
+    if any(t is bool or not issubclass(t, int) for t in set(map(type, flat))):
         raise ValueError("PGM samples must be nonnegative ints")
-    top = max(flat)
+    try:
+        raster = bytes(flat)  # proves 0 <= v <= 255 in C
+    except ValueError:  # a sample below 0 or above 255
+        if min(flat) < 0:
+            raise ValueError("PGM samples must be nonnegative ints") from None
+        top = max(flat)
+    else:
+        # one memchr per value tried, from 255 down
+        top = next(k for k in range(255, -1, -1) if k in raster)
     if maxval is None:
         maxval = max(top, 1)
     if not 0 < maxval <= MAX_PGM_VALUE:
@@ -106,8 +129,8 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            if maxval < 256:
-                fh.write(bytes(flat))
+            if maxval < 256:  # so top <= 255 and the raster was built
+                fh.write(raster)
             else:
                 fh.write(struct.pack(f">{len(flat)}H", *flat))
         else:
@@ -142,25 +165,44 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
 
     The file is read as bytes.  ``int(line)`` accepts a line only where
     ``_parse_lines`` reads the same int (``str.strip`` drops more control
-    characters than ``int`` does, and such a line sends its chunk line by
-    line).  A chunk holding a lone CR is split at it first, because ``int``
-    takes a CR inside a line as whitespace.  Errors come in line order: the
-    first bad sample, bad origin or non-ASCII byte is reported, a
-    non-ASCII byte by its line and file offset.
+    characters than ``int`` does, and such a line goes to
+    ``_parse_lines``).  A chunk holding a lone CR is split at it first,
+    because ``int`` takes a CR inside a line as whitespace.  Errors come in
+    line order: the first bad sample, bad origin or non-ASCII byte is
+    reported, a non-ASCII byte by its line and file offset.
     """
     origin = 0
     samples: List[Sample] = []
     lineno = offset = 0
     with open(path, "rb") as fh:
         for lines, size in _chunks(fh):
-            try:
-                samples += list(map(int, lines))
-                lineno += len(lines)
-            except ValueError:
-                origin, lineno = _parse_lines(lines, lineno, offset, samples,
-                                              origin)
+            origin = _parse_chunk(lines, lineno, offset, samples, origin)
+            lineno += len(lines)
             offset += size
     return samples, origin
+
+
+def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
+                 samples: List[Sample], origin: int) -> int:
+    """Parse one chunk into ``samples`` by ``map(int, ...)``.  The first line
+    ``int`` refuses goes alone to ``_parse_lines`` and ``map(int, ...)``
+    resumes after it; from a second such line on, the rest of the chunk goes
+    line by line.  Returns the origin in force after the chunk."""
+    rest = iter(lines)
+    k = 0  # lines parsed so far
+    for last in (False, True):
+        before = len(samples)
+        try:
+            samples.extend(map(int, rest))  # keeps the ints before a failure
+            return origin
+        except ValueError:
+            k += len(samples) - before
+        end = len(lines) if last else k + 1
+        origin = _parse_lines(lines[k:end], lineno + k,
+                              offset + sum(map(len, lines[:k])), samples,
+                              origin)
+        k = end
+    return origin
 
 
 def _chunks(fh):
@@ -184,11 +226,11 @@ def _chunks(fh):
 
 
 def _parse_lines(lines: Sequence[bytes], lineno: int, offset: int,
-                 samples: List[Sample], origin: int) -> Tuple[int, int]:
+                 samples: List[Sample], origin: int) -> int:
     """Parse ``lines``, which follow line ``lineno`` from byte ``offset`` on,
     into ``samples``: rationals too, blank and comment lines skipped, and a
     bad sample, bad origin or non-ASCII byte named by its line.  Returns the
-    origin in force after them and the number of the last line."""
+    origin in force after them."""
     if not all(map(bytes.isascii, lines)):
         # the lines before the first non-ASCII one may hold an earlier error
         k = next(k for k, line in enumerate(lines) if not line.isascii())
@@ -215,7 +257,7 @@ def _parse_lines(lines: Sequence[bytes], lineno: int, offset: int,
             samples.append(_parse_sample(text))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return origin, lineno
+    return origin
 
 
 _WRITE_CHUNK = 65536  # samples formatted into one string per write

@@ -38,8 +38,6 @@ MAX_CARRIER = 16
 
 
 def _as_weight(value) -> Weight:
-    if isinstance(value, bool):
-        raise TypeError("weights must be rational numbers, not bool")
     if isinstance(value, float):
         if value == INFINITY:
             return INFINITY
@@ -47,6 +45,10 @@ def _as_weight(value) -> Weight:
             "finite float weights are not accepted; pass Fraction or int "
             "(only float('inf') is allowed as a float)"
         )
+    # Fraction() would also read a str or a Decimal
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"weights must be exact rationals (int or Fraction), "
+                        f"not {type(value).__name__}")
     w = Fraction(value)
     if w < 0:
         raise ValueError("weights must be nonnegative")
@@ -230,7 +232,8 @@ class FiniteMeasureSpace:
 
     ``weights`` is a sequence aligned with ``carrier.points``, one
     nonnegative Fraction (or int) or ``INFINITY`` per point; a mapping is
-    refused.  The measure of a member mask is the sum of the weights of its
+    refused, and any other weight (a bool, a finite float, a string, a
+    Decimal) raises TypeError.  The measure of a member mask is the sum of the weights of its
     points.  The space is point-supported by construction.  It sums
     masses over ``_den``, the lcm of the finite weights' denominators:
     ``_nums[i]`` is point ``i``'s weight times ``_den`` (0 at an infinite

@@ -257,6 +257,116 @@ def test_write_pgm_rejections(tmp_path):
         write_pgm(p, [[5]], maxval=4)
 
 
+def _write_pgm_min_max(path, rows, maxval=None, binary=True):
+    """The writer as it was before bytes() did its range check: the oracle."""
+    if not rows or not rows[0]:
+        raise ValueError("cannot write an empty PGM")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged rows")
+    flat = [v for row in rows for v in row]
+    if (any(t is bool or not issubclass(t, int) for t in set(map(type, flat)))
+            or min(flat) < 0):
+        raise ValueError("PGM samples must be nonnegative ints")
+    top = max(flat)
+    if maxval is None:
+        maxval = max(top, 1)
+    if not 0 < maxval <= formats.MAX_PGM_VALUE:
+        raise ValueError(f"maxval must be in 1..{formats.MAX_PGM_VALUE}")
+    if top > maxval:
+        raise ValueError("sample exceeds maxval")
+    header = f"{'P5' if binary else 'P2'}\n{width} {len(rows)}\n{maxval}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        if binary:
+            if maxval < 256:
+                fh.write(bytes(flat))
+            else:
+                fh.write(struct.pack(f">{len(flat)}H", *flat))
+        else:
+            fh.write("\n".join(" ".join(str(v) for v in row) for row in rows)
+                     .encode("ascii"))
+            fh.write(b"\n")
+
+
+_PGM_WRITE_VALUES = (0, 1, 7, 200, 254, 255, 256, 300, 65535, 65536, -1, -300,
+                     2 ** 70, True, False, Fraction(3), Fraction(1, 2), 3.0,
+                     float("nan"))
+_PGM_WRITE_MAXVALS = (None, None, None, 0, 1, 2, 199, 254, 255, 256, 299,
+                      65535, 65536, -1)
+
+
+def _random_pgm_rows(rng):
+    width = rng.choice((0,) + (1, 2, 3, 4) * 5)
+    height = rng.choice((0,) + (1, 2, 3) * 5)
+    # mostly plain 8-bit samples, so that each rule decides some images
+    odd = rng.choice((0, 0.05, 0.3))
+    rows = [[rng.choice(_PGM_WRITE_VALUES) if rng.random() < odd
+             else rng.choice((rng.randrange(256), 0, 255))
+             for _ in range(width)] for _ in range(height)]
+    if rows and rng.random() < 0.05:
+        rows[-1] = rows[-1][:-1]  # ragged
+    return rows
+
+
+def _write_outcome(write, path, rows, maxval, binary):
+    """The bytes written, or the exception type and text (and no file)."""
+    try:
+        write(path, rows, maxval, binary)
+    except ValueError as exc:
+        assert not path.exists()
+        return type(exc), str(exc)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+def test_write_pgm_matches_min_max_writer(tmp_path):
+    rng = random.Random(19)
+    new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+    kinds = Counter()
+    for _ in range(4000):
+        rows = _random_pgm_rows(rng)
+        maxval = rng.choice(_PGM_WRITE_MAXVALS + (rng.randint(0, 65536),))
+        binary = rng.random() < 0.7
+        outcome = _write_outcome(write_pgm, new, rows, maxval, binary)
+        assert outcome == _write_outcome(_write_pgm_min_max, old, rows,
+                                         maxval, binary), (rows, maxval,
+                                                           binary)
+        if isinstance(outcome, bytes):
+            kinds[outcome[:2], int(outcome.split()[3]) >= 256] += 1
+        else:
+            kinds[outcome[1].split(" ")[0]] += 1
+    # every error and every output width is reached
+    for kind in ((b"P5", False), (b"P5", True), (b"P2", False), (b"P2", True),
+                 "cannot", "ragged", "PGM", "maxval", "sample"):
+        assert kinds[kind] >= 20, (kind, kinds)
+
+
+@pytest.mark.parametrize("maxval, raster", [
+    (254, bytes(range(255))[::-1] + b"\xff"),
+    (1, b"\x00\x01\x02\x01"),
+    (7, b"\x00\x08"),
+])
+def test_p5_byte_above_maxval(tmp_path, maxval, raster):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(b"P5\n%d 1\n%d\n" % (len(raster), maxval) + raster)
+    with pytest.raises(ValueError, match="^PGM sample exceeds maxval$"):
+        read_pgm(p)
+
+
+def test_p5_every_byte_value_reads_back(tmp_path):
+    raster = bytes(range(256)) * 2 + bytes(range(255, -1, -1))
+    p = tmp_path / "all.pgm"
+    p.write_bytes(b"P5\n256 3\n255\n" + raster)
+    rows, maxval = read_pgm(p)
+    assert maxval == 255
+    assert rows == [list(raster[k:k + 256]) for k in (0, 256, 512)]
+    # a byte equal to maxval fits
+    p.write_bytes(b"P5\n4 1\n3\n\x03\x00\x02\x01")
+    assert read_pgm(p) == ([[3, 0, 2, 1]], 3)
+
+
 def test_csv_roundtrip(tmp_path):
     p = tmp_path / "sig.csv"
     samples = [3, -1, Fraction(5, 2), 0]
@@ -450,13 +560,15 @@ def test_csv_lone_cr_is_counted_on_the_fast_path(tmp_path, monkeypatch,
 
 
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
-    """Only the chunks holding the header and the trailing blank line go
-    line by line; the whole-int chunks between them do not."""
+    """Only the lines int() refuses go line by line: the first alone, then,
+    from the second one in the same chunk, the rest of that chunk.  Here the
+    first two header lines, which leaves the first chunk's tail to the slow
+    path, and the trailing blank line alone."""
     calls = []
     parse_lines = formats._parse_lines
 
     def counted(lines, lineno, offset, samples, origin):
-        calls.append(lineno)
+        calls.append((lineno, len(lines)))
         return parse_lines(lines, lineno, offset, samples, origin)
 
     n = 3 * formats._READ_CHUNK
@@ -468,19 +580,50 @@ def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
     samples, origin = read_csv_signal(p)
     assert (samples, origin) == expected
     assert origin == -6 and len(samples) == n
-    assert calls == [0, n]
+    chunk = formats._READ_CHUNK
+    assert calls == [(0, 1), (1, chunk - 1), (n + 3, 1)]
+
+
+def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
+    """A file write_csv_signal wrote sends only its header line, and a lone
+    rational in a later chunk only its own line, to the line-by-line
+    parser."""
+    calls = []
+    parse_lines = formats._parse_lines
+
+    def counted(lines, lineno, offset, samples, origin):
+        calls.append((lineno, len(lines)))
+        return parse_lines(lines, lineno, offset, samples, origin)
+
+    k = formats._READ_CHUNK + 50  # a sample in the second chunk
+    samples = list(range(-5, k + 50))
+    mixed = samples[:k] + [Fraction(1, 3)] + samples[k:]
+    p, q = tmp_path / "sig.csv", tmp_path / "frac.csv"
+    write_csv_signal(p, samples, origin=-4)
+    write_csv_signal(q, mixed, origin=7)
+    monkeypatch.setattr(formats, "_parse_lines", counted)
+    assert read_csv_signal(p) == (samples, -4)
+    assert calls == [(0, 1)]
+    calls.clear()
+    assert read_csv_signal(q) == (mixed, 7)
+    assert calls == [(0, 1), (k + 1, 1)]
 
 
 def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
     """A file whose lines end in a lone CR is one binary line; its lines
-    still reach _parse_lines at most _READ_CHUNK at a time, and it reads as
-    its LF twin does."""
-    sizes = []
-    parse_lines = formats._parse_lines
+    are still parsed at most _READ_CHUNK at a time, only its header line
+    goes line by line, and it reads as its LF twin does."""
+    sizes, chunk_sizes = [], []
+    parse_lines, chunks = formats._parse_lines, formats._chunks
 
     def counted(lines, lineno, offset, samples, origin):
         sizes.append(len(lines))
         return parse_lines(lines, lineno, offset, samples, origin)
+
+    def counted_chunks(fh):
+        for lines, size in chunks(fh):
+            chunk_sizes.append(len(lines))
+            yield lines, size
 
     rng = random.Random(17)
     walk, v = [], 0
@@ -492,8 +635,11 @@ def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
     cr.write_bytes(text.replace("\n", "\r").encode())
     lf.write_bytes(text.encode())
     monkeypatch.setattr(formats, "_parse_lines", counted)
+    monkeypatch.setattr(formats, "_chunks", counted_chunks)
     assert read_csv_signal(cr) == read_csv_signal(lf) == (walk, 3)
-    assert sizes == [formats._READ_CHUNK] * 2  # the header's chunk, twice
+    assert sizes == [1, 1]  # the header line, in each file
+    chunk = formats._READ_CHUNK
+    assert chunk_sizes == [chunk, chunk, chunk, 6] * 2
 
 
 @pytest.mark.parametrize("chunk", [7, 4096])

@@ -2,6 +2,7 @@
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,11 @@ def test_weight_validation():
         FiniteMeasureSpace(sig, [0.5, 1])
     with pytest.raises(TypeError):
         FiniteMeasureSpace(sig, [True, 1])
+    # Fraction() reads both of these, as 1/2 and 1/4
+    with pytest.raises(TypeError, match="not str"):
+        FiniteMeasureSpace(sig, ["1/2", 1])
+    with pytest.raises(TypeError, match="not Decimal"):
+        FiniteMeasureSpace(sig, [Decimal("0.25"), 1])
     with pytest.raises(ValueError):
         FiniteMeasureSpace(sig, [Fraction(-1), 1])
     FiniteMeasureSpace(sig, [INFINITY, Fraction(1, 3)])
