@@ -18,14 +18,14 @@ from .errors import (BadBreakpoints, CorruptContainer, DegenerateMeasure,
 from .measure import (INFINITY, FiniteCarrier, FiniteMeasureSpace,
                       MeasurableMap, SigmaAlgebra, atoms, compose_maps,
                       counting_space, direct_sum, generate_sigma_algebra,
-                      identity_map, power_set_algebra, summand_slices)
+                      identity_map, power_set_algebra)
 from .quotient import (BooleanAlgebra, BooleanHom, HomLawReport,
                        MeasureAlgebra, check_hom_laws, compose_homs,
                        identity_hom, induced_hom, quotient_measure_algebra)
 from .fnspace import (DualElement, FnClass, canonical_class, covariant_l2_op,
                       covariant_op, dual_norm2_sq, duality_bridge,
                       duality_bridge_inverse, indicator, inf, inner,
-                      join_direct_sum, leq_ae, mul, norm2_sq, pullback, scale,
+                      join_direct_sum, leq_ae, norm2_sq, pullback, scale,
                       split_direct_sum, sup)
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
@@ -60,12 +60,11 @@ __all__ = [
     "duality_bridge_inverse", "encode", "generate_sigma_algebra",
     "identity_arrow", "identity_hom", "identity_injection", "identity_map",
     "indicator", "inf", "inner", "induced_hom", "join_direct_sum",
-    "l2_partial", "leq_ae", "metrics", "mul", "norm2_sq",
+    "l2_partial", "leq_ae", "metrics", "norm2_sq",
     "power_set_algebra", "prototype_decomposition", "pullback",
     "quotient_measure_algebra", "read_container", "read_container_file",
     "read_csv_signal", "read_pgm", "redundancy_report", "restriction",
     "run_all", "scale", "segment_signal", "split_direct_sum", "sup",
-    "summand_slices", "write_container",
-    "write_container_file", "write_csv_signal", "write_pgm",
+    "write_container", "write_container_file", "write_csv_signal", "write_pgm",
     "zeroth_order_entropy",
 ]

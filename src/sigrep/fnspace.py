@@ -170,10 +170,6 @@ def scale(c, f: FnClass) -> FnClass:
     return _as_value(c) * f
 
 
-def mul(f: FnClass, g: FnClass) -> FnClass:
-    return f * g
-
-
 def sup(f: FnClass, g: FnClass) -> FnClass:
     return f._combine(g, max)
 
@@ -199,16 +195,17 @@ def pullback(phi: MeasurableMap, g: FnClass) -> FnClass:
     classes it must be inverse-measure-preserving (so squared norms are
     carried over exactly).
     """
-    if not phi.is_measurable:
+    flags = phi.flags
+    if not flags.is_measurable:
         raise NotNonsingular("pullback needs at least a measurable map")
     if g.space != phi.target:
         raise SpaceMismatch("class lives over a different space than the map's target")
     if g.tag == "L2":
-        if not phi.is_imp:
+        if not flags.is_imp:
             raise NotIMP("an L2 class only pulls back along an "
                          "inverse-measure-preserving map")
     else:
-        if not phi.is_nonsingular:
+        if not flags.is_nonsingular:
             raise NotNonsingular("an L0 class only pulls back along a "
                                  "nonsingular map")
     return canonical_class([g.values[t] for t in phi._targets], phi.source, g.tag)

@@ -12,17 +12,17 @@ maxval.  ``write_pgm`` packs its samples with ``bytes()``, which checks
 down; only a sample outside 0..255 sends it to Python-level ``min`` and
 ``max`` passes.
 
-A CSV file is read as bytes in chunks of ``_READ_CHUNK`` lines, each parsed
-by ``map(int, ...)``.  A line ``int`` refuses (a comment, a blank line, a
-rational, bad text or a non-ASCII byte) goes alone to the line-by-line
-parser and ``map(int, ...)`` resumes after it; from a second such line on,
-the rest of its chunk goes line by line, and nothing is read twice.  So the
-``# origin=`` header of a file ``write_csv_signal`` wrote costs one slow
-line, not a slow chunk.  The CSV reader holds one chunk of the text at a
+A CSV file is read as ASCII text in chunks of ``_READ_CHUNK`` lines, each
+parsed by ``map(int, ...)``.  A line ``int`` refuses (a comment, a blank
+line, a rational, bad text or a non-ASCII byte) goes alone to the
+line-by-line parser and ``map(int, ...)`` resumes after it; from a second
+such line on, the rest of its chunk goes line by line, and nothing is read
+twice.  So the ``# origin=`` header of a file ``write_csv_signal`` wrote
+costs one slow line, not a slow chunk.  The CSV reader holds one chunk of the text at a
 time, since a list of every line takes more memory than the ints parsed
-from them.  Only a file whose lines end in a lone CR is read whole, since a
-binary file splits at LF alone; its lines are still parsed in chunks of
-``_READ_CHUNK``.
+from them.  The text layer splits lines in C at LF, CRLF and a lone CR
+alike, so a file whose lines end in a lone CR is read a chunk at a time as
+well.
 """
 
 from __future__ import annotations
@@ -90,13 +90,14 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
         if maxval < 256:
             # the bytes left after deleting 0..maxval are the samples above it
             over = raster.translate(None, bytes(range(maxval + 1)))
-            values = list(raster)
+            values = raster
         else:
-            values = list(struct.unpack(f">{count}H", raster))
+            values = struct.unpack(f">{count}H", raster)
             over = max(values) > maxval
     if over:
         raise ValueError("PGM sample exceeds maxval")
-    return [values[r * width:(r + 1) * width] for r in range(height)], maxval
+    return [list(values[r * width:(r + 1) * width])
+            for r in range(height)], maxval
 
 
 def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
@@ -163,26 +164,29 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
     Other comment lines and blank lines are skipped.  Returns
     (samples, origin).  LF, CRLF and a lone CR each end a line.
 
-    The file is read as bytes.  ``int(line)`` accepts a line only where
-    ``_parse_lines`` reads the same int (``str.strip`` drops more control
-    characters than ``int`` does, and such a line goes to
-    ``_parse_lines``).  A chunk holding a lone CR is split at it first,
-    because ``int`` takes a CR inside a line as whitespace.  Errors come in
-    line order: the first bad sample, bad origin or non-ASCII byte is
-    reported, a non-ASCII byte by its line and file offset.
+    The file is read as ASCII text with ``surrogateescape``: each
+    non-ASCII byte becomes one surrogate character, which ``int`` refuses,
+    so a line's length is its size in bytes and offsets stay exact.
+    ``newline=""`` ends a line at LF, CRLF or a lone CR and keeps the line
+    end.  ``int(line)`` accepts a line only where ``_parse_lines`` reads
+    the same int (``str.strip`` drops more control characters than ``int``
+    does, and such a line goes to ``_parse_lines``).  Errors come in line
+    order: the first bad sample, bad origin or non-ASCII byte is reported,
+    a non-ASCII byte by its line and file offset.
     """
     origin = 0
     samples: List[Sample] = []
     lineno = offset = 0
-    with open(path, "rb") as fh:
-        for lines, size in _chunks(fh):
+    with open(path, encoding="ascii", errors="surrogateescape",
+              newline="") as fh:
+        while lines := list(islice(fh, _READ_CHUNK)):
             origin = _parse_chunk(lines, lineno, offset, samples, origin)
             lineno += len(lines)
-            offset += size
+            offset += len("".join(lines))
     return samples, origin
 
 
-def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
+def _parse_chunk(lines: Sequence[str], lineno: int, offset: int,
                  samples: List[Sample], origin: int) -> int:
     """Parse one chunk into ``samples`` by ``map(int, ...)``.  The first line
     ``int`` refuses goes alone to ``_parse_lines`` and ``map(int, ...)``
@@ -205,42 +209,23 @@ def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
     return origin
 
 
-def _chunks(fh):
-    """The lines of the binary file ``fh`` in lists of at most
-    ``_READ_CHUNK``, each with its size in bytes.  A binary file splits at
-    LF alone, so lines read that hold a lone CR are split again at it, and
-    the pieces are sliced back into lists of ``_READ_CHUNK``."""
-    while True:
-        lines = list(islice(fh, _READ_CHUNK))
-        if not lines:
-            return
-        block = b"".join(lines)
-        if block.count(b"\r") == block.count(b"\r\n"):
-            yield lines, len(block)
-            continue
-        lines = block.splitlines(keepends=True)  # a lone CR too
-        del block
-        for k in range(0, len(lines), _READ_CHUNK):
-            part = lines[k:k + _READ_CHUNK]
-            yield part, sum(map(len, part))
-
-
-def _parse_lines(lines: Sequence[bytes], lineno: int, offset: int,
+def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
                  samples: List[Sample], origin: int) -> int:
     """Parse ``lines``, which follow line ``lineno`` from byte ``offset`` on,
     into ``samples``: rationals too, blank and comment lines skipped, and a
     bad sample, bad origin or non-ASCII byte named by its line.  Returns the
-    origin in force after them."""
-    if not all(map(bytes.isascii, lines)):
+    origin in force after them.  A non-ASCII byte ``b`` reads as the
+    surrogate ``chr(0xDC00 + b)``."""
+    if not all(map(str.isascii, lines)):
         # the lines before the first non-ASCII one may hold an earlier error
         k = next(k for k, line in enumerate(lines) if not line.isascii())
         _parse_lines(lines[:k], lineno, offset, samples, origin)
         line = lines[k]
-        at = next(i for i, b in enumerate(line) if b > 0x7f)
+        at = next(i for i, ch in enumerate(line) if not ch.isascii())
         raise ValueError(f"line {lineno + k + 1}, "
                          f"offset {offset + sum(map(len, lines[:k])) + at}: "
-                         f"non-ASCII byte 0x{line[at]:02x}")
-    for lineno, text in enumerate(map(bytes.decode, lines), lineno + 1):
+                         f"non-ASCII byte 0x{ord(line[at]) - 0xDC00:02x}")
+    for lineno, text in enumerate(lines, lineno + 1):
         text = text.strip()
         if not text:
             continue

@@ -25,7 +25,7 @@ from math import lcm
 from operator import or_
 from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import MapNotTotal, NotADirectSum, SpaceMismatch
+from .errors import MapNotTotal, SpaceMismatch
 
 INFINITY = float("inf")
 
@@ -322,8 +322,9 @@ class MapFlags:
 class MeasurableMap:
     """A total point map between finite measure spaces.
 
-    ``mapping`` sends every source label to a target label.  The three flags
-    are defined over every member of the target sigma-algebra:
+    ``mapping`` sends every source label to a target label.  The three flags,
+    read as ``phi.flags.is_*`` and computed on first use, are defined over
+    every member of the target sigma-algebra:
 
     * measurable      -- every preimage is source-measurable;
     * nonsingular     -- measurable, and preimages of null sets are null;
@@ -386,18 +387,6 @@ class MeasurableMap:
             return MapFlags(True, False, False)
         return MapFlags(True, True, all(src._mass(pre) == tgt._mass(atom)
                                         for atom, pre in pairs if not atom & t_null))
-
-    @property
-    def is_measurable(self) -> bool:
-        return self.flags.is_measurable
-
-    @property
-    def is_nonsingular(self) -> bool:
-        return self.flags.is_nonsingular
-
-    @property
-    def is_imp(self) -> bool:
-        return self.flags.is_imp
 
     def __eq__(self, other):
         return (isinstance(other, MeasurableMap)
@@ -472,10 +461,3 @@ def direct_sum(spaces: Sequence[FiniteMeasureSpace]
         mapping = {p: off + i for i, p in enumerate(sp.carrier.points)}
         injections.append(MeasurableMap(sp, sum_space, mapping))
     return sum_space, injections
-
-
-def summand_slices(space: FiniteMeasureSpace) -> Tuple[Tuple[FiniteMeasureSpace, int], ...]:
-    """The (component, offset) provenance of a direct-sum space."""
-    if space.summands is None:
-        raise NotADirectSum("space was not built by direct_sum")
-    return space.summands

@@ -162,7 +162,7 @@ class MeasureAlgebra:
 
 def quotient_measure_algebra(space: FiniteMeasureSpace
                              ) -> Tuple[MeasureAlgebra, Callable[[int], int]]:
-    """Build the measure algebra of ``space`` and the projection sending each
+    """``MeasureAlgebra(space)`` and its ``project``, which sends each
     measurable set to its class.
 
     Raises DegenerateMeasure when the space has total measure zero.
@@ -177,10 +177,9 @@ class BooleanHom:
     ``mapping`` is a sequence indexed by source elements.  Flags:
 
     * ``is_hom``   -- preserves symmetric difference, meet and the unit
-      (hence complement, join and zero);
-    * ``is_soc``   -- a hom that preserves suprema of monotone chains.  Over
-      finite algebras that means preserving pairwise joins, which every hom
-      does (``a | b == a ^ b ^ (a & b)``), so it equals ``is_hom``;
+      (hence complement, join and zero).  It is also SOC (preserves suprema
+      of monotone chains): over finite algebras that means preserving
+      pairwise joins, which every hom does (``a | b == a ^ b ^ (a & b)``);
     * ``is_measure_preserving`` -- a hom under which the target measure of
       each image equals the source measure of the element.
 
@@ -213,10 +212,6 @@ class BooleanHom:
         if self._flags is None:
             self._compute_flags()
         return self._flags[0]
-
-    @property
-    def is_soc(self) -> bool:
-        return self.is_hom
 
     @property
     def is_measure_preserving(self) -> bool:
@@ -258,7 +253,7 @@ def induced_hom(phi: MeasurableMap) -> BooleanHom:
     class of ``F`` to the class of the preimage of ``F``.  Nonsingularity is
     exactly what makes this well defined on classes.
     """
-    if not phi.is_nonsingular:
+    if not phi.flags.is_nonsingular:
         raise NotNonsingular("induced homs exist only for nonsingular maps")
     src_alg = MeasureAlgebra(phi.target)
     tgt_alg = MeasureAlgebra(phi.source)
@@ -275,7 +270,6 @@ class HomLawReport:
     preserves_sym_diff: bool
     preserves_meet: bool
     preserves_unit: bool
-    is_soc: bool
     is_measure_preserving: bool
     failures: Tuple[str, ...]
 
@@ -302,7 +296,8 @@ def check_hom_laws(pi: BooleanHom) -> HomLawReport:
     Each failure names a pair of elements on which the law breaks; a law's
     pass stops once it has failed and 16 failures are held.  Joins are not
     checked apart: ``a | b == a ^ b ^ (a & b)``, so a map preserving
-    sym_diff and meet preserves joins, and ``is_soc`` is ``is_hom``.
+    sym_diff and meet preserves joins; over finite algebras that is also SOC
+    (preservation of suprema of monotone chains), so ``is_hom`` covers it.
     Measure preservation compares each source atom's mass with the summed
     atom masses of its image for a hom, else the two measure tables at
     every element.
@@ -343,5 +338,4 @@ def check_hom_laws(pi: BooleanHom) -> HomLawReport:
         preserving = all(target_mu[m[a]] == source_mu[a] for a in range(len(m)))
     if not preserving:
         failures.append("measure not preserved")
-    return HomLawReport(sym, meet, unit_ok, hom,
-                        preserving, tuple(failures[:16]))
+    return HomLawReport(sym, meet, unit_ok, preserving, tuple(failures[:16]))

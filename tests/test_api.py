@@ -17,6 +17,11 @@ def test_every_exported_name_resolves_once():
         assert hasattr(sigrep, name), name
 
 
+# a dataclass field is an attribute of its instances only
+_HOM_LAW_REPORT = sigrep.check_hom_laws(sigrep.identity_hom(
+    sigrep.MeasureAlgebra(sigrep.counting_space([0]))))
+
+
 @pytest.mark.parametrize("module, name", [
     (sigrep, "transfer"),           # SegmentArrow.predict
     (signal, "transfer"),
@@ -47,6 +52,16 @@ def test_every_exported_name_resolves_once():
     (sigrep.FnClass, "retag"),                  # FnClass(f.space, f.values, tag)
     (sigrep, "norm2"),                          # math.sqrt(norm2_sq(f))
     (fnspace, "norm2"),
+    (sigrep, "mul"),                            # f * g
+    (fnspace, "mul"),
+    (sigrep.MeasurableMap, "is_measurable"),    # phi.flags.is_measurable
+    (sigrep.MeasurableMap, "is_nonsingular"),   # phi.flags.is_nonsingular
+    (sigrep.MeasurableMap, "is_imp"),           # phi.flags.is_imp
+    (sigrep.BooleanHom, "is_soc"),              # is_hom
+    pytest.param(_HOM_LAW_REPORT, "is_soc",     # is_hom
+                 id="HomLawReport-is_soc"),
+    (sigrep, "summand_slices"),                 # space.summands
+    (measure, "summand_slices"),
 ])
 def test_deleted_aliases_are_gone(module, name):
     assert not hasattr(module, name)
@@ -107,6 +122,96 @@ def test_no_class_binds_a_method_under_a_second_name():
     package = Path(sigrep.__file__).parent
     assert [alias for path in sorted(package.glob("*.py"))
             for alias in _class_aliases(path.read_text())] == []
+
+
+def _restated(source):
+    """Public definitions whose body (a docstring aside) only restates
+    another operation: a method or property that returns another public
+    method or property of its own class (called with its own parameters in
+    order), or an attribute of one, and a module function that applies one
+    operator to its parameters in order."""
+    found = []
+
+    def body(fn):
+        stmts = fn.body
+        if (isinstance(stmts[0], ast.Expr) and isinstance(stmts[0].value, ast.Constant)
+                and isinstance(stmts[0].value.value, str)):
+            stmts = stmts[1:]
+        if len(stmts) == 1 and isinstance(stmts[0], ast.Return):
+            return stmts[0].value
+        return None
+
+    def public(name):
+        return not name.startswith("_") or name.startswith("__")
+
+    def params(fn):
+        return [a.arg for a in fn.args.args]
+
+    tree = ast.parse(source)
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        defs = {n.name for n in cls.body
+                if isinstance(n, ast.FunctionDef) and public(n.name)}
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or not public(fn.name):
+                continue
+            value = body(fn)
+            if (isinstance(value, ast.Call) and not value.keywords
+                    and [getattr(a, "id", None) for a in value.args] == params(fn)[1:]):
+                value = value.func
+            while isinstance(value, ast.Attribute):
+                if (isinstance(value.value, ast.Name) and value.value.id == "self"
+                        and value.attr in defs - {fn.name}):
+                    found.append(f"{cls.name}.{fn.name}")
+                    break
+                value = value.value
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or not public(fn.name):
+            continue
+        value = body(fn)
+        if isinstance(value, ast.BinOp):
+            operands = [value.left, value.right]
+        elif isinstance(value, ast.UnaryOp):
+            operands = [value.operand]
+        elif isinstance(value, ast.Compare) and len(value.ops) == 1:
+            operands = [value.left, *value.comparators]
+        else:
+            continue
+        if [getattr(o, "id", None) for o in operands] == params(fn):
+            found.append(fn.name)
+    return found
+
+
+def test_restated_scan_sees_returned_members_and_lone_operators():
+    source = ("class A:\n    __slots__ = ('sigma',)\n"
+              "    @property\n    def hom(self):\n        return 1\n"
+              "    @property\n    def soc(self):\n        'Doc.'\n"
+              "        return self.hom\n"
+              "    @property\n    def flags(self):\n        return 2\n"
+              "    def imp(self):\n        return self.flags.is_imp\n"
+              "    def pair(self, x):\n        return self.imp(x)\n"
+              "    def add(self, x):\n        return self._combine(x)\n"
+              "    def sub(self, x):\n        return self.pair(x, 1)\n"
+              "    def _combine(self, x):\n        return x\n"
+              "    @property\n    def carrier(self):\n"
+              "        return self.sigma.carrier\n"
+              "    def _private(self):\n        return self.hom\n"
+              "    def busy(self):\n        x = 1\n        return self.hom\n"
+              "def mul(f, g):\n    return f * g\n"
+              "def neg(f):\n    return -f\n"
+              "def rmul(f, g):\n    return g * f\n"
+              "def scale(c, f):\n    return float(c) * f\n"
+              "def _sub(f, g):\n    return f - g\n")
+    assert _restated(source) == ["A.soc", "A.imp", "A.pair", "mul", "neg"]
+
+
+def test_no_public_definition_restates_another_operation():
+    # is_soc returning is_hom, is_imp returning flags.is_imp, mul returning
+    # f * g: the caller writes the operation that stays
+    package = Path(sigrep.__file__).parent
+    assert [name for path in sorted(package.glob("*.py"))
+            for name in _restated(path.read_text())] == []
 
 
 def _unused_imports(source):

@@ -610,20 +610,19 @@ def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
 
 
 def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
-    """A file whose lines end in a lone CR is one binary line; its lines
-    are still parsed at most _READ_CHUNK at a time, only its header line
-    goes line by line, and it reads as its LF twin does."""
+    """A file whose lines end in a lone CR is read and parsed at most
+    _READ_CHUNK lines at a time, only its header line goes line by line,
+    and it reads as its LF twin does."""
     sizes, chunk_sizes = [], []
-    parse_lines, chunks = formats._parse_lines, formats._chunks
+    parse_lines, parse_chunk = formats._parse_lines, formats._parse_chunk
 
     def counted(lines, lineno, offset, samples, origin):
         sizes.append(len(lines))
         return parse_lines(lines, lineno, offset, samples, origin)
 
-    def counted_chunks(fh):
-        for lines, size in chunks(fh):
-            chunk_sizes.append(len(lines))
-            yield lines, size
+    def counted_chunk(lines, lineno, offset, samples, origin):
+        chunk_sizes.append(len(lines))
+        return parse_chunk(lines, lineno, offset, samples, origin)
 
     rng = random.Random(17)
     walk, v = [], 0
@@ -635,7 +634,7 @@ def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
     cr.write_bytes(text.replace("\n", "\r").encode())
     lf.write_bytes(text.encode())
     monkeypatch.setattr(formats, "_parse_lines", counted)
-    monkeypatch.setattr(formats, "_chunks", counted_chunks)
+    monkeypatch.setattr(formats, "_parse_chunk", counted_chunk)
     assert read_csv_signal(cr) == read_csv_signal(lf) == (walk, 3)
     assert sizes == [1, 1]  # the header line, in each file
     chunk = formats._READ_CHUNK

@@ -12,8 +12,8 @@ from sigrep import (INFINITY, FiniteCarrier, FiniteMeasureSpace, MapNotTotal,
                     SpaceMismatch, atoms, canonical_class, compose_maps,
                     counting_space, direct_sum, duality_bridge,
                     duality_bridge_inverse, generate_sigma_algebra,
-                    identity_hom, identity_map, induced_hom, power_set_algebra,
-                    summand_slices)
+                    identity_hom, identity_map, induced_hom, join_direct_sum,
+                    power_set_algebra)
 
 
 def full_space(weights):
@@ -229,11 +229,11 @@ def test_collapse_map_flags():
     two = counting_space([0, 1])
     one_double = full_space([Fraction(2)])
     collapse = MeasurableMap(two, one_double, {0: 0, 1: 0})
-    assert collapse.is_imp  # preimage of the point has mass 2 = its weight
+    assert collapse.flags.is_imp  # preimage of the point has mass 2 = its weight
 
     one_triple = full_space([Fraction(3)])
     collapse2 = MeasurableMap(two, one_triple, {0: 0, 1: 0})
-    assert collapse2.is_nonsingular and not collapse2.is_imp
+    assert collapse2.flags.is_nonsingular and not collapse2.flags.is_imp
 
 
 def test_nonsingularity_fails_on_null_target():
@@ -241,7 +241,7 @@ def test_nonsingularity_fails_on_null_target():
     tgt = full_space([Fraction(1), Fraction(0)])
     phi = MeasurableMap(src, tgt, {0: 0, 1: 1})
     # {1} is null in the target but its preimage has measure 1
-    assert phi.is_measurable and not phi.is_nonsingular
+    assert phi.flags.is_measurable and not phi.flags.is_nonsingular
 
 
 def test_measurability_fails_on_coarse_source():
@@ -250,8 +250,8 @@ def test_measurability_fails_on_coarse_source():
                                 [Fraction(1)] * 3)
     fine = counting_space([0, 1, 2])
     phi = MeasurableMap(coarse, fine, {0: 0, 1: 1, 2: 2})
-    assert not phi.is_measurable
-    assert not phi.is_nonsingular and not phi.is_imp
+    assert not phi.flags.is_measurable
+    assert not phi.flags.is_nonsingular and not phi.flags.is_imp
 
 
 def test_preimage_and_image_masks():
@@ -284,7 +284,7 @@ def test_compose_preserves_imp_random():
         perm = list(range(n))
         rng.shuffle(perm)
         phi = MeasurableMap(sp, sp, {i: perm[i] for i in range(n)})
-        assert phi.is_imp
+        assert phi.flags.is_imp
         assert compose_maps(phi, identity_map(sp)) == phi
 
 
@@ -302,7 +302,7 @@ def test_direct_sum_relabels_consecutively():
     assert injections[0].mapping == {0: 0, 1: 1}
     assert injections[1].mapping == {0: 2}
     for inj in injections:
-        assert inj.is_nonsingular
+        assert inj.flags.is_nonsingular
 
 
 def test_direct_sum_sigma_is_componentwise():
@@ -324,11 +324,11 @@ def test_summand_slices_round_trip():
     a = full_space([Fraction(1), Fraction(2)])
     b = counting_space([0, 1, 2])
     total, _ = direct_sum([a, b])
-    slices = summand_slices(total)
-    assert [off for _, off in slices] == [0, 2]
-    assert [comp.carrier.size for comp, _ in slices] == [2, 3]
+    # the (component, offset) provenance that split and join read
+    assert total.summands == ((a, 0), (b, 2))
+    assert a.summands is None
     with pytest.raises(NotADirectSum):
-        summand_slices(a)
+        join_direct_sum([canonical_class([1, 2], a)], a)
 
 
 def test_direct_sum_has_no_carrier_cap():
@@ -336,7 +336,8 @@ def test_direct_sum_has_no_carrier_cap():
     total, injections = direct_sum(parts)
     assert total.carrier.size == 18
     assert total.sigma.atoms == tuple(1 << i for i in range(18))
-    assert all(inj.is_nonsingular and not inj.is_imp for inj in injections)
+    assert all(inj.flags.is_nonsingular and not inj.flags.is_imp
+               for inj in injections)
 
 
 # ---------------------------------------------------------------- 2**k tables

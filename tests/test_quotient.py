@@ -138,9 +138,9 @@ def test_swap_hom_flags():
     src, tgt = two_atom_algebras()
     # elements are 2-bit atom masks; the swap exchanges the bits
     swap = BooleanHom(src, tgt, (0b00, 0b10, 0b01, 0b11))
-    assert swap.is_hom and swap.is_soc and swap.is_measure_preserving
+    assert swap.is_hom and swap.is_measure_preserving
     rep = check_hom_laws(swap)
-    assert rep.is_hom and rep.is_soc and not rep.failures
+    assert rep.is_hom and not rep.failures
 
 
 def test_non_hom_mapping_flags():
@@ -183,7 +183,7 @@ def test_induced_hom_goes_backwards():
     hom = induced_hom(phi)
     assert hom.source == MeasureAlgebra(phi.target)
     assert hom.target == MeasureAlgebra(phi.source)
-    assert hom.is_hom and hom.is_soc and hom.is_measure_preserving
+    assert hom.is_hom and hom.is_measure_preserving
     # the swap exchanges the two atoms
     assert hom(0b01) == 0b10
     assert hom(0b10) == 0b01
@@ -203,7 +203,7 @@ def test_induced_hom_requires_nonsingular():
     src = counting_space([0, 1])
     tgt = full_space([Fraction(1), Fraction(0)])
     phi = MeasurableMap(src, tgt, {0: 0, 1: 1})
-    assert not phi.is_nonsingular
+    assert not phi.flags.is_nonsingular
     with pytest.raises(NotNonsingular):
         induced_hom(phi)
 
@@ -230,12 +230,12 @@ def test_induced_measure_preserving_iff_imp_random():
         n = sp.carrier.size
         mapping = {i: rng.randrange(n) for i in range(n)}
         phi = MeasurableMap(sp, sp, mapping)
-        if not phi.is_nonsingular:
+        if not phi.flags.is_nonsingular:
             with pytest.raises(NotNonsingular):
                 induced_hom(phi)
             continue
         hom = induced_hom(phi)
-        assert hom.is_measure_preserving == phi.is_imp
+        assert hom.is_measure_preserving == phi.flags.is_imp
 
 
 def test_induced_identity_is_identity():
