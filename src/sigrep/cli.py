@@ -22,6 +22,10 @@ analyze finds exact arrows by lookups in an index of the earlier segments
 at every tolerance; with ``--tol`` above 0, only a segment without one
 scans every earlier segment, in time that grows with their count.
 
+``main(argv)`` may be called repeatedly in one process: it builds its
+parser once, on the first call, and every call parses into a fresh
+namespace.
+
 Exit codes: 0 success, 1 verification failure, 2 input or format error.
 """
 
@@ -32,7 +36,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from time import perf_counter
 
 from . import codec
@@ -48,9 +52,18 @@ _DETECTOR_ALIASES = {**{name: name for name in KIND_NAMES},
 
 
 def _parse_tol(text: str):
+    """``--tol``: an exact rational >= 0, or 'inf'."""
     if text.strip().lower() in ("inf", "infinity"):
         return float("inf")
-    return Fraction(text)
+    try:
+        tol = Fraction(text)
+        if tol >= 0:
+            return tol
+    except (ValueError, ZeroDivisionError):  # 'nan', '1/0'
+        pass
+    raise argparse.ArgumentTypeError(
+        "takes an exact rational >= 0 (such as 0, 3/2 or 0.25) or inf, "
+        f"not {text!r}")
 
 
 def _parse_detectors(text: str):
@@ -120,34 +133,35 @@ def cmd_analyze(args) -> int:
         report = redundancy_report(segments, tol=args.tol,
                                    detectors=detectors)
 
-    print(f"signal.path={args.input}")
-    print(f"signal.origin={origin}")
-    print(f"signal.length={len(samples)}")
-    print(f"segment.count={len(segments)}")
-    print(f"tol={report.tol}")
-    print(f"detectors={','.join(detectors)}")
+    lines = [f"signal.path={args.input}",
+             f"signal.origin={origin}",
+             f"signal.length={len(samples)}",
+             f"segment.count={len(segments)}",
+             f"tol={report.tol}",
+             f"detectors={','.join(detectors)}"]
     for e in report.entries:
         n = e.target_index
         tgt = segments[n]
-        print(f"entry.{n}.target=[{tgt.start},{tgt.end})")
-        print(f"entry.{n}.redundant={'true' if e.redundant else 'false'}")
+        lines += [f"entry.{n}.target=[{tgt.start},{tgt.end})",
+                  f"entry.{n}.redundant={'true' if e.redundant else 'false'}"]
         if not e.redundant:
             continue
         src = segments[e.source_index]
         arr = e.arrow
         relation = ("observed isomorphism" if e.residual_sq == 0
                     else "within-tolerance match")
-        print(f"entry.{n}.source=[{src.start},{src.end})")
-        print(f"entry.{n}.detector={e.detector}")
-        print(f"entry.{n}.relation={relation}")
-        print(f"entry.{n}.stride={arr.stride}")
-        print(f"entry.{n}.shift={arr.shift}")
-        print(f"entry.{n}.amp={arr.amp}")
-        print(f"entry.{n}.residual_sq={e.residual_sq}")
+        lines += [f"entry.{n}.source=[{src.start},{src.end})",
+                  f"entry.{n}.detector={e.detector}",
+                  f"entry.{n}.relation={relation}",
+                  f"entry.{n}.stride={arr.stride}",
+                  f"entry.{n}.shift={arr.shift}",
+                  f"entry.{n}.amp={arr.amp}",
+                  f"entry.{n}.residual_sq={e.residual_sq}"]
     candidates = max(len(report.entries), 1)
-    print(f"summary.redundant_count={report.redundant_count}")
-    print("summary.redundant_fraction="
-          f"{Fraction(report.redundant_count, candidates)}")
+    lines += [f"summary.redundant_count={report.redundant_count}",
+              "summary.redundant_fraction="
+              f"{Fraction(report.redundant_count, candidates)}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -225,7 +239,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sigrep`` parser, built on the first call.
+
+    Every later call returns the same parser, which ``main`` shares across
+    its calls: callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="sigrep",
         description="Structure-arrow signal representation toolkit: "

@@ -16,9 +16,11 @@ Layout (all multi-byte values little-endian):
 Parsing is strict: anything structurally off -- bad magic, unknown version,
 unknown policy id, truncated section, non-positive size, empty seed, a
 record ``_record_fault`` refuses, a kind byte S and the amplitude do not
-give, or trailing bytes -- raises CorruptContainer.  The writer refuses
-with ValueError, in the reader's words, each of these an encoding can
-hold, and a bool or a value that is not a signed 64-bit int.
+give, or trailing bytes -- raises CorruptContainer.  A cut section, a
+record count the bytes left cannot hold, and trailing bytes are named with
+the byte offset where that section, the count or the trailing bytes begin.
+The writer refuses with ValueError, in the reader's words, each of these an
+encoding can hold, and a bool or a value that is not a signed 64-bit int.
 One header struct per dimension (``_HEADS``) serves the writer, the reader
 and ``container_layout``.  A record packs as one ``_REC_HEAD`` and one bulk
 delta array; a bool or a value that does not pack goes through
@@ -180,7 +182,8 @@ def read_container(data: bytes) -> EncodedSignal:
         raise CorruptContainer(f"bad dimension byte {dim}")
     head, total = _HEADS[dim], len(data)
     if head.size > total:
-        raise CorruptContainer("truncated container")
+        # the sizes follow the magic, version and dimension bytes
+        raise CorruptContainer("truncated container at byte 6")
     values = head.unpack_from(data)
     shape, (origin, policy_id, seed_count) = values[3:-3], values[-3:]
     if any(d <= 0 for d in shape):
@@ -191,18 +194,19 @@ def read_container(data: bytes) -> EncodedSignal:
     if seed_count < 1 or seed_count * 8 > total - off:
         raise CorruptContainer("bad seed count")
     if (seed_count + 1) * 8 > total - off:
-        raise CorruptContainer("truncated container")
+        raise CorruptContainer(
+            f"truncated container at byte {off + 8 * seed_count}")
     *seed, rec_count = struct.unpack_from(f"<{seed_count}qQ", data, off)
     off += 8 * (seed_count + 1)
     if rec_count * _REC_HEAD.size > total - off:
-        raise CorruptContainer("bad record count")
+        raise CorruptContainer(f"bad record count at byte {off - 8}")
     head_unpack = _REC_HEAD.unpack_from
     head_size = _REC_HEAD.size
     records = []
     append = records.append
     for _ in range(rec_count):
         if off + head_size > total:
-            raise CorruptContainer("truncated record")
+            raise CorruptContainer(f"truncated record at byte {off}")
         kind, t, s, num, den, dlen = head_unpack(data, off)
         off += head_size
         fault = _record_fault(s, num, den)
@@ -214,12 +218,12 @@ def read_container(data: bytes) -> EncodedSignal:
                 f"record kind {kind} ({KIND_NAMES[kind]}) does not match "
                 f"stride {s} and amplitude {num}/{den}")
         if dlen * 8 > total - off:
-            raise CorruptContainer("truncated delta array")
+            raise CorruptContainer(f"truncated delta array at byte {off}")
         delta = struct.unpack_from(f"<{dlen}q", data, off)
         off += 8 * dlen
         append(ArrowRecord(t, s, num, den, delta))
     if off != total:
-        raise CorruptContainer("trailing bytes after records")
+        raise CorruptContainer(f"trailing bytes after records at byte {off}")
     return EncodedSignal(shape, origin, POLICY_NAMES[policy_id],
                          tuple(seed), tuple(records))
 

@@ -61,6 +61,18 @@ class FnClass:
         self.values = vals
         self.tag = tag
 
+    @classmethod
+    def _canonical(cls, space: FiniteMeasureSpace, vals: tuple,
+                   tag: str) -> "FnClass":
+        """A class from a tuple of Fractions that is already zero on the null
+        set, as pointwise arithmetic on canonical classes gives; the public
+        constructor's checks are skipped."""
+        f = object.__new__(cls)
+        f.space = space
+        f.values = vals
+        f.tag = tag
+        return f
+
     def value(self, label: int) -> Fraction:
         return self.values[self.space.carrier.index(label)]
 
@@ -79,9 +91,9 @@ class FnClass:
         if self.space != other.space:
             raise SpaceMismatch("operands live over different spaces")
         tag = self.tag if self.tag == other.tag else "L0"
-        return FnClass(self.space,
-                       tuple(op(a, b) for a, b in zip(self.values, other.values)),
-                       tag)
+        return FnClass._canonical(
+            self.space, tuple(op(a, b) for a, b in zip(self.values, other.values)),
+            tag)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -94,13 +106,16 @@ class FnClass:
 
     def __rmul__(self, c):
         c = _as_value(c)
-        return FnClass(self.space, tuple(c * v for v in self.values), self.tag)
+        return FnClass._canonical(self.space, tuple(c * v for v in self.values),
+                                  self.tag)
 
     def __neg__(self):
-        return FnClass(self.space, tuple(-v for v in self.values), self.tag)
+        return FnClass._canonical(self.space, tuple(-v for v in self.values),
+                                  self.tag)
 
     def __abs__(self):
-        return FnClass(self.space, tuple(abs(v) for v in self.values), self.tag)
+        return FnClass._canonical(self.space, tuple(abs(v) for v in self.values),
+                                  self.tag)
 
     def __eq__(self, other):
         return (isinstance(other, FnClass)

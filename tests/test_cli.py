@@ -1,6 +1,13 @@
 """End-to-end runs of every CLI subcommand, in process via cli.main."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import sigrep
 
 from sigrep import (ALL_SUITES, ArrowRecord, EncodedSignal, read_csv_signal,
                     read_pgm, write_container_file, write_csv_signal,
@@ -267,3 +274,143 @@ def test_timings_flag(tmp_path, capsys):
     assert err.splitlines()[0] == "error: bad magic"
     assert [line.split("=")[0] for line in err.splitlines()[1:]] == [
         "timing.read_ms"]
+
+
+# analyze's whole stdout on one small input, captured before the report was
+# written with a single print: every line, their order and the final newline
+_SMALL = [1, 2, 4, 1, 2, 4, 4, 2, 1, 3, 6, 12, 7, 0, 9, 1, 2, 5]
+_SMALL_REPORT = """\
+signal.path={path}
+signal.origin=-2
+signal.length=18
+segment.count=6
+tol=1
+detectors=translation,affine,amp_affine
+entry.1.target=[1,4)
+entry.1.redundant=true
+entry.1.source=[-2,1)
+entry.1.detector=translation
+entry.1.relation=observed isomorphism
+entry.1.stride=1
+entry.1.shift=-3
+entry.1.amp=1
+entry.1.residual_sq=0
+entry.2.target=[4,7)
+entry.2.redundant=true
+entry.2.source=[-2,1)
+entry.2.detector=affine
+entry.2.relation=observed isomorphism
+entry.2.stride=-1
+entry.2.shift=4
+entry.2.amp=1
+entry.2.residual_sq=0
+entry.3.target=[7,10)
+entry.3.redundant=true
+entry.3.source=[-2,1)
+entry.3.detector=amp_affine
+entry.3.relation=observed isomorphism
+entry.3.stride=1
+entry.3.shift=-9
+entry.3.amp=3
+entry.3.residual_sq=0
+entry.4.target=[10,13)
+entry.4.redundant=false
+entry.5.target=[13,16)
+entry.5.redundant=true
+entry.5.source=[-2,1)
+entry.5.detector=amp_affine
+entry.5.relation=within-tolerance match
+entry.5.stride=1
+entry.5.shift=-15
+entry.5.amp=25/21
+entry.5.residual_sq=5/21
+summary.redundant_count=4
+summary.redundant_fraction=4/5
+"""
+
+
+def test_analyze_stdout_byte_for_byte(tmp_path, capsys):
+    sig = tmp_path / "small.csv"
+    write_csv_signal(sig, _SMALL, origin=-2)
+    code, out, err = run(capsys, "analyze", str(sig), "--segment-len", "3",
+                         "--tol", "1")
+    assert (code, err) == (0, "")
+    assert out == _SMALL_REPORT.format(path=sig)
+
+
+@pytest.mark.parametrize("bad", ["abc", "-inf", "-1", "nan", "1/0", ""])
+def test_bad_tol_names_what_tol_accepts(tmp_path, capsys, bad):
+    sig = tmp_path / "sig.csv"
+    write_csv_signal(sig, [1, 2])
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(sig), f"--tol={bad}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "sigrep analyze: error: argument --tol: takes an exact rational >= 0 "
+        f"(such as 0, 3/2 or 0.25) or inf, not {bad!r}")
+
+
+@pytest.mark.parametrize("tol, line", [("3/2", "tol=3/2"), ("0.25", "tol=1/4"),
+                                       ("INF", "tol=inf"), ("0", "tol=0")])
+def test_good_tol_values(tmp_path, capsys, tol, line):
+    sig = tmp_path / "sig.csv"
+    write_csv_signal(sig, [1, 2])
+    code, out, _ = run(capsys, "analyze", str(sig), "--tol", tol)
+    assert code == 0 and line in out.splitlines()
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    write_csv_signal(sig, _SMALL, origin=-2)
+    plain = run(capsys, "analyze", str(sig), "--segment-len", "3")
+    assert plain[0] == 0 and "tol=0" in plain[1]
+    code, out, err = run(capsys, "--timings", "analyze", str(sig),
+                         "--segment-len", "3", "--tol", "inf",
+                         "--detectors", "translation")
+    assert code == 0 and "detectors=translation" in out and "timing." in err
+    assert run(capsys, "analyze", str(sig), "--segment-len", "3") == plain
+
+    enc = tmp_path / "sig.fsg"
+    assert run(capsys, "encode", str(sig), "-o", str(enc))[0] == 0
+    predecessor = enc.read_bytes()
+    code, out, _ = run(capsys, "encode", str(sig), "-o", str(enc),
+                       "--policy", "detected")
+    assert code == 0 and "policy=detected" in out
+    code, out, _ = run(capsys, "encode", str(sig), "-o", str(enc))
+    assert code == 0 and "policy=predecessor" in out
+    assert enc.read_bytes() == predecessor
+
+    # a usage error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(sig), "--segment-len"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "analyze", str(sig), "--segment-len", "3") == plain
+
+
+def test_the_parser_is_built_on_the_first_call_only():
+    # counted in a fresh interpreter: importing the CLI builds no parser,
+    # the first main() call builds it, and later calls reuse it
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import sigrep.cli
+assert built == [], built
+assert sigrep.cli.main(["demo-prototype"]) == 0
+first = len(built)
+assert first > 0
+for argv in (["demo-prototype"], ["--timings", "demo-prototype"]):
+    assert sigrep.cli.main(argv) == 0
+assert len(built) == first, built
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sigrep.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -562,6 +562,37 @@ def test_container_read_truncated_2d_header():
             read_container(blob[:cut])
 
 
+def test_container_read_errors_name_the_byte_offset():
+    # four 10-delta runs: a 47-byte header whose record count sits at byte
+    # 39, then records of 41 + 80 bytes starting at bytes 47, 168, 289, 410
+    enc = EncodedSignal((41,), 0, "predecessor", (5,),
+                        tuple(dpcm(-1, *range(10)) for _ in range(4)))
+    blob = write_container(enc)
+    layout = container_layout(enc)
+    assert (layout.header_bytes, len(blob)) == (47, 531)
+    starts = [47 + 121 * k for k in range(4)]
+    cuts = {
+        20: "truncated container at byte 6",            # inside the sizes
+        40: "truncated container at byte 39",           # inside the count
+        # at a record boundary: too few bytes left for four record heads,
+        # then for the record that starts there
+        starts[0]: "bad record count at byte 39",
+        starts[1]: "bad record count at byte 39",
+        starts[2]: "truncated record at byte 289",
+        starts[3]: "truncated record at byte 410",
+        starts[3] + 40: "truncated record at byte 410",
+        starts[3] + 41: "truncated delta array at byte 451",
+        len(blob) - 1: "truncated delta array at byte 451",
+    }
+    for cut, text in cuts.items():
+        with pytest.raises(CorruptContainer, match=f"^{re.escape(text)}$"):
+            read_container(blob[:cut])
+    with pytest.raises(CorruptContainer,
+                       match="^trailing bytes after records at byte 531$"):
+        read_container(blob + b"\0")
+    assert read_container(blob) == enc
+
+
 @pytest.mark.parametrize("change, text", [
     (dict(amp_num=0, amp_den=0), _AMP_FAULT),
     (dict(amp_den=0), _AMP_FAULT),

@@ -181,6 +181,23 @@ def test_vector_and_lattice_ops():
     assert fn_sup(f, g) + fn_inf(f, g) == f + g
 
 
+def test_arithmetic_results_are_what_the_checked_constructor_builds():
+    # +, -, *, scalar *, - and abs build their results without the
+    # constructor's checks; each result passes them unchanged
+    rng = random.Random(21)
+    sp = full_space([Fraction(1), Fraction(0), Fraction(3, 2), Fraction(0)])
+    for _ in range(50):
+        f, g = (canonical_class([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(4)], sp, rng.choice(("L0", "L2")))
+                for _ in range(2))
+        c = rng.choice([2, Fraction(-3, 4), 0])
+        for r in (f + g, f - g, f * g, c * f, -f, abs(f)):
+            assert FnClass(r.space, r.values, r.tag) == r
+            assert set(map(type, r.values)) == {Fraction}
+        assert (f + g).tag == (f.tag if f.tag == g.tag else "L0")
+        assert (c * f).tag == (-f).tag == abs(f).tag == f.tag
+
+
 # ---------------------------------------------------------------- pullback
 
 
