@@ -89,12 +89,6 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
                          (grid[0][0],), tuple(records))
 
 
-def _integral(v) -> bool:
-    if isinstance(v, int):
-        return True
-    return isinstance(v, Fraction) and v.denominator == 1
-
-
 def _encode_detected(samples: List[Number], origin: int) -> EncodedSignal:
     """Best arrow into each unit segment from any earlier unit segment.
 
@@ -145,7 +139,7 @@ def _detected_record(samples, k, y, first, nonzero, origin) -> ArrowRecord:
     best = None  # (squared residual, index, residual)
     for i in range(k):
         d = y - samples[i]
-        if _integral(d) and (best is None or d * d < best[0]):
+        if d.denominator == 1 and (best is None or d * d < best[0]):
             best = (d * d, i, int(d))
     if best is None:
         raise ValueError(f"detected policy: no earlier sample leaves an "
@@ -254,17 +248,20 @@ def zeroth_order_entropy(stream) -> float:
     return total
 
 
-def _flatten(raw) -> List[Number]:
-    if _is_image(raw):
-        return [v for row in raw for v in row]
-    return list(raw)
-
-
 def metrics(raw, enc: EncodedSignal) -> Metrics:
-    """Compare the raw sample stream with the encoded delta stream."""
-    flat = _flatten(raw)
-    if len(flat) != enc.total_samples:
-        raise ValueError("raw input and encoding disagree on sample count")
+    """Compare the raw sample stream with the encoded delta stream; the raw
+    payload must have the container's shape."""
+    if _is_image(raw):
+        shape = (len(raw), len(raw[0]))
+        if any(len(row) != shape[1] for row in raw):
+            raise ValueError("ragged image rows")
+        flat = [v for row in raw for v in row]
+    else:
+        flat = list(raw)
+        shape = (len(flat),)
+    if shape != enc.shape:
+        raise ValueError(f"raw input has shape {shape} but the container "
+                         f"has shape {enc.shape}")
     deltas = [d for rec in enc.records for d in rec.delta]
     nz = sum(1 for d in deltas if d != 0)
     frac = Fraction(nz, len(deltas)) if deltas else Fraction(0)

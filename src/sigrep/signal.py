@@ -670,11 +670,22 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
 
 # ---------------------------------------------------------------- prototype
 
+def _unit_translations(values: Sequence[Number],
+                       start: int) -> List[SegmentArrow]:
+    """The translation j -> j - 1 from each one-point segment of ``values``,
+    laid out from ``start``, to the next, its residual their difference."""
+    segs = [Segment(start + k, start + k + 1, (v,))
+            for k, v in enumerate(values)]
+    return [SegmentArrow(f, g, 1, -1, 1, (g.samples[0] - f.samples[0],))
+            for f, g in zip(segs, segs[1:])]
+
+
 def prototype_decomposition(samples: Sequence[Number], origin: int = 1):
     """Decompose a signal over unit segments by consecutive translations.
 
     Each position becomes a one-point segment; consecutive segments are
-    related by the forced unit translation, the first-level residuals form
+    related by the unit translation j -> j - 1, an arrow fixed by position
+    and so built rather than searched for; the first-level residuals form
     delta segments, and consecutive delta segments are related the same way,
     giving second-level residuals.  Returns a dict with the seed sample, the
     arrows, both residual levels, and the reconstruction.
@@ -682,22 +693,10 @@ def prototype_decomposition(samples: Sequence[Number], origin: int = 1):
     samples = _check_samples(tuple(samples))
     if not samples:
         raise EmptySignal("nothing to decompose")
-    segs = [Segment(origin + k, origin + k + 1, (v,))
-            for k, v in enumerate(samples)]
-    arrows = []
-    first_deltas = []
-    for k in range(1, len(segs)):
-        arr = detect_translation(segs[k - 1], segs[k], tol=float("inf"))
-        arrows.append(arr)
-        first_deltas.append(arr.delta[0])
-
-    delta_segs = [Segment(origin + k + 1, origin + k + 2, (d,))
-                  for k, d in enumerate(first_deltas)]
-    second_deltas = []
-    for k in range(1, len(delta_segs)):
-        arr = detect_translation(delta_segs[k - 1], delta_segs[k],
-                                 tol=float("inf"))
-        second_deltas.append(arr.delta[0])
+    arrows = _unit_translations(samples, origin)
+    first_deltas = tuple(arr.delta[0] for arr in arrows)
+    second_deltas = tuple(arr.delta[0] for arr in
+                          _unit_translations(first_deltas, origin + 1))
 
     rebuilt = [samples[0]]
     for arr in arrows:
@@ -708,8 +707,8 @@ def prototype_decomposition(samples: Sequence[Number], origin: int = 1):
         "origin": origin,
         "seed": samples[0],
         "arrows": arrows,
-        "first_deltas": tuple(first_deltas),
-        "second_deltas": tuple(second_deltas),
+        "first_deltas": first_deltas,
+        "second_deltas": second_deltas,
         "reconstruction": tuple(rebuilt),
         "exact": tuple(rebuilt) == samples,
     }

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 import sigrep
+import sigrep.laws
 
 from sigrep import (ALL_SUITES, ArrowRecord, EncodedSignal, read_csv_signal,
                     read_pgm, write_container_file, write_csv_signal,
                     write_pgm)
 from sigrep.cli import main
+from sigrep.laws import LawResult
 
 
 def run(capsys, *argv):
@@ -39,6 +41,24 @@ def test_verify_bad_instances(capsys):
     code, _, err = run(capsys, "verify", "--instances", "0")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_verify_prints_each_failure_and_exits_1(monkeypatch, capsys):
+    def suite_fails(rng, instances):
+        return LawResult("fails", instances,
+                         ["first law broken", "second law broken"])
+
+    def suite_holds(rng, instances):
+        return LawResult("holds", instances)
+
+    monkeypatch.setattr(sigrep.laws, "ALL_SUITES", (suite_fails, suite_holds))
+    code, out, err = run(capsys, "verify", "--instances", "2")
+    assert code == 1 and err == ""
+    assert out == ("fails: 2 instances, 2 failures\n"
+                   "    first law broken\n"
+                   "    second law broken\n"
+                   "holds: 2 instances, 0 failures\n"
+                   "total: 2 suites, 2 failures\n")
 
 
 def test_demo_prototype(capsys):
@@ -82,6 +102,17 @@ def test_analyze_tolerance_and_detectors(tmp_path, capsys):
     assert code == 2 and "unknown detector" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--segment-len", "0"), "--segment-len must be >= 1"),
+    (("--detectors", ","), "no detectors selected"),
+])
+def test_analyze_refuses_bad_options(tmp_path, capsys, argv, message):
+    sig = tmp_path / "sig.csv"
+    write_csv_signal(sig, [1, 2, 3, 4])
+    code, out, err = run(capsys, "analyze", str(sig), *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_encode_decode_csv(tmp_path, capsys):
     sig = tmp_path / "in.csv"
     enc = tmp_path / "sig.fsg"
@@ -116,6 +147,14 @@ def test_decode_extension_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "decode", str(enc), "-o",
                        str(tmp_path / "no.pgm"))
     assert code == 2 and "2-D container" in err
+    img = tmp_path / "in.pgm"
+    write_pgm(img, [[1, 2], [3, 4]])
+    run(capsys, "encode", str(img), "-o", str(enc))
+    code, out, err = run(capsys, "decode", str(enc), "-o",
+                         str(tmp_path / "no.csv"))
+    assert (code, out) == (2, "")
+    assert err == ("error: CSV output needs a 1-D container; "
+                   "name the output file *.pgm instead\n")
 
 
 def test_stats(tmp_path, capsys):
@@ -185,6 +224,24 @@ def test_stats_image_split(tmp_path, capsys):
         "records.affine=0",
         "records.amp_affine=0",
     ]
+
+
+def test_stats_refuses_a_raw_file_of_another_shape(tmp_path, capsys):
+    sig = tmp_path / "in.csv"
+    img = tmp_path / "in.pgm"
+    enc = tmp_path / "in.fsg"
+    write_csv_signal(sig, [1, 2, 3, 4])
+    write_pgm(img, [[1, 2], [3, 4]])
+    run(capsys, "encode", str(img), "-o", str(enc))
+    code, out, err = run(capsys, "stats", str(sig), str(enc))
+    assert (code, out) == (2, "")
+    assert err == ("error: raw input has shape (4,) but the container has "
+                   "shape (2, 2)\n")
+    run(capsys, "encode", str(sig), "-o", str(enc))
+    code, out, err = run(capsys, "stats", str(img), str(enc))
+    assert (code, out) == (2, "")
+    assert err == ("error: raw input has shape (2, 2) but the container has "
+                   "shape (4,)\n")
 
 
 def test_io_errors_exit_2(tmp_path, capsys):

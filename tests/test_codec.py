@@ -641,3 +641,16 @@ def test_metrics_on_two_region_image():
 def test_metrics_checks_sample_count():
     with pytest.raises(ValueError):
         metrics([1, 2, 3], encode([1, 2]))
+
+
+def test_metrics_refuses_a_payload_of_another_shape():
+    square = encode([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=r"^raw input has shape \(4,\) but "
+                       r"the container has shape \(2, 2\)$"):
+        metrics([1, 2, 3, 4], square)
+    with pytest.raises(ValueError, match=r"shape \(1, 4\) .* \(2, 2\)$"):
+        metrics([[1, 2, 3, 4]], square)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) .* \(4,\)$"):
+        metrics([[1, 2], [3, 4]], encode([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match="ragged image rows"):
+        metrics([[1, 2], [3]], square)

@@ -299,6 +299,7 @@ def test_covariant_duplicate_along_collapse():
     assert dup.is_hom and dup.is_measure_preserving
     u = DualElement(one, [Fraction(7)])
     assert covariant_op(dup, u).atom_values == (7, 7)
+    assert covariant_l2_op(dup, u) == covariant_op(dup, u)
 
 
 def test_covariant_handles_negative_values():

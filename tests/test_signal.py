@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import sigrep.signal
 from sigrep import (BadBreakpoints, EmptySignal, IntervalMismatch, Segment,
                     SegmentArrow, compose_arrows, delta, detect_affine,
                     detect_amp_affine, detect_translation, identity_arrow,
                     prototype_decomposition, redundancy_report,
                     segment_signal)
+from sigrep.cli import main as cli_main
 
 STRIDES = (-2, -1, 1, 2)
 
@@ -388,3 +390,70 @@ def test_prototype_decomposition_values():
 def test_prototype_empty_rejected():
     with pytest.raises(EmptySignal):
         prototype_decomposition([], origin=0)
+
+
+def _searched_prototype(samples, origin):
+    """The prototype with each unit translation found by the detector
+    search, as prototype_decomposition built it before its arrows were
+    built by position: the oracle for the built arrows."""
+    segs = [Segment(origin + k, origin + k + 1, (v,))
+            for k, v in enumerate(samples)]
+    arrows = [detect_translation(f, g, tol=float("inf"))
+              for f, g in zip(segs, segs[1:])]
+    first = tuple(a.delta[0] for a in arrows)
+    dsegs = [Segment(origin + k + 1, origin + k + 2, (d,))
+             for k, d in enumerate(first)]
+    second = tuple(detect_translation(f, g, tol=float("inf")).delta[0]
+                   for f, g in zip(dsegs, dsegs[1:]))
+    rebuilt = [samples[0]]
+    for arr in arrows:
+        prev = Segment(arr.source.start, arr.source.end, (rebuilt[-1],))
+        rebuilt.append(arr.apply(prev).samples[0])
+    return {"origin": origin, "seed": samples[0], "arrows": arrows,
+            "first_deltas": first, "second_deltas": second,
+            "reconstruction": tuple(rebuilt),
+            "exact": tuple(rebuilt) == tuple(samples)}
+
+
+def _typed(vals):
+    return [(type(v), v) for v in vals]
+
+
+def _arrow_facts(arr):
+    return (arr.source.interval, _typed(arr.source.samples),
+            arr.target.interval, _typed(arr.target.samples),
+            arr.stride, arr.shift, type(arr.amp), arr.amp, _typed(arr.delta))
+
+
+def test_prototype_matches_the_detector_search():
+    rng = random.Random(2211)
+    pool = [-3, -1, 0, 0, 1, 2, 5, Fraction(0), Fraction(4, 2),
+            Fraction(-1, 3), Fraction(5, 6), Fraction(7, 4)]
+    for _ in range(3000):
+        samples = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        origin = rng.randint(-5, 5)
+        got = prototype_decomposition(samples, origin)
+        want = _searched_prototype(samples, origin)
+        assert got.keys() == want.keys()
+        for key in ("origin", "seed", "exact"):
+            assert _typed([got[key]]) == _typed([want[key]])
+        for key in ("first_deltas", "second_deltas", "reconstruction"):
+            assert type(got[key]) is tuple
+            assert _typed(got[key]) == _typed(want[key])
+        assert ([_arrow_facts(a) for a in got["arrows"]]
+                == [_arrow_facts(a) for a in want["arrows"]])
+
+
+def test_prototype_runs_no_search(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the prototype searched for an arrow")
+
+    for name in ("_found", "_exact_arrows", "_best_arrow",
+                 "detect_translation", "detect_affine", "detect_amp_affine"):
+        monkeypatch.setattr(sigrep.signal, name, refuse)
+    demo = prototype_decomposition([3, Fraction(1, 2), 0, -4], origin=-2)
+    assert demo["first_deltas"] == (Fraction(-5, 2), Fraction(-1, 2), -4)
+    assert demo["second_deltas"] == (2, Fraction(-7, 2))
+    assert demo["exact"]
+    assert cli_main(["demo-prototype"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "exact=true"
