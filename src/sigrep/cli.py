@@ -22,6 +22,11 @@ analyze finds exact arrows by lookups in an index of the earlier segments
 at every tolerance; with ``--tol`` above 0, only a segment without one
 scans every earlier segment, in time that grows with their count.
 
+Each command imports only the layers it runs: encode, decode and stats load
+the codec stack (``codec``, ``container``, ``formats``); analyze and
+demo-prototype add ``signal``; verify imports ``laws``, and with it every
+layer.
+
 ``main(argv)`` may be called repeatedly in one process: it builds its
 parser once, on the first call, and every call parses into a fresh
 namespace.
@@ -44,8 +49,6 @@ from .container import (KIND_NAMES, container_layout, read_container_file,
                         write_container_file)
 from .errors import SigrepError
 from .formats import read_csv_signal, read_pgm, write_csv_signal, write_pgm
-from .laws import run_all
-from .signal import prototype_decomposition, redundancy_report, segment_signal
 
 _DETECTOR_ALIASES = {**{name: name for name in KIND_NAMES},
                      "amp": "amp_affine", "amp-affine": "amp_affine"}
@@ -105,6 +108,7 @@ def _read_raw(path: str):
 
 
 def cmd_verify(args) -> int:
+    from .laws import run_all
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
     failed = 0
@@ -121,6 +125,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .signal import redundancy_report, segment_signal
     if args.segment_len < 1:
         raise ValueError("--segment-len must be >= 1")
     with _phase(args, "read"):
@@ -187,24 +192,26 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     with _phase(args, "container_read"):
         enc = read_container_file(args.input)
+    # the output kind is known from the header: refuse before decoding
+    pgm = _is_pgm(args.output)
+    if pgm and enc.dimension != 2:
+        raise ValueError("PGM output needs a 2-D container; this one is 1-D")
+    if not pgm and enc.dimension != 1:
+        raise ValueError("CSV output needs a 1-D container; "
+                         "name the output file *.pgm instead")
     with _phase(args, "decode"):
         payload = codec.decode(enc)
     with _phase(args, "write"):
-        if _is_pgm(args.output):
-            if enc.dimension != 2:
-                raise ValueError("PGM output needs a 2-D container; "
-                                 "this one is 1-D")
+        if pgm:
             write_pgm(args.output, payload)
         else:
-            if enc.dimension != 1:
-                raise ValueError("CSV output needs a 1-D container; "
-                                 "name the output file *.pgm instead")
             write_csv_signal(args.output, payload, origin=enc.origin)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_demo(args) -> int:
+    from .signal import prototype_decomposition
     signal = [1, 2, 3, 4, 5]
     demo = prototype_decomposition(signal, origin=1)
     print(f"signal={','.join(str(v) for v in signal)}")

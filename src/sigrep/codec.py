@@ -31,17 +31,16 @@ Policies (``POLICIES``, in the order of FSG1's policy ids):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import log2
 from operator import sub
-from typing import List
+from typing import List, NamedTuple
 
-from .container import (POLICY_IDS, ArrowRecord, EncodedSignal, _fits_i64,
-                        _record_fault, write_container)
+from .container import (POLICY_IDS, ArrowRecord, EncodedSignal, Number,
+                        _check_samples, _fits_i64, _record_fault,
+                        write_container)
 from .errors import CorruptContainer, EmptySignal, PolicyMismatch
-from .signal import Number, _check_samples
 
 POLICIES = tuple(POLICY_IDS)
 
@@ -226,8 +225,7 @@ def decode(enc: EncodedSignal):
     return [vals[r * width:(r + 1) * width] for r in range(enc.shape[0])]
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Sparsity/entropy summary of an encoding relative to its raw input."""
     nonzero_delta_fraction: Fraction
     raw_entropy: float     # zeroth-order, bits per sample

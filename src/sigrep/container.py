@@ -8,8 +8,8 @@ Layout (all multi-byte values little-endian):
 * policy id byte (0 = predecessor, 1 = detected);
 * seed: unsigned 64-bit count, then signed 64-bit samples;
 * records: unsigned 64-bit count, then per record: kind byte (0 =
-  translation, 1 = affine, 2 = amp_affine; ``signal.arrow_kind`` of S and
-  the amplitude), T, S as signed 64-bit, amplitude as two signed 64-bit ints
+  translation, 1 = affine, 2 = amp_affine; ``arrow_kind`` of S and the
+  amplitude), T, S as signed 64-bit, amplitude as two signed 64-bit ints
   (numerator, denominator), delta as an unsigned 64-bit count plus signed
   64-bit values.
 
@@ -17,14 +17,20 @@ Parsing is strict: anything structurally off -- bad magic, unknown version,
 unknown policy id, truncated section, non-positive size, empty seed, a
 record ``_record_fault`` refuses, a kind byte S and the amplitude do not
 give, or trailing bytes -- raises CorruptContainer.  A cut section, a
-record count the bytes left cannot hold, and trailing bytes are named with
-the byte offset where that section, the count or the trailing bytes begin.
+record count the bytes left cannot hold, a wrong kind byte and trailing
+bytes are named with the byte offset where that section, the count, the
+kind byte or the trailing bytes begin.
 The writer refuses with ValueError, in the reader's words, each of these an
 encoding can hold, and a bool or a value that is not a signed 64-bit int.
 One header struct per dimension (``_HEADS``) serves the writer, the reader
 and ``container_layout``.  A record packs as one ``_REC_HEAD`` and one bulk
 delta array; a bool or a value that does not pack goes through
 ``_check_i64``, which names it or normalises an integral Fraction.
+
+This module is the bottom of the codec stack and imports no other sigrep
+layer, so it also holds the two rules that ``codec`` and ``signal`` share:
+the sample rule (``Number``, ``_check_samples``) and the arrow-kind rule
+(``KIND_NAMES``, ``arrow_kind``).
 """
 
 from __future__ import annotations
@@ -32,10 +38,40 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import chain
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CorruptContainer
-from .signal import KIND_NAMES, arrow_kind
+
+Number = Union[int, Fraction]
+
+
+def _check_samples(values: Sequence) -> Sequence:
+    """Return ``values``; raise TypeError naming the first value that is not
+    an int or Fraction.
+
+    Each distinct type is checked once; the values are scanned again only to
+    name an offender.
+    """
+    bad = {t for t in set(map(type, values))
+           if t is bool or not issubclass(t, (int, Fraction))}
+    if bad:
+        v = next(v for v in values if type(v) in bad)
+        raise TypeError(f"samples must be ints or Fractions, got {v!r}")
+    return values
+
+
+KIND_NAMES = ("translation", "affine", "amp_affine")  # by kind byte or rank
+_TRANSLATION, _AFFINE, _AMP_AFFINE = range(3)
+
+
+def arrow_kind(stride, amp_num, amp_den=1) -> int:
+    """The kind of an arrow with stride S and amplitude c = amp_num/amp_den,
+    as an index into KIND_NAMES: a translation has S = 1 and c = 1, an
+    affine arrow has c = 1, and any other arrow is amplitude-affine."""
+    if amp_num != amp_den:
+        return _AMP_AFFINE
+    return _TRANSLATION if stride == 1 else _AFFINE
+
 
 MAGIC = b"FSG1"
 VERSION = 1
@@ -208,15 +244,15 @@ def read_container(data: bytes) -> EncodedSignal:
         if off + head_size > total:
             raise CorruptContainer(f"truncated record at byte {off}")
         kind, t, s, num, den, dlen = head_unpack(data, off)
-        off += head_size
         fault = _record_fault(s, num, den)
         if fault:
             raise CorruptContainer(fault)
         if kind != arrow_kind(s, num, den):
             raise CorruptContainer(
-                f"unknown record kind {kind}" if kind >= len(KIND_NAMES) else
-                f"record kind {kind} ({KIND_NAMES[kind]}) does not match "
-                f"stride {s} and amplitude {num}/{den}")
+                (f"unknown record kind {kind}" if kind >= len(KIND_NAMES) else
+                 f"record kind {kind} ({KIND_NAMES[kind]}) does not match "
+                 f"stride {s} and amplitude {num}/{den}") + f" at byte {off}")
+        off += head_size
         if dlen * 8 > total - off:
             raise CorruptContainer(f"truncated delta array at byte {off}")
         delta = struct.unpack_from(f"<{dlen}q", data, off)

@@ -30,26 +30,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from itertools import repeat
 from operator import floordiv, mul, sub
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .container import (_AFFINE, _AMP_AFFINE, _TRANSLATION, KIND_NAMES,
+                        Number, _check_samples, arrow_kind)
 from .errors import BadBreakpoints, EmptySignal, IntervalMismatch
-
-Number = Union[int, Fraction]
-
-
-def _check_samples(values: Sequence) -> Sequence:
-    """Return ``values``; raise TypeError naming the first value that is not
-    an int or Fraction.
-
-    Each distinct type is checked once; the values are scanned again only to
-    name an offender.
-    """
-    bad = {t for t in set(map(type, values))
-           if t is bool or not issubclass(t, (int, Fraction))}
-    if bad:
-        v = next(v for v in values if type(v) in bad)
-        raise TypeError(f"samples must be ints or Fractions, got {v!r}")
-    return values
 
 
 class Segment:
@@ -119,19 +104,6 @@ def segment_signal(samples: Sequence[Number], origin: int,
     cuts = [origin] + bps + [end]
     return [Segment(a, b, samples[a - origin:b - origin])
             for a, b in zip(cuts, cuts[1:])]
-
-
-KIND_NAMES = ("translation", "affine", "amp_affine")  # by kind byte or rank
-_TRANSLATION, _AFFINE, _AMP_AFFINE = range(3)
-
-
-def arrow_kind(stride, amp_num, amp_den=1) -> int:
-    """The kind of an arrow with stride S and amplitude c = amp_num/amp_den,
-    as an index into KIND_NAMES: a translation has S = 1 and c = 1, an
-    affine arrow has c = 1, and any other arrow is amplitude-affine."""
-    if amp_num != amp_den:
-        return _AMP_AFFINE
-    return _TRANSLATION if stride == 1 else _AFFINE
 
 
 def _shift_range(f: Segment, stride: int, t_start: int, m: int) -> Tuple[int, int]:

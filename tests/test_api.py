@@ -2,7 +2,11 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -11,10 +15,68 @@ import sigrep
 from sigrep import fnspace, measure, signal
 
 
+PACKAGE = Path(sigrep.__file__).parent
+
+
 def test_every_exported_name_resolves_once():
     assert len(sigrep.__all__) == len(set(sigrep.__all__))
     for name in sigrep.__all__:
         assert hasattr(sigrep, name), name
+
+
+def _top_level_definitions(source):
+    """Names a module binds at its top level by def, class or assignment
+    (imports aside)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names |= {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return names
+
+
+def test_star_import_binds_each_name_to_its_home_definition():
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            for name in _top_level_definitions(path.read_text()):
+                homes.setdefault(name, []).append(path.stem)
+    namespace = {}
+    exec("from sigrep import *", namespace)
+    for name in sigrep.__all__:
+        assert len(homes.get(name, ())) == 1, (name, homes.get(name))
+        home = import_module(f"sigrep.{homes[name][0]}")
+        assert namespace[name] is getattr(home, name), name
+
+
+def test_dir_lists_every_exported_name():
+    assert set(sigrep.__all__) <= set(dir(sigrep))
+    assert "__version__" in dir(sigrep)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        sigrep.no_such_name  # noqa: B018
+
+
+def test_importing_the_package_loads_no_module_until_a_name_is_used():
+    script = """
+import sys, types
+import sigrep
+assert sorted(m for m in sys.modules if m.startswith("sigrep")) == ["sigrep"]
+from sigrep import measure
+assert isinstance(measure, types.ModuleType)
+assert measure is sys.modules["sigrep.measure"]
+from sigrep import Segment
+assert Segment is sys.modules["sigrep.signal"].Segment
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # a dataclass field is an attribute of its instances only
@@ -119,8 +181,7 @@ def test_class_alias_scan_sees_only_bound_methods():
 
 
 def test_no_class_binds_a_method_under_a_second_name():
-    package = Path(sigrep.__file__).parent
-    assert [alias for path in sorted(package.glob("*.py"))
+    assert [alias for path in sorted(PACKAGE.glob("*.py"))
             for alias in _class_aliases(path.read_text())] == []
 
 
@@ -209,8 +270,7 @@ def test_restated_scan_sees_returned_members_and_lone_operators():
 def test_no_public_definition_restates_another_operation():
     # is_soc returning is_hom, is_imp returning flags.is_imp, mul returning
     # f * g: the caller writes the operation that stays
-    package = Path(sigrep.__file__).parent
-    assert [name for path in sorted(package.glob("*.py"))
+    assert [name for path in sorted(PACKAGE.glob("*.py"))
             for name in _restated(path.read_text())] == []
 
 
@@ -233,10 +293,9 @@ def test_unused_import_scan_sees_through_attributes():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    package = Path(sigrep.__file__).parent
+    # the package module included: it re-exports by __getattr__, not imports
     unused = {path.name: _unused_imports(path.read_text())
-              for path in sorted(package.glob("*.py"))
-              if path.name != "__init__.py"}
+              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
@@ -266,11 +325,17 @@ def test_mention_scan_sees_functions_attributes_and_imports():
                                         ("f", False), ("h", False)}
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _uncalled(sources):
     """Module-level private functions that no source names outside their
-    own body."""
+    own body.  Dunder functions are skipped: the interpreter calls them (a
+    module's ``__getattr__`` and ``__dir__``)."""
     defined = [node.name for source in sources for node in ast.parse(source).body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not _is_dunder(node.name)]
     return [name for name in defined
             if all(where == name for text in sources if name in text
                    for where, _ in _mentions(text, name))]
@@ -280,23 +345,68 @@ def test_caller_scan_skips_a_function_calling_itself():
     sources = ["def _a():\n    return _b()\n"
                "def _b(n):\n    return _b(n - 1)\n",
                "def _c():\n    pass\ndef d():\n    return m._e\n"
-               "def _e():\n    pass\n"]
-    assert _uncalled(sources) == ["_a", "_c"]
+               "def _e():\n    pass\n",
+               "def __getattr__(name):\n    raise AttributeError(name)\n"
+               "def __dir__():\n    return []\n"
+               "def _x():\n    pass\n"]
+    assert _uncalled(sources) == ["_a", "_c", "_x"]
 
 
 def test_every_private_function_has_a_caller():
     # a helper whose callers were deleted goes with them
-    package = Path(sigrep.__file__).parent
     assert _uncalled([path.read_text()
-                      for path in sorted(package.glob("*.py"))]) == []
+                      for path in sorted(PACKAGE.glob("*.py"))]) == []
+
+
+def _module_imports(source):
+    """What a module imports at its top level: ``sigrep.<name>`` for a
+    relative import of a sigrep module, the top-level package otherwise.
+    Imports inside a function are not counted."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                found.add(node.module.partition(".")[0])
+            elif node.module:
+                found.add(f"sigrep.{node.module.partition('.')[0]}")
+            else:  # from . import codec
+                found |= {f"sigrep.{a.name}" for a in node.names}
+    return found
+
+
+def test_import_scan_sees_top_level_imports_only():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from dataclasses import dataclass\nfrom . import codec\n"
+              "from .signal import Segment\n"
+              "def f():\n    from .laws import run_all\n")
+    assert _module_imports(source) == {"__future__", "os", "dataclasses",
+                                       "sigrep.codec", "sigrep.signal"}
+
+
+CODEC_STACK = ("cli", "codec", "container", "formats", "errors")
+_ABOVE_THE_CODEC = {"sigrep.signal", "sigrep.measure", "sigrep.quotient",
+                    "sigrep.fnspace", "sigrep.partial", "sigrep.laws",
+                    "dataclasses"}
+
+
+def test_the_codec_stack_imports_no_layer_above_it():
+    # encode, decode and stats load only these modules; a top-level import
+    # of the detectors, the measure layer or the laws would load them too
+    imports = {name: _module_imports((PACKAGE / f"{name}.py").read_text())
+               for name in CODEC_STACK}
+    assert {name: sorted(found & _ABOVE_THE_CODEC)
+            for name, found in imports.items() if found & _ABOVE_THE_CODEC} == {}
+    assert {m for m in imports["container"] if m.startswith("sigrep.")} == {
+        "sigrep.errors"}
 
 
 def test_the_null_mask_is_written_once_and_read_through_its_property():
     # one null rule: FiniteMeasureSpace.__init__ computes it, and every
     # other reader goes through the read-only null_mask property
-    package = Path(sigrep.__file__).parent
     mentions = {path.name: _mentions(path.read_text(), "_null_mask")
-                for path in sorted(package.glob("*.py"))}
+                for path in sorted(PACKAGE.glob("*.py"))}
     expected = {("__init__", True), ("null_mask", False)}
     assert {name: m for name, m in mentions.items() if m} == {"measure.py": expected}
     assert _mentions(inspect.getsource(measure.FiniteMeasureSpace),
@@ -306,8 +416,7 @@ def test_the_null_mask_is_written_once_and_read_through_its_property():
 
 def test_only_the_table_builder_reads_max_carrier():
     # one guard: every 2**k table goes through measure._unions
-    package = Path(sigrep.__file__).parent
     mentions = {path.name: _mentions(path.read_text(), "MAX_CARRIER")
-                for path in sorted(package.glob("*.py"))}
+                for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: m for name, m in mentions.items() if m} == {
         "measure.py": {(None, True), ("_unions", False)}}

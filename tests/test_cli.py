@@ -139,22 +139,32 @@ def test_encode_decode_pgm(tmp_path, capsys):
     assert read_pgm(out_img)[0] == rows
 
 
-def test_decode_extension_mismatch(tmp_path, capsys):
-    sig = tmp_path / "in.csv"
-    enc = tmp_path / "sig.fsg"
+def test_decode_extension_mismatch(tmp_path, capsys, monkeypatch):
+    # the output kind is refused from the container's header, before decoding
+    sig, img = tmp_path / "sig.csv", tmp_path / "img.pgm"
     write_csv_signal(sig, [1, 2, 3])
-    run(capsys, "encode", str(sig), "-o", str(enc))
-    code, _, err = run(capsys, "decode", str(enc), "-o",
-                       str(tmp_path / "no.pgm"))
-    assert code == 2 and "2-D container" in err
-    img = tmp_path / "in.pgm"
     write_pgm(img, [[1, 2], [3, 4]])
-    run(capsys, "encode", str(img), "-o", str(enc))
-    code, out, err = run(capsys, "decode", str(enc), "-o",
-                         str(tmp_path / "no.csv"))
-    assert (code, out) == (2, "")
-    assert err == ("error: CSV output needs a 1-D container; "
-                   "name the output file *.pgm instead\n")
+    for raw in (sig, img):
+        run(capsys, "encode", str(raw), "-o", str(raw.with_suffix(".fsg")))
+
+    def must_not_run(enc):
+        raise AssertionError("decode ran")
+
+    monkeypatch.setattr(sigrep.codec, "decode", must_not_run)
+    cases = ((sig, "no.pgm", "PGM output needs a 2-D container; this one is 1-D"),
+             (img, "no.csv", "CSV output needs a 1-D container; "
+                             "name the output file *.pgm instead"))
+    for flags in ((), ("--timings",)):
+        for raw, out, text in cases:
+            code, stdout, err = run(capsys, *flags, "decode",
+                                    str(raw.with_suffix(".fsg")), "-o",
+                                    str(tmp_path / out))
+            assert (code, stdout) == (2, "")
+            lines = err.splitlines()
+            assert lines[0] == f"error: {text}"
+            assert [line.split("=")[0] for line in lines[1:]] == (
+                ["timing.container_read_ms"] if flags else [])
+            assert not (tmp_path / out).exists()
 
 
 def test_stats(tmp_path, capsys):
@@ -471,3 +481,43 @@ assert len(built) == first, built
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+_CODEC_MODULES = ["sigrep", "sigrep.cli", "sigrep.codec", "sigrep.container",
+                  "sigrep.errors", "sigrep.formats"]
+_ALL_MODULES = sorted(["sigrep"] + [f"sigrep.{p.stem}" for p in
+                                    Path(sigrep.__file__).parent.glob("*.py")
+                                    if p.stem != "__init__"])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), _CODEC_MODULES),
+    (("encode", "{img}", "-o", "{enc}"), _CODEC_MODULES),
+    (("decode", "{enc}", "-o", "{out}"), _CODEC_MODULES),
+    (("stats", "{img}", "{enc}"), _CODEC_MODULES),
+    (("analyze", "{sig}"), sorted(_CODEC_MODULES + ["sigrep.signal"])),
+    (("demo-prototype",), sorted(_CODEC_MODULES + ["sigrep.signal"])),
+    (("verify", "--instances", "1"), _ALL_MODULES),
+], ids=["import", "encode", "decode", "stats", "analyze", "demo-prototype",
+        "verify"])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    # in a fresh interpreter: import the CLI, run one command, and list the
+    # sigrep modules it loaded
+    paths = {"img": tmp_path / "in.pgm", "enc": tmp_path / "in.fsg",
+             "out": tmp_path / "out.pgm", "sig": tmp_path / "in.csv"}
+    write_pgm(paths["img"], [[1, 2], [3, 4]])
+    write_container_file(paths["enc"], sigrep.encode([[1, 2], [3, 4]]))
+    write_csv_signal(paths["sig"], [1, 2, 3, 1, 2, 3, 1, 2, 3])
+    script = """
+import sys
+import sigrep.cli
+code = sigrep.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(m for m in sys.modules if m.startswith("sigrep")))
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sigrep.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *(a.format(**paths) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["0", *loaded]

@@ -496,7 +496,8 @@ def test_reader_takes_only_the_kind_byte_the_arrow_gives(stride, amp_num,
             blob[_KIND_OFF] = byte
             text = (f"unknown record kind {byte}" if byte > 2 else
                     f"record kind {byte} ({KIND_NAMES[byte]}) does not match "
-                    f"stride {stride} and amplitude {amp_num}/{amp_den}")
+                    f"stride {stride} and amplitude {amp_num}/{amp_den}"
+                    ) + f" at byte {_KIND_OFF}"
             with pytest.raises(CorruptContainer, match=f"^{re.escape(text)}$"):
                 read_container(bytes(blob))
 
@@ -511,9 +512,14 @@ def test_reader_refuses_a_mislabelled_container():
     second = _KIND_OFF + 41 + 8
     assert (blob[_KIND_OFF], blob[second]) == (2, 0)
     assert decode(read_container(bytes(blob))) == [1, 3, 3]
-    blob[_KIND_OFF], blob[second] = 0, 2
+    # each error names the offset of the kind byte it refuses
+    blob[second] = 2
+    with pytest.raises(CorruptContainer, match=r"^record kind 2 \(amp_affine\) "
+                       rf"does not match stride 1 and amplitude 1/1 at byte {second}$"):
+        read_container(bytes(blob))
+    blob[_KIND_OFF] = 0
     with pytest.raises(CorruptContainer, match=r"^record kind 0 \(translation\) "
-                       r"does not match stride 1 and amplitude 3/1$"):
+                       rf"does not match stride 1 and amplitude 3/1 at byte {_KIND_OFF}$"):
         read_container(bytes(blob))
 
 
@@ -627,6 +633,18 @@ def test_metrics_on_ramp():
     assert abs(m.raw_entropy - log2(5)) < 1e-12
     assert m.delta_entropy == 0.0  # every delta is the same symbol
     assert m.encoded_size == len(write_container(enc))
+
+
+def test_metrics_is_a_read_only_record():
+    m = metrics([1, 2, 4], encode([1, 2, 4]))
+    assert m._fields == ("nonzero_delta_fraction", "raw_entropy",
+                         "delta_entropy", "encoded_size")
+    assert tuple(m) == (m.nonzero_delta_fraction, m.raw_entropy,
+                        m.delta_entropy, m.encoded_size)
+    for field in m._fields:
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0)
+    assert m._replace(encoded_size=0) == (*m[:3], 0)
 
 
 def test_metrics_on_two_region_image():
