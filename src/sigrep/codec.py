@@ -39,7 +39,7 @@ from typing import List, NamedTuple
 
 from .container import (POLICY_IDS, ArrowRecord, EncodedSignal, Number,
                         _check_samples, _fits_i64, _record_fault,
-                        write_container)
+                        container_layout)
 from .errors import CorruptContainer, EmptySignal, PolicyMismatch
 
 POLICIES = tuple(POLICY_IDS)
@@ -248,7 +248,12 @@ def zeroth_order_entropy(stream) -> float:
 
 def metrics(raw, enc: EncodedSignal) -> Metrics:
     """Compare the raw sample stream with the encoded delta stream; the raw
-    payload must have the container's shape."""
+    payload must have the container's shape.
+
+    ``encoded_size`` is the sum of the byte fields of ``container_layout``;
+    the container is not serialised.  An encoding the container writer would
+    refuse (rational samples, for example) gets that size too, where the
+    writer would raise."""
     if _is_image(raw):
         shape = (len(raw), len(raw[0]))
         if any(len(row) != shape[1] for row in raw):
@@ -263,7 +268,9 @@ def metrics(raw, enc: EncodedSignal) -> Metrics:
     deltas = [d for rec in enc.records for d in rec.delta]
     nz = sum(1 for d in deltas if d != 0)
     frac = Fraction(nz, len(deltas)) if deltas else Fraction(0)
+    layout = container_layout(enc)
     return Metrics(frac,
                    zeroth_order_entropy(flat),
                    zeroth_order_entropy(deltas),
-                   len(write_container(enc)))
+                   layout.header_bytes + layout.arrow_param_bytes
+                   + layout.residual_bytes)

@@ -27,7 +27,7 @@ TAGS = ("L0", "L2")
 def _as_value(v) -> Fraction:
     if type(v) is Fraction:
         return v
-    if not isinstance(v, (int, Fraction)):
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise TypeError(f"function values must be exact rationals (int or "
                         f"Fraction), not {type(v).__name__}")
     return Fraction(v)

@@ -43,7 +43,8 @@ class Segment:
     __slots__ = ("start", "end", "samples")
 
     def __init__(self, start: int, end: int, samples: Sequence[Number]):
-        if not isinstance(start, int) or not isinstance(end, int):
+        if (isinstance(start, bool) or not isinstance(start, int)
+                or isinstance(end, bool) or not isinstance(end, int)):
             raise TypeError("interval endpoints must be ints")
         samples = _check_samples(tuple(samples))
         if not samples:
@@ -95,7 +96,7 @@ def segment_signal(samples: Sequence[Number], origin: int,
     end = origin + len(samples)
     bps = list(breakpoints)
     for b in bps:
-        if not isinstance(b, int):
+        if isinstance(b, bool) or not isinstance(b, int):
             raise BadBreakpoints(f"breakpoint {b!r} is not an int")
         if not origin < b < end:
             raise BadBreakpoints(f"breakpoint {b} outside ({origin}, {end})")
@@ -136,7 +137,7 @@ class SegmentArrow:
                  shift: int, amp, delta: Sequence[Number]):
         if type(stride) is not int or stride == 0:
             raise ValueError("stride must be a nonzero int")
-        if not isinstance(shift, int):
+        if isinstance(shift, bool) or not isinstance(shift, int):
             raise ValueError("shift must be an int")
         amp = Fraction(amp)
         if amp == 0:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sigrep
-from sigrep import fnspace, measure, signal
+from sigrep import fnspace, laws, measure, signal
 
 
 PACKAGE = Path(sigrep.__file__).parent
@@ -356,6 +356,23 @@ def test_every_private_function_has_a_caller():
     # a helper whose callers were deleted goes with them
     assert _uncalled([path.read_text()
                       for path in sorted(PACKAGE.glob("*.py"))]) == []
+
+
+def _suite_definitions(source):
+    """Names of the functions a module defines at its top level as
+    ``suite_*``, in source order (a decorated def included)."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")]
+
+
+def test_verify_runs_every_law_suite_once_in_source_order():
+    # a suite left out of ALL_SUITES is a law sigrep verify never checks
+    defined = _suite_definitions((PACKAGE / "laws.py").read_text())
+    bound = [name for name, obj in vars(laws).items()
+             if name.startswith("suite_") and inspect.isfunction(obj)]
+    assert [fn.__name__ for fn in laws.ALL_SUITES] == defined == bound
+    for fn in laws.ALL_SUITES:
+        assert getattr(laws, fn.__name__) is fn, fn.__name__
 
 
 def _module_imports(source):

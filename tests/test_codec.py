@@ -9,9 +9,9 @@ from math import log2
 import pytest
 
 from sigrep import (ArrowRecord, CorruptContainer, EmptySignal, EncodedSignal,
-                    PolicyMismatch, decode, encode, metrics, read_container,
-                    read_container_file, write_container, write_container_file,
-                    zeroth_order_entropy)
+                    PolicyMismatch, codec, container, decode, encode, metrics,
+                    read_container, read_container_file, write_container,
+                    write_container_file, zeroth_order_entropy)
 from sigrep.container import KIND_NAMES, container_layout
 
 
@@ -633,6 +633,21 @@ def test_metrics_on_ramp():
     assert abs(m.raw_entropy - log2(5)) < 1e-12
     assert m.delta_entropy == 0.0  # every delta is the same symbol
     assert m.encoded_size == len(write_container(enc))
+
+
+def test_metrics_sizes_the_container_without_writing_it(monkeypatch):
+    sig, image = [1, 2, 4, 4, 9], [[3, 4, 4], [5, 5, 1]]
+    sizes = [len(write_container(encode(x))) for x in (sig, image)]
+    rational = encode([Fraction(1, 2), 1, 3])
+
+    def refuse(enc):
+        raise AssertionError("metrics wrote the container")
+    monkeypatch.setattr(container, "write_container", refuse)
+    monkeypatch.setattr(codec, "write_container", refuse, raising=False)
+    assert [metrics(x, encode(x)).encoded_size for x in (sig, image)] == sizes
+    # the writer refuses a rational seed; the layout still sizes it: a
+    # 1-D header with one seed sample, one record head and two deltas
+    assert metrics([Fraction(1, 2), 1, 3], rational).encoded_size == 47 + 41 + 16
 
 
 def test_metrics_is_a_read_only_record():

@@ -13,7 +13,8 @@ from sigrep import (INFINITY, BooleanHom, DualElement, FiniteCarrier,
                     counting_space, covariant_l2_op, covariant_op, direct_sum,
                     dual_norm2_sq, duality_bridge, duality_bridge_inverse,
                     generate_sigma_algebra, indicator, inner, join_direct_sum,
-                    norm2_sq, power_set_algebra, pullback, split_direct_sum)
+                    norm2_sq, power_set_algebra, pullback, scale,
+                    split_direct_sum)
 from sigrep.fnspace import inf as fn_inf
 from sigrep.fnspace import leq_ae, sup as fn_sup
 
@@ -52,11 +53,17 @@ def test_floats_rejected():
         canonical_class([0.5, 0, 0], SP102)
 
 
-@pytest.mark.parametrize("bad", [0.5, "a"])
+@pytest.mark.parametrize("bad", [0.5, "a", True, False])
 def test_constructor_refuses_values_that_are_not_exact(bad):
     sp = counting_space([0, 1])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
         FnClass(sp, [bad, 1])
+    with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
+        canonical_class([bad, 1], sp)
+    with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
+        scale(bad, canonical_class([1, 2], sp))
+    with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
+        DualElement(MeasureAlgebra(sp), [bad, 2])
     f = FnClass(sp, [Fraction(1, 2), 1])    # an int becomes a Fraction
     assert f.values == (Fraction(1, 2), 1) and type(f.values[1]) is Fraction
 

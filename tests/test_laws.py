@@ -158,6 +158,9 @@ FAULTS = {
     "detect_amp_affine": (laws, "detect_amp_affine", shift_off_by_one, {
         "suite_detection": (25, "1179681155ce0a8c"),
     }),
+    "detect_affine": (laws, "detect_affine", shift_off_by_one, {
+        "suite_detection": (5, "522f23740fd2fe3f"),
+    }),
     "decode": (codec, "decode", last_sample_altered, {
         "suite_codec": (50, "f7ca22d62d152aff"),
     }),

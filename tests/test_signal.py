@@ -29,6 +29,9 @@ def test_segment_validation():
         Segment(0, 1, [0.5])
     with pytest.raises(TypeError, match="got True"):
         Segment(0, 1, [True])
+    for start, end in ((True, 2), (0, True), (False, 1)):
+        with pytest.raises(TypeError, match="endpoints must be ints"):
+            Segment(start, end, [5] * (end - start))
     s = Segment(-2, 1, [7, 8, 9])
     assert s.length == 3
     assert s.sample_at(-1) == 8
@@ -63,6 +66,9 @@ def test_segment_signal_breakpoint_errors():
         segment_signal([1, 2, 3], 0, [3])
     with pytest.raises(BadBreakpoints):
         segment_signal([1, 2, 3, 4], 0, [2, 2])    # not increasing
+    for b in (True, False):
+        with pytest.raises(BadBreakpoints, match=f"breakpoint {b} is not an int"):
+            segment_signal([1, 2, 3], 0, [b])
 
 
 # ---------------------------------------------------------------- arrows
@@ -79,6 +85,9 @@ def test_arrow_validation():
         SegmentArrow(f, g, 1, 0, 1, [0])           # wrong residual arity
     with pytest.raises(IntervalMismatch):
         SegmentArrow(f, g, 1, 5, 1, [0, 0])        # lookup leaves the source
+    for shift in (True, False):
+        with pytest.raises(ValueError, match="shift must be an int"):
+            SegmentArrow(f, g, 1, shift, 1, [0, 0])
 
 
 def test_arrow_views():
