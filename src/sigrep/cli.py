@@ -181,6 +181,7 @@ def cmd_encode(args) -> int:
                              f"{args.input} holds the rational sample {rational[0]}")
     with _phase(args, "encode"):
         enc = codec.encode(payload, args.policy, origin=origin)
+    del payload  # enc holds no reference to it: free it before packing
     with _phase(args, "container_write"):
         write_container_file(args.output, enc)
     shape = "x".join(str(d) for d in enc.shape)

@@ -53,18 +53,28 @@ def _is_image(signal) -> bool:
     return isinstance(first, (list, tuple))
 
 
+def _indexable(seq):
+    return seq if isinstance(seq, (list, tuple)) else list(seq)
+
+
 def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSignal:
     """Encode a 1-D sequence, or a 2-D row list (whose origin must be 0);
-    see the module."""
+    see the module.
+
+    A list or tuple (the signal, or a row) is read where it is, and only
+    another sequence is copied; the input is never changed, and the
+    encoding holds tuples only."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
+    if isinstance(origin, bool) or not isinstance(origin, int):
+        raise ValueError(f"origin must be an int, got {origin!r}")
     image = _is_image(signal)
     if image and policy == "detected":
         raise PolicyMismatch("the detected policy applies to 1-D signals only; "
                              "images use per-axis predecessor arrows")
     if image and origin:
         raise ValueError(f"an image is encoded at origin 0; got origin={origin}")
-    grid = [list(r) for r in signal] if image else [list(signal)]
+    grid = list(map(_indexable, signal)) if image else [_indexable(signal)]
     if not grid or not grid[0]:
         raise EmptySignal(f"cannot encode an empty {'image' if image else 'signal'}")
     width = len(grid[0])
@@ -81,7 +91,8 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
         if above is not None:
             append(ArrowRecord(-width, 1, 1, 1, (row[0] - above[0],)))
         if width > 1:
-            append(ArrowRecord(-1, 1, 1, 1, tuple(map(sub, row[1:], row))))
+            append(ArrowRecord(-1, 1, 1, 1,
+                               tuple(map(sub, islice(row, 1, None), row))))
         above = row
     shape, origin = ((len(grid), width), 0) if image else ((width,), origin)
     return EncodedSignal(shape, origin, "predecessor",

@@ -27,6 +27,12 @@ and ``container_layout``.  A record packs as one ``_REC_HEAD`` and one bulk
 delta array; a bool or a value that does not pack goes through
 ``_check_i64``, which names it or normalises an integral Fraction.
 
+One packer (``_pack``) serves two sinks.  It checks and packs every record
+into a list of parts before anything is written: ``write_container``
+returns the parts joined, and ``write_container_file`` hands them to the
+file one by one, so the file write never builds the joined container and a
+refused record leaves the file untouched.
+
 This module is the bottom of the codec stack and imports no other sigrep
 layer, so it also holds the two rules that ``codec`` and ``signal`` share:
 the sample rule (``Number``, ``_check_samples``) and the arrow-kind rule
@@ -173,7 +179,9 @@ def _pack_record(kind, fields, delta) -> Tuple[bytes, bytes]:
     return _REC_HEAD.pack(kind, *fields, n), struct.pack(f"<{n}q", *delta)
 
 
-def write_container(enc: EncodedSignal) -> bytes:
+def _pack(enc: EncodedSignal) -> List[bytes]:
+    """The container of ``enc`` as its parts in order: the header with the
+    seed and record count, then each record's head and delta array."""
     head = _head(enc)
     if enc.policy not in POLICY_IDS:
         raise ValueError(f"unknown policy {enc.policy!r}")
@@ -205,7 +213,11 @@ def write_container(enc: EncodedSignal) -> bytes:
         parts += _pack_record(
             rec.kind, list(map(_check_i64, fields, _REC_FIELDS)),
             [_check_i64(d, "delta value") for d in rec.delta])
-    return b"".join(parts)
+    return parts
+
+
+def write_container(enc: EncodedSignal) -> bytes:
+    return b"".join(_pack(enc))
 
 
 def read_container(data: bytes) -> EncodedSignal:
@@ -264,10 +276,15 @@ def read_container(data: bytes) -> EncodedSignal:
                          tuple(seed), tuple(records))
 
 
+# The file buffer of write_container_file.  The default, the file system's
+# block size (often 4 KiB), takes about 500 write calls for a 2 MB container.
+_WRITE_BUFFER = 1 << 16
+
+
 def write_container_file(path, enc: EncodedSignal) -> None:
-    blob = write_container(enc)  # may raise: leave ``path`` untouched
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    parts = _pack(enc)  # may raise: leave ``path`` untouched
+    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
+        fh.writelines(parts)
 
 
 def read_container_file(path) -> EncodedSignal:

@@ -7,10 +7,10 @@ Each text reader makes one pass over its input, and the work per byte runs
 in C.  A PGM header is matched by one regex and a P2 raster is split by
 ``bytes.split``.  An 8-bit P5 raster is range-checked by one
 ``bytes.translate`` that deletes the bytes 0..maxval: any byte left exceeds
-maxval.  ``write_pgm`` packs its samples with ``bytes()``, which checks
-0 <= v <= 255 in C, and takes the largest sample by ``in`` (memchr) from 255
-down; only a sample outside 0..255 sends it to Python-level ``min`` and
-``max`` passes.
+maxval.  ``write_pgm`` packs each row with ``bytes()``, which checks
+0 <= v <= 255 in C, and builds no flat list of the samples.  It takes the
+largest sample by ``in`` (memchr) from 255 down; only a sample outside
+0..255 sends it to Python-level ``min`` and ``max`` passes.
 
 A CSV file is read as ASCII text in chunks of ``_READ_CHUNK`` lines, each
 parsed by ``map(int, ...)``.  A line ``int`` refuses (a comment, a blank
@@ -107,16 +107,17 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    flat = list(chain.from_iterable(rows))
-    # each distinct type is checked once: bytes() would take a bool
-    if any(t is bool or not issubclass(t, int) for t in set(map(type, flat))):
+    # no pass builds a flat copy of the samples.  Each distinct type is
+    # checked once: bytes() would take a bool
+    if any(t is bool or not issubclass(t, int)
+           for t in set(map(type, chain.from_iterable(rows)))):
         raise ValueError("PGM samples must be nonnegative ints")
     try:
-        raster = bytes(flat)  # proves 0 <= v <= 255 in C
+        raster = b"".join(map(bytes, rows))  # proves 0 <= v <= 255 in C
     except ValueError:  # a sample below 0 or above 255
-        if min(flat) < 0:
+        if min(chain.from_iterable(rows)) < 0:
             raise ValueError("PGM samples must be nonnegative ints") from None
-        top = max(flat)
+        top = max(chain.from_iterable(rows))
     else:
         # one memchr per value tried, from 255 down
         top = next(k for k in range(255, -1, -1) if k in raster)
@@ -133,7 +134,8 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
             if maxval < 256:  # so top <= 255 and the raster was built
                 fh.write(raster)
             else:
-                fh.write(struct.pack(f">{len(flat)}H", *flat))
+                row_16 = struct.Struct(f">{width}H")
+                fh.writelines(row_16.pack(*row) for row in rows)
         else:
             fh.write("\n".join(" ".join(str(v) for v in row) for row in rows)
                      .encode("ascii"))

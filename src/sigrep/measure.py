@@ -83,10 +83,11 @@ class FiniteCarrier:
         return self._full_mask
 
     def index(self, label: int) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"label {label!r} is not a carrier point") from None
+        # True == 1 as a dict key, but a bool is never a point
+        i = None if isinstance(label, bool) else self._index.get(label)
+        if i is None:
+            raise KeyError(f"label {label!r} is not a carrier point")
+        return i
 
     def mask_of(self, labels: Iterable[int]) -> int:
         """Bitmask of a collection of point labels."""

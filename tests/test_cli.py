@@ -1,13 +1,17 @@
 """End-to-end runs of every CLI subcommand, in process via cli.main."""
 
+import gc
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import sigrep
+import sigrep.cli
 import sigrep.laws
 
 from sigrep import (ALL_SUITES, ArrowRecord, EncodedSignal, read_csv_signal,
@@ -301,6 +305,31 @@ def test_failed_encode_leaves_output_alone(tmp_path, capsys):
     code, _, _ = run(capsys, "encode", str(huge), "-o", str(out))
     assert code == 2
     assert out.read_bytes() == before
+
+
+def test_encode_holds_one_copy_of_the_samples(tmp_path, capsys):
+    """The traced peak of an image encode stays near two 8-byte pointers per
+    sample: the read rows, then the delta tuples, then the packed records.
+    Row copies and a joined container would take it to about 39 B/sample."""
+    rng = random.Random(2027)
+    levels = [[rng.randrange(256) for _ in range(8)] for _ in range(8)]
+    rows = [[levels[r // 32][c // 32] for c in range(256)] for r in range(256)]
+    for r in range(100, 150):  # a noise band: most deltas there are nonzero
+        rows[r] = [rng.randrange(256) for _ in range(256)]
+    img, enc = tmp_path / "in.pgm", tmp_path / "img.fsg"
+    write_pgm(img, rows)
+    del rows
+    sigrep.cli.build_parser()  # built once per process: not the encode's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["encode", str(img), "-o", str(enc)])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    assert peak / 256 ** 2 <= 26, f"{peak / 256 ** 2:.1f} B/sample"
 
 
 _PHASES = {

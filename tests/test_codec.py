@@ -50,6 +50,30 @@ def test_encode_keeps_origin():
     assert decode(enc) == [4, 4]
 
 
+@pytest.mark.parametrize("origin", [True, False, 1.0, Fraction(2), "3", None])
+@pytest.mark.parametrize("signal", [[1, 2, 3], [[1, 2], [3, 4]]])
+def test_encode_refuses_an_origin_that_is_not_an_int(signal, origin):
+    # the container writer's text for a bool or a non-int, given up front
+    text = f"origin must be an int, got {origin!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        encode(signal, origin=origin)
+
+
+def test_list_and_tuple_rows_encode_alike_and_stay_unchanged():
+    rows = [[5, 3, 3], [5, 6, 0]]
+    before = [list(r) for r in rows]
+    as_lists = encode(rows)
+    assert rows == before
+    assert as_lists == encode([tuple(r) for r in rows]) == encode(tuple(rows))
+    one = [4, 1, 1, 7]
+    assert encode(one) == encode(tuple(one)) == encode(iter(one))
+    assert one == [4, 1, 1, 7]
+    # an encoding holds tuples only, never the caller's lists
+    for enc in (as_lists, encode(one)):
+        assert type(enc.seed) is tuple and type(enc.records) is tuple
+        assert all(type(rec.delta) is tuple for rec in enc.records)
+
+
 @pytest.mark.parametrize("row", [[7], [1, 2], [3, -1, 4, 1, 5, -9]])
 def test_encode_row_is_a_one_row_image(row):
     one, img = encode(row, origin=-4), encode([row])
@@ -340,6 +364,22 @@ def test_container_files(tmp_path):
     path = tmp_path / "sig.fsg"
     write_container_file(path, enc)
     assert read_container_file(path) == enc
+    assert path.read_bytes() == write_container(enc)
+
+
+def test_refused_container_file_leaves_the_path_alone(tmp_path):
+    # the last record is refused, after the others have been packed
+    bad = encode([1, 2, 3])._replace(records=(dpcm(-1, 1), ArrowRecord(
+        -1, 0, 1, 1, (1,))))
+    old = tmp_path / "old.fsg"
+    write_container_file(old, encode([7, 7]))
+    before = old.read_bytes()
+    missing = tmp_path / "missing.fsg"
+    for path in (old, missing):
+        with pytest.raises(ValueError, match="^record stride is zero$"):
+            write_container_file(path, bad)
+    assert old.read_bytes() == before
+    assert not missing.exists()
 
 
 def test_container_multi_delta_record():

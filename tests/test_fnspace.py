@@ -41,6 +41,9 @@ def test_canonical_accepts_mapping_and_callable():
     g = canonical_class(lambda p: p + 1, SP102)
     assert f == g
     assert f.value(2) == 3
+    assert f.value(0) == 1
+    with pytest.raises(KeyError, match="^'label True is not a carrier point'$"):
+        f.value(True)
 
 
 def test_non_canonical_values_rejected():

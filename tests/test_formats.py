@@ -257,6 +257,27 @@ def test_write_pgm_rejections(tmp_path):
         write_pgm(p, [[5]], maxval=4)
 
 
+@pytest.mark.parametrize("last", [[9, True], [9, -1], [9, -300]])
+def test_write_pgm_refuses_a_bool_or_negative_in_the_last_row(tmp_path, last):
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError,
+                       match="^PGM samples must be nonnegative ints$"):
+        write_pgm(p, [[0, 255], [1, 2], last])
+    assert not p.exists()
+
+
+def test_write_pgm_maxval_65535_packs_big_endian_rows(tmp_path):
+    p = tmp_path / "wide.pgm"
+    rows = [[0, 1, 256], (65535, 4660, 255)]
+    write_pgm(p, rows, maxval=65535)
+    assert p.read_bytes() == (b"P5\n3 2\n65535\n" + bytes.fromhex(
+        "0000 0001 0100 ffff 1234 00ff"))
+    assert read_pgm(p) == ([[0, 1, 256], [65535, 4660, 255]], 65535)
+    # with no maxval given, the largest sample sets it
+    write_pgm(p, rows)
+    assert read_pgm(p)[1] == 65535
+
+
 def _write_pgm_min_max(path, rows, maxval=None, binary=True):
     """The writer as it was before bytes() did its range check: the oracle."""
     if not rows or not rows[0]:

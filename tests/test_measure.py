@@ -47,6 +47,20 @@ def test_carrier_masks():
         c.index(4)
 
 
+@pytest.mark.parametrize("label", [True, False])
+def test_carrier_refuses_a_bool_label(label):
+    # True == 1 and False == 0, but a bool is never a point
+    c = FiniteCarrier([0, 1, 2])
+    text = f"^'label {label!r} is not a carrier point'$"
+    with pytest.raises(KeyError, match=text):
+        c.index(label)
+    with pytest.raises(KeyError, match=text):
+        c.mask_of([2, label])
+    sp = counting_space([0, 1, 2])
+    with pytest.raises(KeyError, match=text):
+        MeasurableMap(sp, sp, {0: label, 1: 1, 2: 2})
+
+
 # ---------------------------------------------------------------- sigma algebras
 
 

@@ -27,6 +27,10 @@ def test_validation():
         PartialInjection(X, Y, [(0, 0), (1, 0)])   # not injective
     with pytest.raises(KeyError):
         PartialInjection(X, Y, [(9, 0)])
+    # True == 1, but a bool is never a point, on either side
+    for pairs in ([(True, 2)], [(2, True)], [(0, False)]):
+        with pytest.raises(KeyError, match="is not a carrier point"):
+            PartialInjection(X, Y, pairs)
 
 
 def test_apply_and_masks():
