@@ -17,11 +17,12 @@ Parsing is strict: anything structurally off -- bad magic, unknown version,
 unknown policy id, truncated section, non-positive size, empty seed, a
 record ``_record_fault`` refuses, a kind byte S and the amplitude do not
 give, or trailing bytes -- raises CorruptContainer.  A cut section, a
-record count the bytes left cannot hold, a wrong kind byte and trailing
-bytes are named with the byte offset where that section, the count, the
-kind byte or the trailing bytes begin.
+record count the bytes left cannot hold, a refused record, a wrong kind
+byte and trailing bytes are named with the byte offset where that section,
+the count, the record's kind byte or the trailing bytes begin.
 The writer refuses with ValueError, in the reader's words, each of these an
-encoding can hold, and a bool or a value that is not a signed 64-bit int.
+encoding can hold (a record fault without the offset, as ``decode`` words
+it too), and a bool or a value that is not a signed 64-bit int.
 One header struct per dimension (``_HEADS``) serves the writer, the reader
 and ``container_layout``.  A record packs as one ``_REC_HEAD`` and one bulk
 delta array; a bool or a value that does not pack goes through
@@ -258,7 +259,7 @@ def read_container(data: bytes) -> EncodedSignal:
         kind, t, s, num, den, dlen = head_unpack(data, off)
         fault = _record_fault(s, num, den)
         if fault:
-            raise CorruptContainer(fault)
+            raise CorruptContainer(f"{fault} at byte {off}")
         if kind != arrow_kind(s, num, den):
             raise CorruptContainer(
                 (f"unknown record kind {kind}" if kind >= len(KIND_NAMES) else

@@ -149,7 +149,9 @@ def canonical_class(raw, space: FiniteMeasureSpace, tag: str = "L0") -> FnClass:
         vals = [_as_value(v) for v in seq]
     for i in _bits(space.null_mask):
         vals[i] = Fraction(0)
-    return FnClass(space, vals, tag)
+    if tag not in TAGS:
+        raise ValueError(f"tag must be one of {TAGS}")
+    return FnClass._canonical(space, tuple(vals), tag)
 
 
 def indicator(space: FiniteMeasureSpace, mask: int, tag: str = "L0") -> FnClass:
@@ -289,8 +291,8 @@ def covariant_op(pi: BooleanHom, u: DualElement) -> DualElement:
     The result v over ``pi.target`` is the unique element with
     ``[[v > a]] == pi([[u > a]])`` for every a.  A hom sends the source atoms
     to disjoint elements whose join is the unit, so each target atom lies in
-    the image ``pi(1 << i)`` of exactly one source atom i, and takes u's
-    value on that atom.
+    the image of exactly one source atom i, and takes u's value on that
+    atom.
     """
     if not pi.is_hom:
         raise NotHom("covariant transport needs a sequentially "
@@ -298,10 +300,11 @@ def covariant_op(pi: BooleanHom, u: DualElement) -> DualElement:
     if u.malg != pi.source:
         raise SpaceMismatch("dual element lives over a different algebra "
                             "than the hom's source")
-    images = [pi(1 << i) for i in range(len(u.atom_values))]
-    return DualElement(pi.target, [
-        next(v for v, img in zip(u.atom_values, images) if img >> j & 1)
-        for j in range(pi.target.algebra.atom_count)])
+    vals = [None] * pi.target.algebra.atom_count
+    for v, img in zip(u.atom_values, pi._images):
+        for j in _bits(img):
+            vals[j] = v
+    return DualElement(pi.target, vals)
 
 
 def covariant_l2_op(pi: BooleanHom, u: DualElement) -> DualElement:

@@ -29,7 +29,7 @@ from .fnspace import (DualElement, canonical_class, covariant_op,
                       inner, leq_ae, norm2_sq, pullback, scale,
                       split_direct_sum, sup)
 from .measure import (FiniteCarrier, FiniteMeasureSpace, MeasurableMap,
-                      _unions, compose_maps, counting_space, direct_sum,
+                      compose_maps, counting_space, direct_sum,
                       generate_sigma_algebra, power_set_algebra)
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
@@ -141,7 +141,7 @@ def rand_hom(rng, src_malg, tgt_malg):
     images = [0] * ks  # images[a]: the target atoms assigned to atom a
     for j, a in enumerate(assignment):
         images[a] |= 1 << j
-    return BooleanHom(src_malg, tgt_malg, _unions(images))
+    return BooleanHom._from_images(src_malg, tgt_malg, images)
 
 
 def rand_dual(rng, malg):

@@ -32,8 +32,9 @@ INFINITY = float("inf")
 Weight = Union[Fraction, float]  # Fraction, or INFINITY
 
 #: The largest k for which a 2**k table is built (``SigmaAlgebra.members``,
-#: null ideals, measure tables, Boolean homs): 65536 entries.  Carriers and
-#: atoms have no cap; only :func:`_unions` reads this.
+#: null ideals, a measure algebra's finite part and class members, a Boolean
+#: hom's ``mapping``): 65536 entries.  Carriers, atoms and the homs
+#: themselves have no cap; only :func:`_unions` reads this.
 MAX_CARRIER = 16
 
 
@@ -45,14 +46,15 @@ def _as_weight(value) -> Weight:
             "finite float weights are not accepted; pass Fraction or int "
             "(only float('inf') is allowed as a float)"
         )
-    # Fraction() would also read a str or a Decimal
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"weights must be exact rationals (int or Fraction), "
-                        f"not {type(value).__name__}")
-    w = Fraction(value)
-    if w < 0:
+    if type(value) is not Fraction:
+        # Fraction() would also read a str or a Decimal
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"weights must be exact rationals (int or "
+                            f"Fraction), not {type(value).__name__}")
+        value = Fraction(value)
+    if value < 0:
         raise ValueError("weights must be nonnegative")
-    return w
+    return value
 
 
 class FiniteCarrier:
@@ -83,8 +85,10 @@ class FiniteCarrier:
         return self._full_mask
 
     def index(self, label: int) -> int:
-        # True == 1 as a dict key, but a bool is never a point
-        i = None if isinstance(label, bool) else self._index.get(label)
+        # 1.0, Fraction(1) and True all equal 1 as dict keys, but only an
+        # int that is not a bool is ever a point
+        i = (self._index.get(label) if isinstance(label, int)
+             and not isinstance(label, bool) else None)
         if i is None:
             raise KeyError(f"label {label!r} is not a carrier point")
         return i
@@ -103,7 +107,8 @@ class FiniteCarrier:
         return tuple(self.points[i] for i in _bits(mask))
 
     def __eq__(self, other):
-        return isinstance(other, FiniteCarrier) and self.points == other.points
+        return self is other or (isinstance(other, FiniteCarrier)
+                                 and self.points == other.points)
 
     def __hash__(self):
         return hash(self.points)
@@ -199,9 +204,9 @@ class SigmaAlgebra:
         return 1 << len(self.atoms)
 
     def __eq__(self, other):
-        return (isinstance(other, SigmaAlgebra)
-                and self.carrier == other.carrier
-                and self.atoms == other.atoms)
+        return self is other or (isinstance(other, SigmaAlgebra)
+                                 and self.carrier == other.carrier
+                                 and self.atoms == other.atoms)
 
     def __hash__(self):
         return hash((self.carrier, self.atoms))
@@ -294,9 +299,9 @@ class FiniteMeasureSpace:
         return frozenset(_unions([1 << i for i in _bits(self.null_mask)]))
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteMeasureSpace)
-                and self.sigma == other.sigma
-                and self.weights == other.weights)
+        return self is other or (isinstance(other, FiniteMeasureSpace)
+                                 and self.sigma == other.sigma
+                                 and self.weights == other.weights)
 
     def __hash__(self):
         return hash((self.sigma, self.weights))

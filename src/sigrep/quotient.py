@@ -8,18 +8,20 @@ each class is named by the positive atoms it contains.  Elements are
 represented as atom bitmasks (bit ``j`` = atom ``j``), which makes symmetric
 difference, meet and order single int operations.
 
-A finite Boolean algebra is the power set of its atoms, so a map between two
-of them is a hom exactly when it sends each element to the disjoint union of
-the images of its atoms.  The law checks below walk each element once,
-peeling off its lowest atom, rather than over all pairs of elements.
+A finite Boolean algebra is the power set of its atoms, so by finite Stone
+duality a hom between two of them is exactly its atom images: pairwise
+disjoint elements whose join is the unit, with each element sent to the
+join of the images of its atoms.  A :class:`BooleanHom` is stored as those
+images, so building, checking, composing and weighing a hom take O(atoms)
+and no 2**k table.  Only a map that is not a hom is walked element by
+element, over its table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Callable, FrozenSet, List, Sequence, Tuple
+from typing import Callable, FrozenSet, Sequence, Tuple
 
 from .errors import DegenerateMeasure, NotHom, NotNonsingular, SpaceMismatch
 from .measure import (FiniteMeasureSpace, MeasurableMap, Weight, _bits,
@@ -71,12 +73,12 @@ class MeasureAlgebra:
     algebras are equal exactly when their spaces are.  It weighs each
     positive atom (``measure.atoms``) once, never a null one, and stores
     their masses, with ``_atom_bits``: each sigma-atom paired with the
-    algebra bit of its class (0 for a null atom).  The measure of every
-    element is tabulated on first use.
+    algebra bit of its class (0 for a null atom).  The measure of an
+    element is the sum of its atoms' masses.
     """
 
     __slots__ = ("space", "algebra", "atom_point_masks", "_atom_mu",
-                 "_atom_bits", "_table")
+                 "_atom_bits")
 
     def __init__(self, space: FiniteMeasureSpace):
         masks = tuple(atoms(space))
@@ -91,14 +93,6 @@ class MeasureAlgebra:
         self._atom_mu = tuple(map(space._mass, masks))
         self._atom_bits = tuple((a, 0 if a & null else next(bits))
                                 for a in space.sigma.atoms)
-        self._table = None
-
-    @property
-    def _mu(self) -> List[Weight]:
-        """The measure of every element (``+`` carries INFINITY)."""
-        if self._table is None:
-            self._table = _unions(self._atom_mu, add, Fraction(0))
-        return self._table
 
     def _check(self, element: int) -> int:
         if not 0 <= element <= self.algebra.unit:
@@ -122,7 +116,7 @@ class MeasureAlgebra:
 
     def mu_bar(self, element: int) -> Weight:
         """Measure of a class (well-defined: members differ by null sets)."""
-        return self._mu[self._check(element)]
+        return _weigh(self._atom_mu, self._check(element))
 
     @property
     def finite_part(self) -> FrozenSet[int]:
@@ -151,7 +145,8 @@ class MeasureAlgebra:
         return self._atom_mu[j]
 
     def __eq__(self, other):
-        return isinstance(other, MeasureAlgebra) and self.space == other.space
+        return self is other or (isinstance(other, MeasureAlgebra)
+                                 and self.space == other.space)
 
     def __hash__(self):
         return hash(self.space)
@@ -171,78 +166,141 @@ def quotient_measure_algebra(space: FiniteMeasureSpace
     return malg, malg.project
 
 
-class BooleanHom:
-    """A map between measure algebras, with its law flags.
+def _weigh(atom_mu: Sequence[Weight], element: int) -> Weight:
+    """The summed masses of the atoms of ``element`` (INFINITY absorbs)."""
+    return sum((atom_mu[j] for j in _bits(element)), Fraction(0))
 
-    ``mapping`` is a sequence indexed by source elements.  Flags:
+
+def _is_partition(images: Sequence[int], unit: int) -> bool:
+    """True when ``images`` are pairwise disjoint and join to ``unit``."""
+    seen = 0
+    for m in images:
+        if m & seen:
+            return False
+        seen |= m
+    return seen == unit
+
+
+class BooleanHom:
+    """A map between measure algebras, stored as its atom images, with its
+    law flags.
+
+    ``pi(e)`` joins the images of the atoms of ``e``; a hom of finite
+    Boolean algebras is exactly that join-extension.  Flags:
 
     * ``is_hom``   -- preserves symmetric difference, meet and the unit
       (hence complement, join and zero).  It is also SOC (preserves suprema
       of monotone chains): over finite algebras that means preserving
-      pairwise joins, which every hom does (``a | b == a ^ b ^ (a & b)``);
-    * ``is_measure_preserving`` -- a hom under which the target measure of
-      each image equals the source measure of the element.
+      pairwise joins, which every hom does (``a | b == a ^ b ^ (a & b)``).
+      It holds exactly when the atom images are pairwise disjoint and join
+      to the unit, which is checked in one pass over them;
+    * ``is_measure_preserving`` -- a hom under which each source atom
+      weighs what its image weighs in the target, so that every element
+      does (both measures are additive).
 
-    The flags are read from :func:`check_hom_laws` on first use.
+    The constructor takes a table indexed by source elements.  A table that
+    is the join-extension of its atom entries, as every hom's is, is stored
+    as those entries alone; any other table is kept as given.  The homs
+    this package builds go through ``_from_images`` and hold no table;
+    ``mapping`` builds theirs when it is read, for at most ``MAX_CARRIER``
+    atoms.
     """
 
-    __slots__ = ("source", "target", "mapping", "_flags")
+    __slots__ = ("source", "target", "_images", "_table", "_hom")
 
     def __init__(self, source: MeasureAlgebra, target: MeasureAlgebra,
                  mapping: Sequence[int]):
-        if len(mapping) != 1 << source.algebra.atom_count:
+        k = source.algebra.atom_count
+        if len(mapping) != 1 << k:
             raise ValueError("mapping must cover every source element")
         unit_t = target.algebra.unit
         if any(m < 0 or m > unit_t for m in mapping):
             raise ValueError("mapping image out of target range")
+        table = tuple(mapping)
         self.source = source
         self.target = target
-        self.mapping = tuple(mapping)
-        self._flags = None
+        self._images = tuple(table[1 << j] for j in range(k))
+        joined = table[0] == 0 and all(table[e] == table[e & e - 1] | table[e & -e]
+                                       for e in range(1, len(table)))
+        self._table = None if joined else table
+        self._hom = joined and _is_partition(self._images, unit_t)
+
+    @classmethod
+    def _from_images(cls, source: MeasureAlgebra, target: MeasureAlgebra,
+                     images: Sequence[int]) -> "BooleanHom":
+        """The map sending source atom ``j`` to ``images[j]`` and each
+        element to the join of its atoms' images."""
+        unit_t = target.algebra.unit
+        if any(m < 0 or m > unit_t for m in images):
+            raise ValueError("mapping image out of target range")
+        pi = cls.__new__(cls)
+        pi.source = source
+        pi.target = target
+        pi._images = tuple(images)
+        pi._table = None
+        pi._hom = _is_partition(pi._images, unit_t)
+        return pi
 
     def __call__(self, element: int) -> int:
-        return self.mapping[element]
+        element = self.source._check(element)
+        if self._table is not None:
+            return self._table[element]
+        out = 0
+        for j in _bits(element):
+            out |= self._images[j]
+        return out
 
-    def _compute_flags(self):
-        rep = check_hom_laws(self)
-        self._flags = (rep.is_hom, rep.is_hom and rep.is_measure_preserving)
+    @property
+    def mapping(self) -> Tuple[int, ...]:
+        """The image of every source element, indexed by element."""
+        if self._table is not None:
+            return self._table
+        return tuple(_unions(self._images))
 
     @property
     def is_hom(self) -> bool:
-        if self._flags is None:
-            self._compute_flags()
-        return self._flags[0]
+        return self._hom
 
     @property
     def is_measure_preserving(self) -> bool:
-        if self._flags is None:
-            self._compute_flags()
-        return self._flags[1]
+        return self.is_hom and self._preserves_mass()
+
+    def _preserves_mass(self) -> bool:
+        t_mu = self.target._atom_mu
+        return all(_weigh(t_mu, m) == mu
+                   for m, mu in zip(self._images, self.source._atom_mu))
 
     def __eq__(self, other):
-        return (isinstance(other, BooleanHom)
-                and self.source == other.source
-                and self.target == other.target
-                and self.mapping == other.mapping)
+        if not (isinstance(other, BooleanHom) and self.source == other.source
+                and self.target == other.target):
+            return False
+        if self._table is None and other._table is None:
+            return self._images == other._images
+        return self.mapping == other.mapping
 
     def __hash__(self):
-        return hash((self.source, self.target, self.mapping))
+        # equal maps have equal atom entries, kept table or not
+        return hash((self.source, self.target, self._images))
 
     def __repr__(self):
         return f"BooleanHom({self.source!r} -> {self.target!r})"
 
 
 def identity_hom(malg: MeasureAlgebra) -> BooleanHom:
-    return BooleanHom(malg, malg, _unions(
-        [1 << j for j in range(malg.algebra.atom_count)]))
+    return BooleanHom._from_images(
+        malg, malg, [1 << j for j in range(malg.algebra.atom_count)])
 
 
 def compose_homs(theta: BooleanHom, pi: BooleanHom) -> BooleanHom:
-    """The composite ``theta after pi`` (apply ``pi`` first)."""
+    """The composite ``theta after pi`` (apply ``pi`` first).  A join of
+    atom images goes to the join of their images, so the composite of two
+    image-stored maps is ``theta`` applied to ``pi``'s images."""
     if pi.target != theta.source:
         raise SpaceMismatch("inner hom's target must equal outer hom's source")
-    return BooleanHom(pi.source, theta.target,
-                      tuple(theta.mapping[b] for b in pi.mapping))
+    if pi._table is None and theta._table is None:
+        return BooleanHom._from_images(pi.source, theta.target,
+                                       [theta(m) for m in pi._images])
+    return BooleanHom(pi.source, theta.target, tuple(map(theta, pi.mapping)))
 
 
 def induced_hom(phi: MeasurableMap) -> BooleanHom:
@@ -251,15 +309,15 @@ def induced_hom(phi: MeasurableMap) -> BooleanHom:
     For ``phi : source -> target`` the result goes the other way, from the
     measure algebra of ``phi.target`` to that of ``phi.source``, sending the
     class of ``F`` to the class of the preimage of ``F``.  Nonsingularity is
-    exactly what makes this well defined on classes.
+    exactly what makes this well defined on classes.  Each atom's image is
+    the class of its preimage.
     """
     if not phi.flags.is_nonsingular:
         raise NotNonsingular("induced homs exist only for nonsingular maps")
     src_alg = MeasureAlgebra(phi.target)
     tgt_alg = MeasureAlgebra(phi.source)
-    images = [tgt_alg.project(phi.preimage_mask(a))
-              for a in src_alg.atom_point_masks]
-    hom = BooleanHom(src_alg, tgt_alg, _unions(images))
+    hom = BooleanHom._from_images(src_alg, tgt_alg, [
+        tgt_alg.project(phi.preimage_mask(a)) for a in src_alg.atom_point_masks])
     if not hom.is_hom:
         raise NotHom("induced mapping failed the homomorphism laws")
     return hom
@@ -283,8 +341,11 @@ def check_hom_laws(pi: BooleanHom) -> HomLawReport:
     """Check the homomorphism laws of ``pi`` and report which hold, with a
     short description of each failure found (at most 16).
 
-    Each law is checked in one pass over the source elements ``a``, with
-    ``low`` the lowest atom of ``a``:
+    A hom passes every law, so for a hom only measure preservation is
+    checked: each source atom's mass against the summed atom masses of its
+    image.  Any other map is walked over its table ``m``, each law in one
+    pass over the source elements ``a``, with ``low`` the lowest atom of
+    ``a``:
 
     * sym_diff: ``m[0] == 0`` and ``m[a] == m[a ^ low] ^ m[low]``, which
       makes ``m`` the xor of its atoms' images;
@@ -298,10 +359,13 @@ def check_hom_laws(pi: BooleanHom) -> HomLawReport:
     checked apart: ``a | b == a ^ b ^ (a & b)``, so a map preserving
     sym_diff and meet preserves joins; over finite algebras that is also SOC
     (preservation of suprema of monotone chains), so ``is_hom`` covers it.
-    Measure preservation compares each source atom's mass with the summed
-    atom masses of its image for a hom, else the two measure tables at
-    every element.
+    Measure preservation of such a map compares the two measures at every
+    element.
     """
+    if pi.is_hom:
+        preserving = pi._preserves_mass()
+        return HomLawReport(True, True, True, preserving,
+                            () if preserving else ("measure not preserved",))
     m = pi.mapping
     unit = len(m) - 1
     failures = []
@@ -326,16 +390,8 @@ def check_hom_laws(pi: BooleanHom) -> HomLawReport:
     unit_ok = m[unit] == pi.target.algebra.unit
     if not unit_ok:
         failures.append("unit not preserved")
-    hom = sym and meet and unit_ok
-    # a hom sends disjoint joins to disjoint joins and both measures are
-    # additive, so for a hom the atoms decide
-    if hom:
-        t_mu = pi.target._atom_mu
-        preserving = all(sum((t_mu[i] for i in _bits(m[1 << j])), Fraction(0)) == mu
-                         for j, mu in enumerate(pi.source._atom_mu))
-    else:
-        target_mu, source_mu = pi.target._mu, pi.source._mu
-        preserving = all(target_mu[m[a]] == source_mu[a] for a in range(len(m)))
+    t_mu, s_mu = pi.target._atom_mu, pi.source._atom_mu
+    preserving = all(_weigh(t_mu, m[a]) == _weigh(s_mu, a) for a in range(len(m)))
     if not preserving:
         failures.append("measure not preserved")
     return HomLawReport(sym, meet, unit_ok, preserving, tuple(failures[:16]))

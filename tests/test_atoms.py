@@ -17,6 +17,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -26,10 +27,11 @@ from sigrep import (INFINITY, BooleanHom, DegenerateMeasure, FiniteCarrier,
                     SigmaAlgebra, atoms, canonical_class, check_hom_laws,
                     counting_space, direct_sum, duality_bridge,
                     duality_bridge_inverse, generate_sigma_algebra,
-                    identity_hom, identity_map, induced_hom,
+                    compose_homs, identity_hom, identity_map, induced_hom,
                     power_set_algebra, pullback,
                     quotient_measure_algebra)
 from sigrep import measure, quotient
+from sigrep.quotient import HomLawReport
 
 # ---------------------------------------------------------------- oracles
 
@@ -151,8 +153,9 @@ def flags_loop_oracle(phi):
 
 
 def finite_part_oracle(malg):
-    """The elements whose entry in the measure table is not INFINITY."""
-    return frozenset(e for e, mu in enumerate(malg._mu) if mu != INFINITY)
+    """The elements whose measure is not INFINITY."""
+    return frozenset(e for e in malg.algebra.elements
+                     if malg.mu_bar(e) != INFINITY)
 
 
 def quotient_oracle(space):
@@ -348,6 +351,126 @@ def test_hom_laws_match_pairwise_scan():
     assert len(seen) >= 3
 
 
+def table_walk(src, tgt, m):
+    """The law report of the table ``m`` as ``check_hom_laws`` made it for
+    every map before a hom was stored as its atom images: both law passes
+    over the table, then the atom masses for a hom, else the two 2**k
+    measure tables at every element."""
+    unit = len(m) - 1
+    failures = []
+    sym = m[0] == 0
+    if not sym:
+        failures.append("sym_diff broken at (0, 0)")
+    for a in range(1, len(m)):
+        low = a & -a
+        if m[a] != m[a ^ low] ^ m[low]:
+            sym = False
+            if len(failures) == 16:
+                break
+            failures.append(f"sym_diff broken at ({a ^ low}, {low})")
+    meet = True
+    for a in range(unit):
+        b = ~a & (a + 1)
+        if m[a] != m[a | b] & m[unit ^ b]:
+            meet = False
+            if len(failures) == 16:
+                break
+            failures.append(f"meet broken at ({a | b}, {unit ^ b})")
+    unit_ok = m[unit] == tgt.algebra.unit
+    if not unit_ok:
+        failures.append("unit not preserved")
+    if sym and meet and unit_ok:
+        t_mu = tgt._atom_mu
+        preserving = all(sum((t_mu[i] for i in measure._bits(m[1 << j])),
+                             Fraction(0)) == mu
+                         for j, mu in enumerate(src._atom_mu))
+    else:
+        target_mu = measure._unions(tgt._atom_mu, add, Fraction(0))
+        source_mu = measure._unions(src._atom_mu, add, Fraction(0))
+        preserving = all(target_mu[m[a]] == source_mu[a] for a in range(len(m)))
+    if not preserving:
+        failures.append("measure not preserved")
+    return HomLawReport(sym, meet, unit_ok, preserving, tuple(failures[:16]))
+
+
+def rand_images(rng, src, tgt):
+    """Atom images of one of six kinds, and the kind: a partition of the
+    unit (a hom), a permutation of a common algebra's atoms, a partition
+    with a bit added to or taken from one image (still a hom when that bit
+    was already there or the image was empty), arbitrary images, or one
+    image out of the target's range."""
+    ks, unit = src.algebra.atom_count, tgt.algebra.unit
+    owner = [rng.randrange(ks) for _ in range(tgt.algebra.atom_count)]
+    images = [sum(1 << t for t, o in enumerate(owner) if o == j)
+              for j in range(ks)]
+    kind = rng.choice(("partition", "permutation", "overlap", "gap",
+                       "arbitrary", "out_of_range"))
+    j = rng.randrange(ks)
+    if kind == "permutation" and src is tgt:
+        images = [1 << t for t in rng.sample(range(ks), ks)]
+    elif kind == "overlap":
+        images[j] |= images[j - 1] | 1 << rng.randrange(tgt.algebra.atom_count)
+    elif kind == "gap":
+        images[j] &= images[j] - 1
+    elif kind == "arbitrary":
+        images = [rng.randint(0, unit) for _ in range(ks)]
+    elif kind == "out_of_range":
+        images[j] = rng.choice((-1, -1 - unit, unit + 1, images[j] | unit + 1))
+    return images, kind
+
+
+def test_atom_images_match_the_table_walk():
+    rng = random.Random(2801)
+    seen = Counter()
+    for _ in range(3000):
+        src = rand_malg(rng, max_atoms=4)
+        tgt = src if rng.random() < 0.35 else rand_malg(rng, max_atoms=4)
+        images, kind = rand_images(rng, src, tgt)
+        seen[kind] += 1
+        if kind == "out_of_range":
+            with pytest.raises(ValueError) as want:
+                BooleanHom(src, tgt, measure._unions(images))
+            with pytest.raises(ValueError) as got:
+                BooleanHom._from_images(src, tgt, images)
+            assert str(got.value) == str(want.value)
+            continue
+        table = measure._unions(images)
+        want = table_walk(src, tgt, table)
+        stored = BooleanHom._from_images(src, tgt, images)
+        tabled = BooleanHom(src, tgt, table)
+        # a join-extension of its atom entries keeps only those entries
+        assert tabled._table is None
+        for pi in (stored, tabled):
+            assert check_hom_laws(pi) == want
+            assert pi.is_hom == want.is_hom
+            assert pi.is_measure_preserving == (want.is_hom
+                                                and want.is_measure_preserving)
+            assert pi.mapping == tuple(table)
+            assert [pi(e) for e in range(len(table))] == table
+        assert stored == tabled and hash(stored) == hash(tabled)
+        ident = identity_hom(src)
+        assert compose_homs(stored, ident) == stored
+        assert compose_homs(identity_hom(tgt), stored) == stored
+        if tgt is src:
+            assert compose_homs(stored, stored).mapping == tuple(
+                table[b] for b in table)
+        # any other table is kept as given, and walked
+        e = rng.choice([0] + [e for e in range(len(table)) if e & e - 1])
+        old, table[e] = table[e], rng.randint(0, tgt.algebra.unit)
+        if table[e] != old:
+            kept = BooleanHom(src, tgt, table)
+            assert kept._table == tuple(table) and kept != stored
+            assert check_hom_laws(kept) == table_walk(src, tgt, table)
+            assert not kept.is_hom and not kept.is_measure_preserving
+            assert compose_homs(kept, ident) == kept
+            assert compose_homs(identity_hom(tgt), kept) == kept
+            seen["kept"] += 1
+        seen["hom"] += want.is_hom
+        seen["preserving"] += want.is_hom and want.is_measure_preserving
+        seen["not preserving"] += not want.is_measure_preserving
+    assert min(seen.values()) >= 50, seen
+
+
 # ---------------------------------------------------------------- 16 points
 
 
@@ -421,14 +544,18 @@ def test_table_builds_are_counted(monkeypatch):
     sp = counting_space(range(16))
     perm = list(range(16))
     random.Random(127).shuffle(perm)
+    # a hom is its atom images: building, checking, composing and
+    # weighing it tabulate nothing, and neither does mu_bar
     hom = induced_hom(MeasurableMap(sp, sp, dict(enumerate(perm))))
-    assert built == [16]  # the hom's own table; neither quotient tabulates
-    built.clear()
     assert check_hom_laws(hom).is_measure_preserving
+    assert compose_homs(hom, identity_hom(hom.source)) == hom
+    assert hom.is_hom and hom.is_measure_preserving
     duality_bridge(sp, canonical_class(range(16), sp))
-    assert built == []
     malg = MeasureAlgebra(sp)
     assert [malg.mu_bar(e) for e in (1, 3, 7, 1)] == [1, 2, 3, 1]
+    assert built == []
+    # only reading the whole mapping builds it
+    assert hom.mapping[0b11] == hom(0b11)
     assert built == [16]
 
 

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from sigrep import (INFINITY, FiniteCarrier, FiniteMeasureSpace, MapNotTotal,
-                    MeasurableMap, MeasureAlgebra, NotADirectSum, SigmaAlgebra,
-                    SpaceMismatch, atoms, canonical_class, compose_maps,
-                    counting_space, direct_sum, duality_bridge,
-                    duality_bridge_inverse, generate_sigma_algebra,
-                    identity_hom, identity_map, induced_hom, join_direct_sum,
-                    power_set_algebra)
+from sigrep import (INFINITY, DualElement, FiniteCarrier, FiniteMeasureSpace,
+                    MapNotTotal, MeasurableMap, MeasureAlgebra, NotADirectSum,
+                    PartialInjection, SigmaAlgebra, SpaceMismatch, atoms,
+                    canonical_class, check_hom_laws, compose_homs,
+                    compose_maps, counting_space, covariant_op, direct_sum,
+                    duality_bridge, duality_bridge_inverse,
+                    generate_sigma_algebra, identity_hom, identity_map,
+                    induced_hom, join_direct_sum, power_set_algebra)
 
 
 def full_space(weights):
@@ -59,6 +60,27 @@ def test_carrier_refuses_a_bool_label(label):
     sp = counting_space([0, 1, 2])
     with pytest.raises(KeyError, match=text):
         MeasurableMap(sp, sp, {0: label, 1: 1, 2: 2})
+
+
+@pytest.mark.parametrize("label", [1.0, 2.0, Fraction(2), Decimal(1), "1"],
+                         ids=["float_1", "float_2", "fraction_2", "decimal_1",
+                              "str_1"])
+def test_carrier_refuses_a_label_that_is_not_an_int(label):
+    # 1.0, Fraction(2) and Decimal(1) equal points as dict keys, but only
+    # ints are points; the error is the one an absent label gets
+    text = f"label {label!r} is not a carrier point"
+    sp = counting_space([0, 1, 2])
+    f = canonical_class([0, 1, 2], sp)
+    for lookup in (lambda: sp.carrier.index(label),
+                   lambda: sp.carrier.mask_of([2, label]),
+                   lambda: PartialInjection(sp, sp, [(label, 0)]),
+                   lambda: PartialInjection(sp, sp, [(0, label)]),
+                   lambda: MeasurableMap(sp, sp, {0: label, 1: 1, 2: 2}),
+                   lambda: f.value(label)):
+        with pytest.raises(KeyError) as err:
+            lookup()
+        assert err.value.args == (text,)
+    assert f.value(2) == 2 and sp.carrier.mask_of([2, 0]) == 0b101
 
 
 # ---------------------------------------------------------------- sigma algebras
@@ -368,16 +390,45 @@ def seventeen_null_atoms():
 @pytest.mark.parametrize("build", [
     lambda: counting_space(range(17)).sigma.members,
     lambda: seventeen_null_atoms().space.null_ideal(),
-    lambda: MeasureAlgebra(counting_space(range(17))).mu_bar(1),
     lambda: MeasureAlgebra(counting_space(range(17))).finite_part,
     lambda: seventeen_null_atoms().class_members(1),
-    lambda: identity_hom(MeasureAlgebra(counting_space(range(17)))),
-    lambda: induced_hom(identity_map(counting_space(range(17)))),
-], ids=["members", "null_ideal", "mu_bar", "finite_part", "class_members",
+    # a hom is stored as its atom images; only its full table refuses
+    lambda: identity_hom(MeasureAlgebra(counting_space(range(17)))).mapping,
+    lambda: induced_hom(identity_map(counting_space(range(17)))).mapping,
+], ids=["members", "null_ideal", "finite_part", "class_members",
         "identity_hom", "induced_hom"])
 def test_tables_refuse_past_sixteen_atoms(build):
     with pytest.raises(ValueError, match=TABLE_REFUSED):
         build()
+
+
+def test_homs_and_measures_work_past_sixteen_atoms():
+    # a hom is its atom images and mu_bar sums atom masses, so neither
+    # builds a 2**k table: 17 atoms work as 3 do
+    n = 17
+    sp = full_space([Fraction(j + 1) for j in range(n)])
+    malg = MeasureAlgebra(sp)
+    unit = malg.algebra.unit
+    assert malg.mu_bar(unit) == n * (n + 1) // 2
+    assert malg.mu_bar(0b101) == 4 and malg.mu_bar(0) == 0
+    ident = identity_hom(malg)
+    assert ident.is_hom and ident.is_measure_preserving
+    assert ident(0b10110) == 0b10110 and ident(unit) == unit
+    # a rotation of a counting space: phi sends point i to i + 1 mod n, so
+    # the class of {i + 1} pulls back to the class of {i}
+    cs = counting_space(range(n))
+    phi = MeasurableMap(cs, cs, {i: (i + 1) % n for i in range(n)})
+    rot = induced_hom(phi)
+    assert rot.is_hom and rot.is_measure_preserving
+    assert [rot(1 << i) for i in range(n)] == [1 << (i - 1) % n for i in range(n)]
+    assert check_hom_laws(rot).failures == ()
+    twice = compose_homs(rot, rot)
+    assert twice == induced_hom(compose_maps(phi, phi))
+    assert twice(1 << 5) == 1 << 3
+    assert compose_homs(rot, identity_hom(MeasureAlgebra(cs))) == rot
+    u = DualElement(rot.source, range(n))
+    assert covariant_op(rot, u).atom_values == tuple((j + 1) % n for j in range(n))
+    assert induced_hom(identity_map(sp)) == identity_hom(malg)
 
 
 def test_finite_part_tabulates_only_the_finite_atoms():
@@ -390,8 +441,9 @@ def test_finite_part_tabulates_only_the_finite_atoms():
     assert malg.finite_part == frozenset(
         e for e in range(1 << 17) if not e & infinite)
     assert len(malg.finite_part) == 1 << 15
-    with pytest.raises(ValueError, match=TABLE_REFUSED):
-        malg.mu_bar(1)
+    # mu_bar sums atom masses: it works on the 2**17 elements too
+    assert malg.mu_bar(1) == 1 and malg.mu_bar(1 << 16 | 1) == 2
+    assert malg.mu_bar(infinite | 1) == INFINITY
 
 
 def test_atom_level_calls_work_at_forty_atoms():
