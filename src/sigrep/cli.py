@@ -42,6 +42,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, partial
+from math import gcd
 from time import perf_counter
 
 from . import codec
@@ -173,12 +174,18 @@ def cmd_analyze(args) -> int:
 def cmd_encode(args) -> int:
     with _phase(args, "read"):
         payload, origin = _read_raw(args.input)
-    if not _is_pgm(args.input) and set(map(type, payload)) != {int}:
-        # the FSG1 container stores 64-bit integers; refuse before encoding
-        rational = [v for v in payload if v.denominator != 1]
-        if rational:
-            raise ValueError("encode stores integer samples only; "
-                             f"{args.input} holds the rational sample {rational[0]}")
+    if not _is_pgm(args.input):
+        # the FSG1 container stores 64-bit integers; refuse before encoding.
+        # A CSV sample is an int or a Fraction, and gcd raises TypeError at
+        # the first Fraction, in C; only then is the payload scanned
+        try:
+            gcd(*payload)
+        except TypeError:
+            rational = [v for v in payload if v.denominator != 1]
+            if rational:
+                raise ValueError("encode stores integer samples only; "
+                                 f"{args.input} holds the rational sample "
+                                 f"{rational[0]}") from None
     with _phase(args, "encode"):
         enc = codec.encode(payload, args.policy, origin=origin)
     del payload  # enc holds no reference to it: free it before packing

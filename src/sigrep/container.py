@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CorruptContainer
@@ -204,7 +203,8 @@ def _pack(enc: EncodedSignal) -> List[bytes]:
         fields = rec[:4]  # T, S, amp_num, amp_den
         try:
             # struct packs a bool as 0/1, so bools take the checked path too
-            if bool not in set(map(type, chain(fields, rec.delta))):
+            if (bool not in map(type, fields)
+                    and bool not in set(map(type, rec.delta))):
                 parts += _pack_record(rec.kind, fields, rec.delta)
                 continue
         except struct.error:

@@ -12,17 +12,18 @@ maxval.  ``write_pgm`` packs each row with ``bytes()``, which checks
 largest sample by ``in`` (memchr) from 255 down; only a sample outside
 0..255 sends it to Python-level ``min`` and ``max`` passes.
 
-A CSV file is read as ASCII text in chunks of ``_READ_CHUNK`` lines, each
-parsed by ``map(int, ...)``.  A line ``int`` refuses (a comment, a blank
-line, a rational, bad text or a non-ASCII byte) goes alone to the
-line-by-line parser and ``map(int, ...)`` resumes after it; from a second
-such line on, the rest of its chunk goes line by line, and nothing is read
-twice.  So the ``# origin=`` header of a file ``write_csv_signal`` wrote
-costs one slow line, not a slow chunk.  The CSV reader holds one chunk of the text at a
+A CSV file is read in binary, ``_READ_BLOCK`` bytes at a time, and each
+block is split into lines by ``bytes.splitlines``, in C, at LF, CRLF and a
+lone CR alike: a file whose lines end in a lone CR reads a block at a time
+as well.  A block's lines are parsed by ``map(int, ...)`` as bytes.  A line
+``int`` refuses (a comment, a blank line, a rational, bad text or a
+non-ASCII byte) is decoded and goes alone to the line-by-line parser, and
+``map(int, ...)`` resumes after it; from a second such line on, the rest of
+its block goes line by line, and nothing is read twice.  So the
+``# origin=`` header of a file ``write_csv_signal`` wrote costs one slow
+line, not a slow block.  The CSV reader holds one block of the file at a
 time, since a list of every line takes more memory than the ints parsed
-from them.  The text layer splits lines in C at LF, CRLF and a lone CR
-alike, so a file whose lines end in a lone CR is read a chunk at a time as
-well.
+from them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import List, Sequence, Tuple, Union
 
 MAX_PGM_VALUE = 65535
@@ -157,7 +158,7 @@ def _parse_sample(text: str) -> Sample:
     return frac
 
 
-_READ_CHUNK = 4096  # lines parsed by one map(int, ...)
+_READ_BLOCK = 65536  # bytes read and split into lines at a time
 
 
 def read_csv_signal(path) -> Tuple[List[Sample], int]:
@@ -166,34 +167,55 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
     Other comment lines and blank lines are skipped.  Returns
     (samples, origin).  LF, CRLF and a lone CR each end a line.
 
-    The file is read as ASCII text with ``surrogateescape``: each
-    non-ASCII byte becomes one surrogate character, which ``int`` refuses,
-    so a line's length is its size in bytes and offsets stay exact.
-    ``newline=""`` ends a line at LF, CRLF or a lone CR and keeps the line
-    end.  ``int(line)`` accepts a line only where ``_parse_lines`` reads
-    the same int (``str.strip`` drops more control characters than ``int``
-    does, and such a line goes to ``_parse_lines``).  Errors come in line
-    order: the first bad sample, bad origin or non-ASCII byte is reported,
-    a non-ASCII byte by its line and file offset.
+    Each block is split by ``bytes.splitlines(keepends=True)``, which ends
+    a line at exactly LF, CRLF and a lone CR.  A block's last line waits
+    for the next block unless it ends in LF: it may go on there, or its CR
+    may be the first half of a CRLF.  A line longer than a block is kept
+    in pieces and joined once.  ``int`` accepts a bytes line only where
+    ``_parse_lines`` reads the same int (``str.strip`` drops more control
+    characters than ``int`` does).  Only the lines ``int`` refuses are
+    decoded, as ASCII with ``surrogateescape``: each non-ASCII byte becomes
+    one surrogate character, so a line's length is its size in bytes and
+    offsets stay exact.  Errors come in line order: the first bad sample,
+    bad origin or non-ASCII byte is reported, a non-ASCII byte by its line
+    and file offset.
     """
     origin = 0
     samples: List[Sample] = []
-    lineno = offset = 0
-    with open(path, encoding="ascii", errors="surrogateescape",
-              newline="") as fh:
-        while lines := list(islice(fh, _READ_CHUNK)):
+    lineno = offset = read = 0
+    carry: List[bytes] = []  # the pieces of a line no block has ended yet
+    with open(path, "rb") as fh:
+        while block := fh.read(_READ_BLOCK):
+            read += len(block)
+            lines = block.splitlines(keepends=True)
+            if carry:
+                if carry[-1].endswith(b"\r") and lines[0] != b"\n":
+                    lines.insert(0, b"".join(carry))  # ended by a lone CR
+                elif len(lines) == 1 and not block.endswith(b"\n"):
+                    carry.append(block)  # the line goes on
+                    continue
+                else:
+                    carry.append(lines[0])
+                    lines[0] = b"".join(carry)
+                carry = []
+            if not lines[-1].endswith(b"\n"):
+                carry.append(lines.pop())
             origin = _parse_chunk(lines, lineno, offset, samples, origin)
             lineno += len(lines)
-            offset += len("".join(lines))
+            offset = read - len(carry[0]) if carry else read
+    if carry:
+        origin = _parse_chunk([b"".join(carry)], lineno, offset, samples,
+                              origin)
     return samples, origin
 
 
-def _parse_chunk(lines: Sequence[str], lineno: int, offset: int,
+def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
                  samples: List[Sample], origin: int) -> int:
-    """Parse one chunk into ``samples`` by ``map(int, ...)``.  The first line
-    ``int`` refuses goes alone to ``_parse_lines`` and ``map(int, ...)``
-    resumes after it; from a second such line on, the rest of the chunk goes
-    line by line.  Returns the origin in force after the chunk."""
+    """Parse one block's lines into ``samples`` by ``map(int, ...)``.  The
+    first line ``int`` refuses goes alone to ``_parse_lines`` and
+    ``map(int, ...)`` resumes after it; from a second such line on, the
+    rest of the block goes line by line.  Returns the origin in force after
+    the lines."""
     rest = iter(lines)
     k = 0  # lines parsed so far
     for last in (False, True):
@@ -204,9 +226,9 @@ def _parse_chunk(lines: Sequence[str], lineno: int, offset: int,
         except ValueError:
             k += len(samples) - before
         end = len(lines) if last else k + 1
-        origin = _parse_lines(lines[k:end], lineno + k,
-                              offset + sum(map(len, lines[:k])), samples,
-                              origin)
+        origin = _parse_lines(
+            [line.decode("ascii", "surrogateescape") for line in lines[k:end]],
+            lineno + k, offset + sum(map(len, lines[:k])), samples, origin)
         k = end
     return origin
 
@@ -247,17 +269,20 @@ def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
     return origin
 
 
-_WRITE_CHUNK = 65536  # samples formatted into one string per write
+_WRITE_CHUNK = 65536  # samples formatted into one string
 
 
 def write_csv_signal(path, samples: Sequence[Sample], origin: int = 0) -> None:
     """``# origin=<origin>`` then one sample per line, each as ``str`` gives it.
 
     One ``%`` format per chunk converts the samples in C; it builds the text
-    in about half the time of ``"\\n".join(map(str, chunk))``.
+    in about half the time of ``"\\n".join(map(str, chunk))``.  Every
+    chunk is formatted before the file is opened, so a sample ``str``
+    refuses leaves ``path`` as it was.
     """
+    text = [f"# origin={origin}\n"]
+    for i in range(0, len(samples), _WRITE_CHUNK):
+        chunk = tuple(samples[i:i + _WRITE_CHUNK])
+        text.append("%s\n" * len(chunk) % chunk)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# origin={origin}\n")
-        for i in range(0, len(samples), _WRITE_CHUNK):
-            chunk = tuple(samples[i:i + _WRITE_CHUNK])
-            fh.write("%s\n" * len(chunk) % chunk)
+        fh.writelines(text)

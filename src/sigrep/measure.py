@@ -342,7 +342,7 @@ class MeasurableMap:
     so the flags are decided on the preimages of the target atoms alone.
     """
 
-    __slots__ = ("source", "target", "mapping", "_targets", "_flags")
+    __slots__ = ("source", "target", "mapping", "_targets", "_flags", "_pre")
 
     def __init__(self, source: FiniteMeasureSpace, target: FiniteMeasureSpace,
                  mapping: Mapping[int, int]):
@@ -355,12 +355,27 @@ class MeasurableMap:
         #: target point index of each source point; raises KeyError on a bad image
         self._targets = tuple(map(target.carrier.index, self.mapping.values()))
         self._flags = None
+        self._pre = None
 
     def __call__(self, label: int) -> int:
         return self.mapping[label]
 
     def preimage_mask(self, target_mask: int) -> int:
-        return sum(1 << i for i, t in enumerate(self._targets) if target_mask >> t & 1)
+        """The source points sent into ``target_mask``: the join of the
+        preimages of its points, read from an index built on first use.
+        Bits past the target carrier are ignored."""
+        pre = self._pre
+        if pre is None:
+            pre = self._pre = [0] * self.target.carrier.size
+            for i, t in enumerate(self._targets):
+                pre[t] |= 1 << i
+        mask = target_mask & ((1 << len(pre)) - 1)
+        out = 0
+        while mask:  # _bits inlined: a generator costs more than tiny maps do
+            low = mask & -mask
+            out |= pre[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def image_mask(self) -> int:
         return sum(1 << t for t in set(self._targets))

@@ -291,6 +291,27 @@ def test_encode_refuses_rational_samples(tmp_path, capsys):
     assert code == 0
 
 
+def test_encode_names_a_rational_past_the_first_block(tmp_path, capsys):
+    from fractions import Fraction
+    from sigrep import formats
+    sig, out = tmp_path / "late.csv", tmp_path / "late.fsg"
+    n = formats._READ_BLOCK // 2  # lines of two bytes or more
+    write_csv_signal(sig, [7] * n + [Fraction(5, 3)] + [1] * 10)
+    assert sig.read_bytes().index(b"5/3") > formats._READ_BLOCK
+    code, _, err = run(capsys, "encode", str(sig), "-o", str(out))
+    assert code == 2 and "rational sample 5/3" in err
+    assert not out.exists()
+
+
+def test_encode_takes_an_integral_rational(tmp_path, capsys):
+    # 4/2 reads as Fraction(2, 1): not an int, but an integer sample
+    sig, enc, back = (tmp_path / name for name in ("s.csv", "s.fsg", "b.csv"))
+    sig.write_text("# origin=5\n1\n4/2\n-3\n")
+    assert run(capsys, "encode", str(sig), "-o", str(enc))[0] == 0
+    assert run(capsys, "decode", str(enc), "-o", str(back))[0] == 0
+    assert read_csv_signal(back) == ([1, 2, -3], 5)
+
+
 def test_failed_encode_leaves_output_alone(tmp_path, capsys):
     good = tmp_path / "good.csv"
     huge = tmp_path / "huge.csv"

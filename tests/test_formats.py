@@ -4,6 +4,8 @@ import ast
 import os
 import random
 import struct
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from typing import List, Tuple
@@ -417,10 +419,14 @@ def test_csv_errors(tmp_path):
         read_csv_signal(p)
 
 
-# ------------------------------------------ CSV chunked reader vs checked loop
+# -------------------------------------------- CSV block reader vs checked loop
+
+# Block sizes that put block ends inside lines, inside CRLFs, after lone CRs
+# and inside multi-byte characters, and the default.
+_BLOCKS = (1, 2, 3, 5, 7, formats._READ_BLOCK)
 
 # Lines a generated CSV file is drawn from: ints that ``int(line)`` takes as
-# they stand, and everything that sends a chunk line by line.
+# they stand, and everything that sends a block's rest line by line.
 _INT_LINES = ("0", "7", "-3", "+12", "1_000", "-2_5", "123456789012345678901",
               " 5", "6 ", "\t-8\t", "9\x0b", "\x0c10")
 _ODD_LINES = ("", "   ", "# note", "#", "# origin=5", "#origin=-2",
@@ -509,11 +515,10 @@ def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
         raw = _random_csv(rng).encode("utf-8")
         p.write_bytes(raw)
         expected = _outcome(_read_checked, p)
-        # chunk boundaries fall after every line, every other and every third
-        for chunk in (1, 2, 3, formats._READ_CHUNK):
+        for block in _BLOCKS:
             with monkeypatch.context() as m:
-                m.setattr(formats, "_READ_CHUNK", chunk)
-                assert _outcome(read_csv_signal, p) == expected, (chunk, raw)
+                m.setattr(formats, "_READ_BLOCK", block)
+                assert _outcome(read_csv_signal, p) == expected, (block, raw)
 
 
 @pytest.mark.parametrize("bad, undecodable, error", [
@@ -524,25 +529,25 @@ def test_csv_fast_path_matches_checked_path(tmp_path, monkeypatch, seed):
 def test_csv_decode_error_keeps_its_line_order(tmp_path, bad, undecodable,
                                                error):
     """Whichever of a bad sample and a non-ASCII byte comes first is
-    reported, also when both fall in one chunk."""
-    assert formats._READ_CHUNK > max(bad, undecodable)
+    reported, also when both fall in one block."""
     lines = [str(i) for i in range(5000)]
     lines[bad - 1] = "banana"
     lines[undecodable - 1] = "é"
     p = tmp_path / "sig.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert p.stat().st_size < formats._READ_BLOCK
     outcome = _outcome(read_csv_signal, p)
     assert outcome == _outcome(_read_checked, p)
     assert outcome[1] == error
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("chunk", [1, 700, 4096])
+@pytest.mark.parametrize("block", sorted({*_BLOCKS, 700, 4096}))
 def test_csv_non_ascii_byte_names_its_line_and_offset(tmp_path, monkeypatch,
-                                                      newline, chunk):
+                                                      newline, block):
     """The offset counts from the start of the file, and the line counts
     every kind of line end."""
-    monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(formats, "_READ_BLOCK", block)
     lines = [str(i) for i in range(5000)]
     lines[3000] = "é"
     p = tmp_path / "sig.csv"
@@ -555,9 +560,10 @@ def test_csv_non_ascii_byte_names_its_line_and_offset(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("lone_cr_ends_a_block", [False, True])
-def test_csv_non_ascii_byte_after_a_cr_at_a_block_end(tmp_path,
+def test_csv_non_ascii_byte_after_a_cr_at_a_block_end(tmp_path, monkeypatch,
                                                       lone_cr_ends_a_block):
-    # a lone CR ends a line, also where it is the 8,192nd byte of the file
+    # a lone CR ends a line, also where it is the last byte of a block
+    monkeypatch.setattr(formats, "_READ_BLOCK", 8192)
     data = b"1\r" * 4096 + (b"" if lone_cr_ends_a_block else b"\n") + b"\xc3\xa9"
     p = tmp_path / "sig.csv"
     p.write_bytes(data)
@@ -568,11 +574,11 @@ def test_csv_non_ascii_byte_after_a_cr_at_a_block_end(tmp_path,
     assert str(exc.value).startswith(f"line 4097, offset {offset}:")
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("block", _BLOCKS)
 def test_csv_lone_cr_is_counted_on_the_fast_path(tmp_path, monkeypatch,
-                                                 chunk):
+                                                 block):
     # int() reads b"\r5\n" as 5, but its lone CR ends a blank line first
-    monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(formats, "_READ_BLOCK", block)
     p = tmp_path / "sig.csv"
     p.write_bytes(b"\r5\n6\r\n7\nbanana\n")
     outcome = _outcome(read_csv_signal, p)
@@ -580,11 +586,8 @@ def test_csv_lone_cr_is_counted_on_the_fast_path(tmp_path, monkeypatch,
     assert outcome == (ValueError, "line 5: bad sample 'banana'")
 
 
-def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
-    """Only the lines int() refuses go line by line: the first alone, then,
-    from the second one in the same chunk, the rest of that chunk.  Here the
-    first two header lines, which leaves the first chunk's tail to the slow
-    path, and the trailing blank line alone."""
+def _counted_parse_lines(monkeypatch):
+    """Patch ``_parse_lines`` to record ``(lineno, len(lines))`` per call."""
     calls = []
     parse_lines = formats._parse_lines
 
@@ -592,37 +595,45 @@ def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
         calls.append((lineno, len(lines)))
         return parse_lines(lines, lineno, offset, samples, origin)
 
-    n = 3 * formats._READ_CHUNK
+    monkeypatch.setattr(formats, "_parse_lines", counted)
+    return calls
+
+
+def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
+    """Only the lines int() refuses go line by line: the first alone, then,
+    from the second one in the same block, the rest of that block.  Here the
+    first two header lines, which leaves the rest of the first block's lines
+    to the slow path, and the trailing blank line, in a later block,
+    alone."""
+    n = formats._READ_BLOCK  # lines of two bytes or more: several blocks
     p = tmp_path / "sig.csv"
     p.write_text("# sensor 4\n # origin= -6\n#\n"
                  + "\n".join((_INT_LINES * n)[:n]) + "\n\n")
+    data = p.read_bytes()
+    assert len(data) > 3 * formats._READ_BLOCK
     expected = _read_checked(p)
-    monkeypatch.setattr(formats, "_parse_lines", counted)
+    calls = _counted_parse_lines(monkeypatch)
     samples, origin = read_csv_signal(p)
     assert (samples, origin) == expected
     assert origin == -6 and len(samples) == n
-    chunk = formats._READ_CHUNK
-    assert calls == [(0, 1), (1, chunk - 1), (n + 3, 1)]
+    # the first block's lines are those its LFs end
+    first = data[:formats._READ_BLOCK].count(b"\n")
+    assert calls == [(0, 1), (1, first - 1), (n + 3, 1)]
 
 
 def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
     """A file write_csv_signal wrote sends only its header line, and a lone
-    rational in a later chunk only its own line, to the line-by-line
+    rational in a later block only its own line, to the line-by-line
     parser."""
-    calls = []
-    parse_lines = formats._parse_lines
-
-    def counted(lines, lineno, offset, samples, origin):
-        calls.append((lineno, len(lines)))
-        return parse_lines(lines, lineno, offset, samples, origin)
-
-    k = formats._READ_CHUNK + 50  # a sample in the second chunk
-    samples = list(range(-5, k + 50))
+    k = formats._READ_BLOCK // 4  # lines of five bytes or more
+    samples = list(range(1000, k + 1100))
     mixed = samples[:k] + [Fraction(1, 3)] + samples[k:]
     p, q = tmp_path / "sig.csv", tmp_path / "frac.csv"
     write_csv_signal(p, samples, origin=-4)
     write_csv_signal(q, mixed, origin=7)
-    monkeypatch.setattr(formats, "_parse_lines", counted)
+    # the rational, on line k + 2, starts past the first block
+    assert q.read_bytes().index(b"1/3") > formats._READ_BLOCK
+    calls = _counted_parse_lines(monkeypatch)
     assert read_csv_signal(p) == (samples, -4)
     assert calls == [(0, 1)]
     calls.clear()
@@ -631,44 +642,49 @@ def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
 
 
 def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
-    """A file whose lines end in a lone CR is read and parsed at most
-    _READ_CHUNK lines at a time, only its header line goes line by line,
-    and it reads as its LF twin does."""
-    sizes, chunk_sizes = [], []
-    parse_lines, parse_chunk = formats._parse_lines, formats._parse_chunk
-
-    def counted(lines, lineno, offset, samples, origin):
-        sizes.append(len(lines))
-        return parse_lines(lines, lineno, offset, samples, origin)
+    """A file whose lines end in a lone CR reads in the same blocks as its
+    LF twin, and only its header line goes line by line.  A line that ends
+    on a block's last byte waits for the next block in the CR file, where
+    its CR could start a CRLF, so a CR chunk may start one line earlier."""
+    calls = _counted_parse_lines(monkeypatch)
+    chunks = {"cr": [], "lf": []}
+    parse_chunk = formats._parse_chunk
 
     def counted_chunk(lines, lineno, offset, samples, origin):
-        chunk_sizes.append(len(lines))
+        file = "cr" if lines[0].endswith(b"\r") else "lf"
+        chunks[file].append((lineno, offset, len(lines)))
         return parse_chunk(lines, lineno, offset, samples, origin)
 
+    monkeypatch.setattr(formats, "_parse_chunk", counted_chunk)
     rng = random.Random(17)
     walk, v = [], 0
-    for _ in range(3 * formats._READ_CHUNK + 5):
+    for _ in range(formats._READ_BLOCK):
         v += rng.randint(-3, 3)
         walk.append(v)
     text = "# origin=3\n" + "\n".join(map(str, walk)) + "\n"
     cr, lf = tmp_path / "cr.csv", tmp_path / "lf.csv"
     cr.write_bytes(text.replace("\n", "\r").encode())
     lf.write_bytes(text.encode())
-    monkeypatch.setattr(formats, "_parse_lines", counted)
-    monkeypatch.setattr(formats, "_parse_chunk", counted_chunk)
     assert read_csv_signal(cr) == read_csv_signal(lf) == (walk, 3)
-    assert sizes == [1, 1]  # the header line, in each file
-    chunk = formats._READ_CHUNK
-    assert chunk_sizes == [chunk, chunk, chunk, 6] * 2
+    assert calls == [(0, 1), (0, 1)]  # the header line, in each file
+    blocks = -(-len(text) // formats._READ_BLOCK)
+    assert blocks > 3
+    assert len(chunks["lf"]) == blocks
+    # the CR file parses its last line after the last block
+    assert len(chunks["cr"]) == blocks + 1 and chunks["cr"][-1][2] == 1
+    most = max(size for _, _, size in chunks["lf"])
+    for (a, a_off, a_n), (b, b_off, _) in zip(chunks["cr"], chunks["lf"]):
+        assert b - a in (0, 1) and (b - a == 0) == (a_off == b_off)
+        assert a_n <= most + 1
 
 
-@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("block", [2, 3, 5, 7, 4096])
 @pytest.mark.parametrize("bad", ["banana", "é"])
-def test_csv_lone_cr_error_past_the_first_chunk(tmp_path, monkeypatch, chunk,
+def test_csv_lone_cr_error_past_the_first_chunk(tmp_path, monkeypatch, block,
                                                 bad):
-    monkeypatch.setattr(formats, "_READ_CHUNK", chunk)
-    lines = ["# origin=3"] + [str(i) for i in range(3 * chunk + 50)]
-    k = 2 * chunk + 20  # line k + 1, in the third chunk
+    monkeypatch.setattr(formats, "_READ_BLOCK", block)
+    lines = ["# origin=3"] + [str(i) for i in range(3 * block + 50)]
+    k = 2 * block + 20  # line k + 1, past the first block
     lines[k] = bad
     p = tmp_path / "sig.csv"
     p.write_bytes("\r".join(lines).encode())
@@ -679,23 +695,49 @@ def test_csv_lone_cr_error_past_the_first_chunk(tmp_path, monkeypatch, chunk,
         ValueError, error)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_csv_line_longer_than_three_blocks(tmp_path, monkeypatch, newline):
+    """A line that spans more than three blocks is read whole: an int, a
+    comment, a rational, a bad sample and a non-ASCII byte, each placed so
+    that block ends fall inside it."""
+    lines = ["# origin=" + "1" * 25, "-" + "9" * 30, "# " + "x" * 30,
+             "1" * 20 + "/" + "3" * 20, "5"]
+    p = tmp_path / "sig.csv"
+    for tail in ([], ["7" * 24 + "banana"], ["4" * 40 + "é" + "4"]):
+        p.write_bytes(newline.join(lines + tail + ["6"]).encode("utf-8"))
+        expected = _outcome(_read_checked, p)
+        for block in _BLOCKS[:5]:
+            monkeypatch.setattr(formats, "_READ_BLOCK", block)
+            assert _outcome(read_csv_signal, p) == expected, (block, tail)
+        assert (expected[0] is ValueError) == bool(tail)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("text", [
     "# origin=2\n1\n-3\n",
     "# origin=2\n1\n\n# mid\n3/4\n",
-    pytest.param("# origin=2\n" + "1\n-3\n" * formats._READ_CHUNK + "\n",
+    pytest.param("# origin=2\n" + "1\n-3\n" * formats._READ_BLOCK + "\n",
                  id="longer-than-a-chunk"),
 ])
 def test_csv_from_a_pipe(tmp_path, text):
     p = tmp_path / "sig.csv"
     p.write_text(text)
     r, w = os.pipe()
+    # the text may not fit the pipe's buffer: write it from a thread
+    writer = threading.Thread(target=_write_and_close,
+                              args=(w, text.encode("ascii")))
+    writer.start()
     try:
-        os.write(w, text.encode("ascii"))
-        os.close(w)
         assert read_csv_signal(f"/dev/fd/{r}") == read_csv_signal(p)
     finally:
         os.close(r)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def _write_and_close(fd, data):
+    with open(fd, "wb") as fh:
+        fh.write(data)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -740,3 +782,20 @@ def test_csv_writer_bytes_match_per_line_writer(tmp_path, samples, origin):
     _per_line_writer(old, samples, origin=origin)
     assert new.read_bytes() == old.read_bytes()
     assert read_csv_signal(new) == (samples, origin)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="needs a limit on int digits")
+def test_csv_writer_refusal_leaves_the_path_alone(tmp_path):
+    """A sample str() refuses is found before the file is opened: an
+    existing file keeps its bytes and a missing one is not made."""
+    huge = 10 ** (sys.get_int_max_str_digits() + 1)
+    old, missing = tmp_path / "old.csv", tmp_path / "missing.csv"
+    write_csv_signal(old, [4, -2], origin=3)
+    before = old.read_bytes()
+    for samples in ([1, huge], list(range(formats._WRITE_CHUNK)) + [huge]):
+        for path in (old, missing):
+            with pytest.raises(ValueError):
+                write_csv_signal(path, samples)
+    assert old.read_bytes() == before
+    assert not missing.exists()
