@@ -46,10 +46,10 @@ from math import gcd
 from time import perf_counter
 
 from . import codec
-from .container import (KIND_NAMES, container_layout, read_container_file,
-                        write_container_file)
+from .container import (KIND_NAMES, _write_container_file, container_layout,
+                        read_container_file)
 from .errors import SigrepError
-from .formats import read_csv_signal, read_pgm, write_csv_signal, write_pgm
+from .formats import _write_pgm, read_csv_signal, read_pgm, write_csv_signal
 
 _DETECTOR_ALIASES = {**{name: name for name in KIND_NAMES},
                      "amp": "amp_affine", "amp-affine": "amp_affine"}
@@ -186,11 +186,14 @@ def cmd_encode(args) -> int:
                 raise ValueError("encode stores integer samples only; "
                                  f"{args.input} holds the rational sample "
                                  f"{rational[0]}") from None
+    # read_pgm's rows hold ints, and a CSV payload that got past gcd ints or
+    # integral Fractions, never a bool: the codec and packer cores skip the
+    # public functions' sample rules
     with _phase(args, "encode"):
-        enc = codec.encode(payload, args.policy, origin=origin)
+        enc = codec._encode(payload, args.policy, origin)
     del payload  # enc holds no reference to it: free it before packing
     with _phase(args, "container_write"):
-        write_container_file(args.output, enc)
+        _write_container_file(args.output, enc)
     shape = "x".join(str(d) for d in enc.shape)
     print(f"wrote {args.output}: dimension={enc.dimension} shape={shape} "
           f"policy={enc.policy} records={len(enc.records)}")
@@ -210,8 +213,8 @@ def cmd_decode(args) -> int:
     with _phase(args, "decode"):
         payload = codec.decode(enc)
     with _phase(args, "write"):
-        if pgm:
-            write_pgm(args.output, payload)
+        if pgm:  # decode returns no bool: the PGM core skips the type scan
+            _write_pgm(args.output, payload)
         else:
             write_csv_signal(args.output, payload, origin=enc.origin)
     print(f"wrote {args.output}")

@@ -26,6 +26,13 @@ Policies (``POLICIES``, in the order of FSG1's policy ids):
   _encode_detected).  The predecessor arrow is always among the candidates,
   so the chosen residual norm never exceeds the predecessor policy's,
   segment by segment.  Each record holds one delta.
+
+Where the sample rule runs: ``encode`` checks the policy, origin and shape
+(``_grid``), then every sample (``_check_samples``: an int or a Fraction,
+else TypeError), then hands the rows to ``_encode``, the core that builds
+the records.  ``sigrep encode`` calls ``_encode`` itself, on rows a sigrep
+reader built as ints.  ``decode`` checks what it returns instead: a seed
+sample or a sum that is not an int goes through ``_exact``.
 """
 
 from __future__ import annotations
@@ -63,7 +70,18 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
 
     A list or tuple (the signal, or a row) is read where it is, and only
     another sequence is copied; the input is never changed, and the
-    encoding holds tuples only."""
+    encoding holds tuples only.  After the checks of the policy, origin
+    and shape, every sample must be an int or a Fraction
+    (``_check_samples``, TypeError)."""
+    grid, image = _grid(signal, policy, origin)
+    for row in grid:
+        _check_samples(row)
+    return _encode(grid if image else grid[0], policy, origin)
+
+
+def _grid(signal, policy: str, origin: int):
+    """(rows, whether ``signal`` is an image) after the policy, origin,
+    empty and ragged checks; a 1-D signal is one row."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     if isinstance(origin, bool) or not isinstance(origin, int):
@@ -77,11 +95,16 @@ def encode(signal, policy: str = "predecessor", origin: int = 0) -> EncodedSigna
     grid = list(map(_indexable, signal)) if image else [_indexable(signal)]
     if not grid or not grid[0]:
         raise EmptySignal(f"cannot encode an empty {'image' if image else 'signal'}")
-    width = len(grid[0])
-    if any(len(r) != width for r in grid):
+    if any(len(r) != len(grid[0]) for r in grid):
         raise ValueError("ragged image rows")
-    for r in grid:
-        _check_samples(r)
+    return grid, image
+
+
+def _encode(signal, policy: str, origin: int) -> EncodedSignal:
+    """``encode`` without its sample rule, for samples that hold no bool
+    and no other non-number, such as a sigrep reader builds."""
+    grid, image = _grid(signal, policy, origin)
+    width = len(grid[0])
     if policy == "detected":
         return _encode_detected(grid[0], origin)
     records: List[ArrowRecord] = []
@@ -203,7 +226,7 @@ def decode(enc: EncodedSignal):
         raise CorruptContainer("container holds no seed sample")
     check_pred = enc.policy == "predecessor"
     origin = enc.origin
-    vals: List[Number] = list(enc.seed)
+    vals: List[Number] = [v if type(v) is int else _exact(v) for v in enc.seed]
     fill = len(vals)
     for rec in enc.records:
         if check_pred and not _check_predecessor_record(rec, fill, width):

@@ -32,7 +32,11 @@ One packer (``_pack``) serves two sinks.  It checks and packs every record
 into a list of parts before anything is written: ``write_container``
 returns the parts joined, and ``write_container_file`` hands them to the
 file one by one, so the file write never builds the joined container and a
-refused record leaves the file untouched.
+refused record leaves the file untouched.  Both first run the bool-delta
+rule (``_check_deltas``), the one per-sample scan, since struct packs a bool
+delta as 0 or 1; ``_pack`` checks the head fields and leaves every other
+bad delta to struct.  ``sigrep encode`` calls ``_write_container_file``, the
+file sink without the rule, on deltas ``encode`` made by int subtraction.
 
 This module is the bottom of the codec stack and imports no other sigrep
 layer, so it also holds the two rules that ``codec`` and ``signal`` share:
@@ -202,9 +206,9 @@ def _pack(enc: EncodedSignal) -> List[bytes]:
             raise ValueError(fault)
         fields = rec[:4]  # T, S, amp_num, amp_den
         try:
-            # struct packs a bool as 0/1, so bools take the checked path too
-            if (bool not in map(type, fields)
-                    and bool not in set(map(type, rec.delta))):
+            # struct packs a bool as 0/1, so a bool field takes the checked
+            # path too; a bool delta is _check_deltas'
+            if bool not in map(type, fields):
                 parts += _pack_record(rec.kind, fields, rec.delta)
                 continue
         except struct.error:
@@ -217,8 +221,21 @@ def _pack(enc: EncodedSignal) -> List[bytes]:
     return parts
 
 
+def _check_deltas(enc: EncodedSignal) -> EncodedSignal:
+    """Return ``enc``; raise ValueError, in ``_check_i64``'s words, for the
+    first bool delta, which struct would pack as 0 or 1.  Packing the
+    records up to its own first names any fault ``_pack`` meets before it,
+    as a writer that checked each delta would."""
+    for i, rec in enumerate(enc.records):
+        if bool in set(map(type, rec.delta)):
+            _pack(enc._replace(records=enc.records[:i + 1]))
+            _check_i64(next(d for d in rec.delta if type(d) is bool),
+                       "delta value")
+    return enc
+
+
 def write_container(enc: EncodedSignal) -> bytes:
-    return b"".join(_pack(enc))
+    return b"".join(_pack(_check_deltas(enc)))
 
 
 def read_container(data: bytes) -> EncodedSignal:
@@ -283,6 +300,12 @@ _WRITE_BUFFER = 1 << 16
 
 
 def write_container_file(path, enc: EncodedSignal) -> None:
+    _write_container_file(path, _check_deltas(enc))
+
+
+def _write_container_file(path, enc: EncodedSignal) -> None:
+    """``write_container_file`` without its bool-delta rule, for deltas
+    ``encode`` made by int subtraction."""
     parts = _pack(enc)  # may raise: leave ``path`` untouched
     with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
         fh.writelines(parts)

@@ -7,10 +7,15 @@ Each text reader makes one pass over its input, and the work per byte runs
 in C.  A PGM header is matched by one regex and a P2 raster is split by
 ``bytes.split``.  An 8-bit P5 raster is range-checked by one
 ``bytes.translate`` that deletes the bytes 0..maxval: any byte left exceeds
-maxval.  ``write_pgm`` packs each row with ``bytes()``, which checks
-0 <= v <= 255 in C, and builds no flat list of the samples.  It takes the
-largest sample by ``in`` (memchr) from 255 down; only a sample outside
-0..255 sends it to Python-level ``min`` and ``max`` passes.
+maxval.  ``write_pgm`` runs its sample rule (``_check_pgm_samples``:
+ints only, since ``bytes()`` would take a bool) and then ``_write_pgm``,
+which packs each row with ``bytes()``, checking 0 <= v <= 255 in C, and
+builds no flat list of the samples.  It takes the largest sample by ``in``
+(memchr) from 255 down; only a sample outside 0..255 sends it to
+Python-level ``min`` and ``max`` passes and 16-bit rows to struct.  The
+core runs the rule only where ``bytes()`` or struct refuses a sample, so
+``sigrep decode`` calls ``_write_pgm`` itself, on ``decode``'s rows of
+ints and Fractions, which hold no bool.
 
 A CSV file is read in binary, ``_READ_BLOCK`` bytes at a time, and each
 block is split into lines by ``bytes.splitlines``, in C, at LF, CRLF and a
@@ -18,12 +23,11 @@ lone CR alike: a file whose lines end in a lone CR reads a block at a time
 as well.  A block's lines are parsed by ``map(int, ...)`` as bytes.  A line
 ``int`` refuses (a comment, a blank line, a rational, bad text or a
 non-ASCII byte) is decoded and goes alone to the line-by-line parser, and
-``map(int, ...)`` resumes after it; from a second such line on, the rest of
-its block goes line by line, and nothing is read twice.  So the
-``# origin=`` header of a file ``write_csv_signal`` wrote costs one slow
-line, not a slow block.  The CSV reader holds one block of the file at a
-time, since a list of every line takes more memory than the ints parsed
-from them.
+``map(int, ...)`` resumes after it, so nothing is read twice.  The
+``# origin=`` header of a file ``write_csv_signal`` wrote, or a comment
+anywhere, costs one slow line, not a slow block.  The CSV reader holds one
+block of the file at a time, since a list of every line takes more memory
+than the ints parsed from them.
 """
 
 from __future__ import annotations
@@ -101,24 +105,48 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
             for r in range(height)], maxval
 
 
-def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
-              binary: bool = True) -> None:
+def _check_pgm_samples(rows: Sequence[Sequence[int]]):
+    """Return ``rows``; raise ValueError unless every sample is an int: each
+    distinct type is checked once, and ``bytes()`` would take a bool."""
+    if any(t is bool or not issubclass(t, int)
+           for t in set(map(type, chain.from_iterable(rows)))):
+        raise ValueError("PGM samples must be nonnegative ints")
+    return rows
+
+
+def _pgm_width(rows: Sequence[Sequence[int]]) -> int:
+    """The width of ``rows``; ValueError if they are empty or ragged."""
     if not rows or not rows[0]:
         raise ValueError("cannot write an empty PGM")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    # no pass builds a flat copy of the samples.  Each distinct type is
-    # checked once: bytes() would take a bool
-    if any(t is bool or not issubclass(t, int)
-           for t in set(map(type, chain.from_iterable(rows)))):
-        raise ValueError("PGM samples must be nonnegative ints")
+    return width
+
+
+def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
+              binary: bool = True) -> None:
+    _pgm_width(rows)  # an empty or ragged image is named before a sample
+    _write_pgm(path, _check_pgm_samples(rows), maxval, binary)
+
+
+def _write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
+               binary: bool = True) -> None:
+    """``write_pgm`` without its sample rule, for rows of ints and
+    Fractions, such as ``decode`` returns.  Packing proves the samples
+    ints, ``bytes()`` for 8-bit rows and struct for 16-bit ones, and only
+    rows one of them refuses go to ``_check_pgm_samples``."""
+    width = _pgm_width(rows)
     try:
         raster = b"".join(map(bytes, rows))  # proves 0 <= v <= 255 in C
+    except TypeError:  # a sample that is not an int
+        _check_pgm_samples(rows)
+        raise
     except ValueError:  # a sample below 0 or above 255
         if min(chain.from_iterable(rows)) < 0:
             raise ValueError("PGM samples must be nonnegative ints") from None
         top = max(chain.from_iterable(rows))
+        raster = None
     else:
         # one memchr per value tried, from 255 down
         top = next(k for k in range(255, -1, -1) if k in raster)
@@ -128,15 +156,20 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
         raise ValueError(f"maxval must be in 1..{MAX_PGM_VALUE}")
     if top > maxval:
         raise ValueError("sample exceeds maxval")
+    if raster is None or binary and maxval > 255:
+        # 16-bit rows, packed before the file opens; for P2 text the packing
+        # only proves the samples ints
+        row_16 = struct.Struct(f">{width}H")
+        try:
+            raster = b"".join([row_16.pack(*row) for row in rows])
+        except struct.error:  # a sample that is not an int
+            _check_pgm_samples(rows)
+            raise
     header = f"{'P5' if binary else 'P2'}\n{width} {len(rows)}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            if maxval < 256:  # so top <= 255 and the raster was built
-                fh.write(raster)
-            else:
-                row_16 = struct.Struct(f">{width}H")
-                fh.writelines(row_16.pack(*row) for row in rows)
+            fh.write(raster)
         else:
             fh.write("\n".join(" ".join(str(v) for v in row) for row in rows)
                      .encode("ascii"))
@@ -211,26 +244,25 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
 
 def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
                  samples: List[Sample], origin: int) -> int:
-    """Parse one block's lines into ``samples`` by ``map(int, ...)``.  The
-    first line ``int`` refuses goes alone to ``_parse_lines`` and
-    ``map(int, ...)`` resumes after it; from a second such line on, the
-    rest of the block goes line by line.  Returns the origin in force after
+    """Parse one block's lines into ``samples`` by ``map(int, ...)``.  Each
+    line ``int`` refuses goes alone to ``_parse_lines``, and
+    ``map(int, ...)`` resumes after it.  Returns the origin in force after
     the lines."""
     rest = iter(lines)
-    k = 0  # lines parsed so far
-    for last in (False, True):
+    k = 0  # lines parsed so far; ``offset`` is where line k starts
+    while True:
         before = len(samples)
         try:
             samples.extend(map(int, rest))  # keeps the ints before a failure
             return origin
         except ValueError:
-            k += len(samples) - before
-        end = len(lines) if last else k + 1
+            end = k + len(samples) - before  # the line int refused
+        offset += sum(map(len, lines[k:end]))
         origin = _parse_lines(
-            [line.decode("ascii", "surrogateescape") for line in lines[k:end]],
-            lineno + k, offset + sum(map(len, lines[:k])), samples, origin)
-        k = end
-    return origin
+            [lines[end].decode("ascii", "surrogateescape")],
+            lineno + end, offset, samples, origin)
+        offset += len(lines[end])
+        k = end + 1
 
 
 def _parse_lines(lines: Sequence[str], lineno: int, offset: int,

@@ -171,6 +171,68 @@ def test_decode_extension_mismatch(tmp_path, capsys, monkeypatch):
             assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("seed, records", [
+    pytest.param(3, [ArrowRecord(-1, 1, 1, 2, (0,))], id="half"),
+    pytest.param(600, [ArrowRecord(-1, 1, 1, 1, (1,)),
+                       ArrowRecord(-1, 1, 1, 2, (0,))], id="half-16-bit"),
+    pytest.param(3, [ArrowRecord(-1, 1, 1, 1, (-5,))], id="negative"),
+])
+def test_decode_refuses_a_sample_pgm_cannot_hold(tmp_path, capsys, seed,
+                                                 records):
+    """A detected container can decode to a rational or a negative sample:
+    PGM output refuses it with the writer's text and leaves no file."""
+    fsg, out = tmp_path / "x.fsg", tmp_path / "x.pgm"
+    shape = (1, 1 + sum(len(rec.delta) for rec in records))
+    write_container_file(fsg, EncodedSignal(shape, 0, "detected", (seed,),
+                                            tuple(records)))
+    code, stdout, err = run(capsys, "decode", str(fsg), "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: PGM samples must be nonnegative ints\n"
+    assert not out.exists()
+
+
+def test_the_cli_codec_path_runs_no_sample_scan(tmp_path, capsys,
+                                                monkeypatch):
+    """encode and decode pass what a sigrep reader or decode built, ints by
+    construction, to the codec, packer and PGM cores, so none of the three
+    per-sample rules runs; the files are those the public functions
+    write."""
+    from sigrep import codec, container, formats
+    rng = random.Random(30)
+    rows = [[rng.choice((0, 9, 200, 255)) for _ in range(7)] for _ in range(5)]
+    walk = [rng.randint(-9, 9) for _ in range(50)]
+    img, sig = tmp_path / "in.pgm", tmp_path / "in.csv"
+    write_pgm(img, rows)
+    write_csv_signal(sig, walk, origin=-3)
+    expected = {}
+    for raw, payload, policy in ((img, rows, "predecessor"),
+                                 (sig, walk, "predecessor"),
+                                 (sig, walk, "detected")):
+        enc = codec.encode(payload, policy, origin=-3 if raw == sig else 0)
+        back = tmp_path / f"want{raw.suffix}"
+        if raw == img:
+            write_pgm(back, codec.decode(enc))
+        else:
+            write_csv_signal(back, codec.decode(enc), origin=enc.origin)
+        expected[raw, policy] = (container.write_container(enc),
+                                 back.read_bytes())
+
+    def must_not_run(*args):
+        raise AssertionError("a per-sample rule ran")
+
+    for module, rule in ((codec, "_check_samples"),
+                         (container, "_check_deltas"),
+                         (formats, "_check_pgm_samples")):
+        monkeypatch.setattr(module, rule, must_not_run)
+    for (raw, policy), (fsg_bytes, out_bytes) in expected.items():
+        fsg, out = tmp_path / "got.fsg", tmp_path / f"got{raw.suffix}"
+        assert run(capsys, "encode", str(raw), "-o", str(fsg),
+                   "--policy", policy)[0] == 0
+        assert run(capsys, "decode", str(fsg), "-o", str(out))[0] == 0
+        assert fsg.read_bytes() == fsg_bytes
+        assert out.read_bytes() == out_bytes
+
+
 def test_stats(tmp_path, capsys):
     sig = tmp_path / "in.csv"
     enc = tmp_path / "sig.fsg"

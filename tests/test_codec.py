@@ -97,6 +97,13 @@ def test_encode_rejects_empty_and_junk():
     with pytest.raises(ValueError, match="^an image is encoded at origin 0; "
                                          "got origin=3$"):
         encode([[1, 2]], origin=3)
+    # beside a bad sample, the policy, origin and shape checks come first
+    with pytest.raises(ValueError, match="^policy must be one of"):
+        encode([True], policy="best")
+    with pytest.raises(PolicyMismatch):
+        encode([[True]], policy="detected")
+    with pytest.raises(ValueError, match="^ragged image rows$"):
+        encode([[1, 0.5], [2]])
 
 
 def test_decode_hand_built_records():
@@ -330,6 +337,26 @@ def test_decode_refuses_a_float_on_both_paths(records):
     with pytest.raises(TypeError,
                        match=r"^samples must be ints or Fractions, got 5\.5$"):
         decode(enc)
+
+
+@pytest.mark.parametrize("seed, records, out", [
+    ((True,), (), TypeError("True")),
+    ((1.5,), (), TypeError("1.5")),
+    (("a",), (), TypeError("'a'")),
+    ((Fraction(2),), (), [2]),
+    ((True,), (dpcm(-1, 1),), TypeError("True")),
+])
+def test_decode_returns_its_seed_as_samples(seed, records, out):
+    """The seed follows the rule of every decoded sample: an int, or a
+    Fraction where not integral; anything else raises TypeError."""
+    enc = EncodedSignal((1 + len(records),), 0, "predecessor", seed, records)
+    if isinstance(out, TypeError):
+        with pytest.raises(TypeError, match="^samples must be ints or "
+                           f"Fractions, got {re.escape(str(out))}$"):
+            decode(enc)
+    else:
+        assert decode(enc) == out
+        assert [type(v) for v in decode(enc)] == [int] * len(out)
 
 
 def test_decode_rational_amplitude():
@@ -598,6 +625,23 @@ _T_BIG = ArrowRecord(1 << 63, 1, 1, 1, (0,))
      r"^delta value 9223372036854775808 does not fit in a signed 64-bit int$"),
     (dict(records=(dpcm(-1, 0)._replace(stride=0, shift=True),)),
      r"^record stride is zero$"),
+    # a bool delta is named where a writer checking each value in turn
+    # meets it: after the header, earlier records and earlier deltas
+    (dict(seed=(True,), records=(dpcm(-1, True),)),
+     r"^seed sample must be an int, got True$"),
+    (dict(records=(dpcm(-1, 1 << 63, True),)),
+     r"^delta value 9223372036854775808 does not fit in a signed 64-bit "
+     r"int$"),
+    (dict(records=(dpcm(-1, True, "a"),)),
+     r"^delta value must be an int, got True$"),
+    (dict(shape=(3,), records=(dpcm(-1, True), dpcm(-1, 1 << 63))),
+     r"^delta value must be an int, got True$"),
+    (dict(shape=(3,), records=(dpcm(-1, 1),
+                               dpcm(-1, True)._replace(stride=0))),
+     r"^record stride is zero$"),
+    (dict(shape=(3,), records=(dpcm(-1, 1),
+                               dpcm(-1, True)._replace(shift=1.5))),
+     r"^record T must be an int, got 1\.5$"),
 ])
 def test_container_write_error_texts_and_order(change, pattern):
     with pytest.raises(ValueError, match=pattern):

@@ -268,6 +268,20 @@ def test_write_pgm_refuses_a_bool_or_negative_in_the_last_row(tmp_path, last):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("rows", [[[0, Fraction(3, 2)]],
+                                  [[600, Fraction(601, 2)]],
+                                  [[Fraction(1, 2), 600], [1, -1]]])
+@pytest.mark.parametrize("binary", [True, False])
+def test_write_pgm_core_refuses_a_rational(tmp_path, rows, binary):
+    """The core skips the sample rule but runs it where bytes() or struct
+    refuses a sample: a rational 8-bit or 16-bit row, P5 or P2."""
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError,
+                       match="^PGM samples must be nonnegative ints$"):
+        formats._write_pgm(p, rows, None, binary)
+    assert not p.exists()
+
+
 def test_write_pgm_maxval_65535_packs_big_endian_rows(tmp_path):
     p = tmp_path / "wide.pgm"
     rows = [[0, 1, 256], (65535, 4660, 255)]
@@ -600,11 +614,9 @@ def _counted_parse_lines(monkeypatch):
 
 
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
-    """Only the lines int() refuses go line by line: the first alone, then,
-    from the second one in the same block, the rest of that block.  Here the
-    first two header lines, which leaves the rest of the first block's lines
-    to the slow path, and the trailing blank line, in a later block,
-    alone."""
+    """Only the lines int() refuses go line by line, each alone, and
+    map(int, ...) resumes after each: here the three header lines and the
+    trailing blank line, in a later block."""
     n = formats._READ_BLOCK  # lines of two bytes or more: several blocks
     p = tmp_path / "sig.csv"
     p.write_text("# sensor 4\n # origin= -6\n#\n"
@@ -616,9 +628,37 @@ def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
     samples, origin = read_csv_signal(p)
     assert (samples, origin) == expected
     assert origin == -6 and len(samples) == n
-    # the first block's lines are those its LFs end
-    first = data[:formats._READ_BLOCK].count(b"\n")
-    assert calls == [(0, 1), (1, first - 1), (n + 3, 1)]
+    assert calls == [(0, 1), (1, 1), (2, 1), (n + 3, 1)]
+
+
+@pytest.mark.parametrize("block", (7, 64, 4096, formats._READ_BLOCK))
+def test_csv_scattered_odd_lines_go_alone(tmp_path, monkeypatch, block):
+    """Comment, blank and rational lines scattered over many blocks, some
+    side by side, each go alone to the line-by-line parser, and the result
+    or error (line and offset) is the checked path's."""
+    monkeypatch.setattr(formats, "_READ_BLOCK", block)
+    rng = random.Random(block)
+    lines = [str(rng.randint(-99999, 99999)) for _ in range(30000)]
+    odd = sorted(rng.sample(range(len(lines)), 300))
+    for i in odd:
+        lines[i] = rng.choice(("# note", "", "# origin=4", "3/4", "-5/2",
+                               "6/3", " # origin= -7 "))
+    p = tmp_path / "sig.csv"
+    for newline in ("\n", "\r\n", "\r"):
+        for tail in ([], ["banana"], ["é"]):
+            p.write_bytes(newline.join(lines[:-2000] + tail + lines[-2000:])
+                          .encode("utf-8"))
+            expected = _outcome(_read_checked, p)
+            with monkeypatch.context() as m:
+                calls = _counted_parse_lines(m)
+                assert _outcome(read_csv_signal, p) == expected
+            assert (expected[0] is ValueError) == bool(tail)
+            # _parse_lines parses the lines before a non-ASCII one in its
+            # call (here none) by a call of its own
+            assert {size for _, size in calls} == (
+                {0, 1} if tail == ["é"] else {1})
+            if not tail and newline == "\n":
+                assert [at for at, _ in calls] == odd
 
 
 def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
