@@ -13,21 +13,24 @@ which packs each row with ``bytes()``, checking 0 <= v <= 255 in C, and
 builds no flat list of the samples.  It takes the largest sample by ``in``
 (memchr) from 255 down; only a sample outside 0..255 sends it to
 Python-level ``min`` and ``max`` passes and 16-bit rows to struct.  The
-core runs the rule only where ``bytes()`` or struct refuses a sample, so
-``sigrep decode`` calls ``_write_pgm`` itself, on ``decode``'s rows of
-ints and Fractions, which hold no bool.
+core runs the rule only where ``bytes()`` or struct refuses a sample, or
+where a range refusal would come first, so ``sigrep decode`` calls
+``_write_pgm`` itself, on ``decode``'s rows of ints and Fractions, which
+hold no bool.  16-bit rows are packed before the file opens.
 
 A CSV file is read in binary, ``_READ_BLOCK`` bytes at a time, and each
 block is split into lines by ``bytes.splitlines``, in C, at LF, CRLF and a
 lone CR alike: a file whose lines end in a lone CR reads a block at a time
 as well.  A block's lines are parsed by ``map(int, ...)`` as bytes.  A line
 ``int`` refuses (a comment, a blank line, a rational, bad text or a
-non-ASCII byte) is decoded and goes alone to the line-by-line parser, and
+non-ASCII byte) is decoded and goes to the line-by-line parser, and
 ``map(int, ...)`` resumes after it, so nothing is read twice.  The
 ``# origin=`` header of a file ``write_csv_signal`` wrote, or a comment
-anywhere, costs one slow line, not a slow block.  The CSV reader holds one
-block of the file at a time, since a list of every line takes more memory
-than the ints parsed from them.
+anywhere, costs one slow line, not a slow block.  A refused line that
+directly follows the lines last sent takes twice as many with it, so a
+block of rationals costs a few calls, not one per line.  The CSV reader
+holds one block of the file at a time, since a list of every line takes
+more memory than the ints parsed from them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import List, Sequence, Tuple, Union
 
 MAX_PGM_VALUE = 65535
@@ -132,10 +135,12 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
 
 def _write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
                binary: bool = True) -> None:
-    """``write_pgm`` without its sample rule, for rows of ints and
+    """``write_pgm`` without its sample rule, for P5 rows of ints and
     Fractions, such as ``decode`` returns.  Packing proves the samples
     ints, ``bytes()`` for 8-bit rows and struct for 16-bit ones, and only
-    rows one of them refuses go to ``_check_pgm_samples``."""
+    rows one of them refuses, or whose range is refused first, go to
+    ``_check_pgm_samples``.  P2 text proves nothing: only ``write_pgm``,
+    after the rule, asks for it."""
     width = _pgm_width(rows)
     try:
         raster = b"".join(map(bytes, rows))  # proves 0 <= v <= 255 in C
@@ -152,28 +157,33 @@ def _write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
         top = next(k for k in range(255, -1, -1) if k in raster)
     if maxval is None:
         maxval = max(top, 1)
+    if raster is None and (not 0 < maxval <= MAX_PGM_VALUE or top > maxval):
+        # a range refusal below would come before the packing proves them ints
+        _check_pgm_samples(rows)
     if not 0 < maxval <= MAX_PGM_VALUE:
         raise ValueError(f"maxval must be in 1..{MAX_PGM_VALUE}")
     if top > maxval:
         raise ValueError("sample exceeds maxval")
-    if raster is None or binary and maxval > 255:
-        # 16-bit rows, packed before the file opens; for P2 text the packing
-        # only proves the samples ints
+    if binary and maxval > 255:
+        # packed before the file opens, so a refused sample leaves ``path``
+        # as it was
         row_16 = struct.Struct(f">{width}H")
         try:
-            raster = b"".join([row_16.pack(*row) for row in rows])
+            raster = [row_16.pack(*row) for row in rows]
         except struct.error:  # a sample that is not an int
             _check_pgm_samples(rows)
             raise
     header = f"{'P5' if binary else 'P2'}\n{width} {len(rows)}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(raster)
-        else:
+        if not binary:
             fh.write("\n".join(" ".join(str(v) for v in row) for row in rows)
                      .encode("ascii"))
             fh.write(b"\n")
+        elif maxval > 255:
+            fh.writelines(raster)
+        else:
+            fh.write(raster)
 
 
 Sample = Union[int, Fraction]
@@ -244,12 +254,15 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
 
 def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
                  samples: List[Sample], origin: int) -> int:
-    """Parse one block's lines into ``samples`` by ``map(int, ...)``.  Each
-    line ``int`` refuses goes alone to ``_parse_lines``, and
-    ``map(int, ...)`` resumes after it.  Returns the origin in force after
-    the lines."""
+    """Parse one block's lines into ``samples`` by ``map(int, ...)``.  A line
+    ``int`` refuses goes to ``_parse_lines``, and ``map(int, ...)`` resumes
+    after it: alone, or with lines after it when it directly follows the
+    last lines sent, twice as many as then.  A comment line costs one call,
+    and a block of rationals about log2 of its line count.  Returns the
+    origin in force after the lines."""
     rest = iter(lines)
-    k = 0  # lines parsed so far; ``offset`` is where line k starts
+    k = 0     # lines parsed so far; ``offset`` is where line k starts
+    sent = 0  # the batch size last sent to _parse_lines
     while True:
         before = len(samples)
         try:
@@ -258,11 +271,15 @@ def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
         except ValueError:
             end = k + len(samples) - before  # the line int refused
         offset += sum(map(len, lines[k:end]))
+        sent = 2 * sent if end == k and sent else 1
+        batch = lines[end:end + sent]
+        k = end + len(batch)
         origin = _parse_lines(
-            [lines[end].decode("ascii", "surrogateescape")],
+            [line.decode("ascii", "surrogateescape") for line in batch],
             lineno + end, offset, samples, origin)
-        offset += len(lines[end])
-        k = end + 1
+        offset += sum(map(len, batch))
+        if sent > 1:  # skip the lines sent after the one int refused
+            next(islice(rest, len(batch) - 1, len(batch) - 1), None)
 
 
 def _parse_lines(lines: Sequence[str], lineno: int, offset: int,

@@ -176,6 +176,8 @@ def test_decode_extension_mismatch(tmp_path, capsys, monkeypatch):
     pytest.param(600, [ArrowRecord(-1, 1, 1, 1, (1,)),
                        ArrowRecord(-1, 1, 1, 2, (0,))], id="half-16-bit"),
     pytest.param(3, [ArrowRecord(-1, 1, 1, 1, (-5,))], id="negative"),
+    pytest.param(3, [ArrowRecord(-1, 1, 1, 1, (70000,)),
+                     ArrowRecord(-1, 1, 1, 2, (0,))], id="half-beside-70003"),
 ])
 def test_decode_refuses_a_sample_pgm_cannot_hold(tmp_path, capsys, seed,
                                                  records):

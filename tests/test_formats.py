@@ -270,15 +270,27 @@ def test_write_pgm_refuses_a_bool_or_negative_in_the_last_row(tmp_path, last):
 
 @pytest.mark.parametrize("rows", [[[0, Fraction(3, 2)]],
                                   [[600, Fraction(601, 2)]],
+                                  [[70000, Fraction(1, 2)]],
+                                  [[3, 70003, Fraction(70003, 2)]],
                                   [[Fraction(1, 2), 600], [1, -1]]])
-@pytest.mark.parametrize("binary", [True, False])
-def test_write_pgm_core_refuses_a_rational(tmp_path, rows, binary):
-    """The core skips the sample rule but runs it where bytes() or struct
-    refuses a sample: a rational 8-bit or 16-bit row, P5 or P2."""
+def test_write_pgm_core_refuses_a_rational(tmp_path, rows):
+    """The P5 core skips the sample rule but runs it where bytes() or
+    struct refuses a sample, or where the maxval range check would refuse
+    one first: a rational in an 8-bit or 16-bit row, or beside a sample
+    over 65535.  P2 output takes checked rows: write_pgm refuses them."""
     p = tmp_path / "x.pgm"
-    with pytest.raises(ValueError,
-                       match="^PGM samples must be nonnegative ints$"):
-        formats._write_pgm(p, rows, None, binary)
+    for write in (lambda: formats._write_pgm(p, rows),
+                  lambda: write_pgm(p, rows, binary=False)):
+        with pytest.raises(ValueError,
+                           match="^PGM samples must be nonnegative ints$"):
+            write()
+        assert not p.exists()
+
+
+def test_write_pgm_core_keeps_the_maxval_refusal_for_ints(tmp_path):
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="^maxval must be in 1..65535$"):
+        formats._write_pgm(p, [[3, 70003]])
     assert not p.exists()
 
 
@@ -614,9 +626,10 @@ def _counted_parse_lines(monkeypatch):
 
 
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
-    """Only the lines int() refuses go line by line, each alone, and
-    map(int, ...) resumes after each: here the three header lines and the
-    trailing blank line, in a later block."""
+    """Only the lines int() refuses go line by line, and map(int, ...)
+    resumes after them: here the first header line alone, the next two
+    together (the third follows the lines sent last), and the trailing
+    blank line, in a later block."""
     n = formats._READ_BLOCK  # lines of two bytes or more: several blocks
     p = tmp_path / "sig.csv"
     p.write_text("# sensor 4\n # origin= -6\n#\n"
@@ -628,14 +641,15 @@ def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
     samples, origin = read_csv_signal(p)
     assert (samples, origin) == expected
     assert origin == -6 and len(samples) == n
-    assert calls == [(0, 1), (1, 1), (2, 1), (n + 3, 1)]
+    assert calls == [(0, 1), (1, 2), (n + 3, 1)]
 
 
 @pytest.mark.parametrize("block", (7, 64, 4096, formats._READ_BLOCK))
 def test_csv_scattered_odd_lines_go_alone(tmp_path, monkeypatch, block):
     """Comment, blank and rational lines scattered over many blocks, some
-    side by side, each go alone to the line-by-line parser, and the result
-    or error (line and offset) is the checked path's."""
+    side by side, go to the line-by-line parser alone or, after a line sent
+    there, in a batch, and the result or error (line and offset) is the
+    checked path's."""
     monkeypatch.setattr(formats, "_READ_BLOCK", block)
     rng = random.Random(block)
     lines = [str(rng.randint(-99999, 99999)) for _ in range(30000)]
@@ -653,12 +667,27 @@ def test_csv_scattered_odd_lines_go_alone(tmp_path, monkeypatch, block):
                 calls = _counted_parse_lines(m)
                 assert _outcome(read_csv_signal, p) == expected
             assert (expected[0] is ValueError) == bool(tail)
-            # _parse_lines parses the lines before a non-ASCII one in its
-            # call (here none) by a call of its own
-            assert {size for _, size in calls} == (
-                {0, 1} if tail == ["é"] else {1})
             if not tail and newline == "\n":
-                assert [at for at, _ in calls] == odd
+                # each call starts at an odd line, and batches at most
+                # double the lines sent
+                sent = {at + i for at, size in calls for i in range(size)}
+                assert {at for at, _ in calls} <= set(odd) <= sent
+                assert len(sent) < 2 * len(odd)
+
+
+def test_csv_runs_of_refused_lines_go_in_doubling_batches(tmp_path,
+                                                          monkeypatch):
+    """A refused line goes alone to the line-by-line parser, and one that
+    directly follows the lines sent last goes with twice as many, so a run
+    of refused lines costs about log2 of its length in calls; the lines a
+    batch takes past the run parse as ints do."""
+    ints = ["5", "-6"] * 5
+    lines = ["# a"] + ints + ["1/2"] * 2 + ints + ["1/3"] * 7 + ints
+    p = tmp_path / "sig.csv"
+    p.write_text("\n".join(lines) + "\n")
+    calls = _counted_parse_lines(monkeypatch)
+    assert read_csv_signal(p) == _read_checked(p)
+    assert calls == [(0, 1), (11, 1), (12, 2), (23, 1), (24, 2), (26, 4)]
 
 
 def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
