@@ -21,11 +21,11 @@ __version__ = "0.1.0"
 # home module -> the names the package exports from it
 _EXPORTS = {
     "errors": ("BadBreakpoints", "CorruptContainer", "DegenerateMeasure",
-               "EmptySignal", "IntervalMismatch", "MapNotTotal",
+               "EmptySignal", "INFINITY", "IntervalMismatch", "MapNotTotal",
                "NonConstantOnAtom", "NotADirectSum", "NotHom", "NotIMP",
                "NotNonsingular", "PolicyMismatch", "SigrepError",
                "SpaceMismatch"),
-    "measure": ("INFINITY", "FiniteCarrier", "FiniteMeasureSpace",
+    "measure": ("FiniteCarrier", "FiniteMeasureSpace",
                 "MeasurableMap", "SigmaAlgebra", "atoms", "compose_maps",
                 "counting_space", "direct_sum", "generate_sigma_algebra",
                 "identity_map", "power_set_algebra"),

@@ -48,7 +48,7 @@ from time import perf_counter
 from . import codec
 from .container import (KIND_NAMES, _write_container_file, container_layout,
                         read_container_file)
-from .errors import SigrepError
+from .errors import SigrepError, _as_weight
 from .formats import _write_pgm, read_csv_signal, read_pgm, write_csv_signal
 
 _DETECTOR_ALIASES = {**{name: name for name in KIND_NAMES},
@@ -60,10 +60,8 @@ def _parse_tol(text: str):
     if text.strip().lower() in ("inf", "infinity"):
         return float("inf")
     try:
-        tol = Fraction(text)
-        if tol >= 0:
-            return tol
-    except (ValueError, ZeroDivisionError):  # 'nan', '1/0'
+        return _as_weight(Fraction(text), "tolerances")
+    except (ValueError, ZeroDivisionError):  # '-1', 'nan', '1/0'
         pass
     raise argparse.ArgumentTypeError(
         "takes an exact rational >= 0 (such as 0, 3/2 or 0.25) or inf, "

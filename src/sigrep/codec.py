@@ -44,10 +44,11 @@ from math import log2
 from operator import sub
 from typing import List, NamedTuple
 
-from .container import (POLICY_IDS, ArrowRecord, EncodedSignal, Number,
+from .container import (POLICY_IDS, ArrowRecord, EncodedSignal,
                         _check_samples, _fits_i64, _record_fault,
                         container_layout)
-from .errors import CorruptContainer, EmptySignal, PolicyMismatch
+from .errors import (CorruptContainer, EmptySignal, Number, PolicyMismatch,
+                     _is_int)
 
 POLICIES = tuple(POLICY_IDS)
 
@@ -84,7 +85,7 @@ def _grid(signal, policy: str, origin: int):
     empty and ragged checks; a 1-D signal is one row."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    if isinstance(origin, bool) or not isinstance(origin, int):
+    if not _is_int(origin):
         raise ValueError(f"origin must be an int, got {origin!r}")
     image = _is_image(signal)
     if image and policy == "detected":
@@ -242,7 +243,7 @@ def decode(enc: EncodedSignal):
             vals.extend(islice(accumulate(rec.delta, initial=vals[-1]),
                                1, None))
             # a sum keeps the type of any Fraction or float that entered it
-            if type(vals[-1]) is not int:
+            if not _is_int(vals[-1]):
                 vals[fill:] = map(_exact, vals[fill:])
             fill = len(vals)
             continue

@@ -38,9 +38,9 @@ delta as 0 or 1; ``_pack`` checks the head fields and leaves every other
 bad delta to struct.  ``sigrep encode`` calls ``_write_container_file``, the
 file sink without the rule, on deltas ``encode`` made by int subtraction.
 
-This module is the bottom of the codec stack and imports no other sigrep
-layer, so it also holds the two rules that ``codec`` and ``signal`` share:
-the sample rule (``Number``, ``_check_samples``) and the arrow-kind rule
+This module is the bottom of the codec stack, above ``errors`` only, so it
+also holds the two rules that ``codec`` and ``signal`` share: the sample
+rule (``_check_samples``, on ``errors._inexact``) and the arrow-kind rule
 (``KIND_NAMES``, ``arrow_kind``).
 """
 
@@ -48,25 +48,16 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CorruptContainer
-
-Number = Union[int, Fraction]
+from .errors import CorruptContainer, _inexact, _is_int
 
 
 def _check_samples(values: Sequence) -> Sequence:
     """Return ``values``; raise TypeError naming the first value that is not
-    an int or Fraction.
-
-    Each distinct type is checked once; the values are scanned again only to
-    name an offender.
-    """
-    bad = {t for t in set(map(type, values))
-           if t is bool or not issubclass(t, (int, Fraction))}
-    if bad:
-        v = next(v for v in values if type(v) in bad)
-        raise TypeError(f"samples must be ints or Fractions, got {v!r}")
+    an int or Fraction (``errors._inexact``)."""
+    if bad := _inexact(values):
+        raise TypeError(f"samples must be ints or Fractions, got {bad[0]!r}")
     return values
 
 
@@ -161,7 +152,7 @@ def _check_i64(value, what: str) -> int:
         if value.denominator != 1:
             raise ValueError(f"{what} must be an integer, got {value}")
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"{what} must be an int, got {value!r}")
     if not _fits_i64(value):
         raise ValueError(f"{what} {value} does not fit in a signed 64-bit int")

@@ -16,21 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Mapping, Sequence
 
-from .errors import (NonConstantOnAtom, NotADirectSum, NotHom, NotIMP,
-                     NotNonsingular, SpaceMismatch)
-from .measure import INFINITY, FiniteMeasureSpace, MeasurableMap, _bits
+from .errors import (INFINITY, NonConstantOnAtom, NotADirectSum, NotHom,
+                     NotIMP, NotNonsingular, SpaceMismatch, _as_rational)
+from .measure import FiniteMeasureSpace, MeasurableMap, _bits
 from .quotient import BooleanHom, MeasureAlgebra
 
 TAGS = ("L0", "L2")
 
 
 def _as_value(v) -> Fraction:
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise TypeError(f"function values must be exact rationals (int or "
-                        f"Fraction), not {type(v).__name__}")
-    return Fraction(v)
+    return v if type(v) is Fraction else _as_rational(v, "function values")
 
 
 class FnClass:

@@ -39,7 +39,9 @@ import re
 import struct
 from fractions import Fraction
 from itertools import chain, islice
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
+
+from .errors import Number, _inexact
 
 MAX_PGM_VALUE = 65535
 
@@ -109,10 +111,9 @@ def read_pgm(path) -> Tuple[List[List[int]], int]:
 
 
 def _check_pgm_samples(rows: Sequence[Sequence[int]]):
-    """Return ``rows``; raise ValueError unless every sample is an int: each
-    distinct type is checked once, and ``bytes()`` would take a bool."""
-    if any(t is bool or not issubclass(t, int)
-           for t in set(map(type, chain.from_iterable(rows)))):
+    """Return ``rows``; raise ValueError unless every sample is an int
+    (``errors._inexact``), since ``bytes()`` would take a bool."""
+    if any(_inexact(row, int) for row in rows):
         raise ValueError("PGM samples must be nonnegative ints")
     return rows
 
@@ -186,10 +187,7 @@ def _write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
             fh.write(raster)
 
 
-Sample = Union[int, Fraction]
-
-
-def _parse_sample(text: str) -> Sample:
+def _parse_sample(text: str) -> Number:
     try:
         return int(text)
     except ValueError:
@@ -204,7 +202,7 @@ def _parse_sample(text: str) -> Sample:
 _READ_BLOCK = 65536  # bytes read and split into lines at a time
 
 
-def read_csv_signal(path) -> Tuple[List[Sample], int]:
+def read_csv_signal(path) -> Tuple[List[Number], int]:
     """One integer or rational per line; optional ``# origin=<i>`` header.
 
     Other comment lines and blank lines are skipped.  Returns
@@ -224,7 +222,7 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
     and file offset.
     """
     origin = 0
-    samples: List[Sample] = []
+    samples: List[Number] = []
     lineno = offset = read = 0
     carry: List[bytes] = []  # the pieces of a line no block has ended yet
     with open(path, "rb") as fh:
@@ -253,7 +251,7 @@ def read_csv_signal(path) -> Tuple[List[Sample], int]:
 
 
 def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
-                 samples: List[Sample], origin: int) -> int:
+                 samples: List[Number], origin: int) -> int:
     """Parse one block's lines into ``samples`` by ``map(int, ...)``.  A line
     ``int`` refuses goes to ``_parse_lines``, and ``map(int, ...)`` resumes
     after it: alone, or with lines after it when it directly follows the
@@ -283,7 +281,7 @@ def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
 
 
 def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
-                 samples: List[Sample], origin: int) -> int:
+                 samples: List[Number], origin: int) -> int:
     """Parse ``lines``, which follow line ``lineno`` from byte ``offset`` on,
     into ``samples``: rationals too, blank and comment lines skipped, and a
     bad sample, bad origin or non-ASCII byte named by its line.  Returns the
@@ -321,7 +319,7 @@ def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
 _WRITE_CHUNK = 65536  # samples formatted into one string
 
 
-def write_csv_signal(path, samples: Sequence[Sample], origin: int = 0) -> None:
+def write_csv_signal(path, samples: Sequence[Number], origin: int = 0) -> None:
     """``# origin=<origin>`` then one sample per line, each as ``str`` gives it.
 
     One ``%`` format per chunk converts the samples in C; it builds the text

@@ -25,9 +25,8 @@ from math import lcm
 from operator import or_
 from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import MapNotTotal, SpaceMismatch
-
-INFINITY = float("inf")
+from .errors import (INFINITY, MapNotTotal, SpaceMismatch, _as_weight,
+                     _inexact, _is_int)
 
 Weight = Union[Fraction, float]  # Fraction, or INFINITY
 
@@ -36,25 +35,6 @@ Weight = Union[Fraction, float]  # Fraction, or INFINITY
 #: hom's ``mapping``): 65536 entries.  Carriers, atoms and the homs
 #: themselves have no cap; only :func:`_unions` reads this.
 MAX_CARRIER = 16
-
-
-def _as_weight(value) -> Weight:
-    if isinstance(value, float):
-        if value == INFINITY:
-            return INFINITY
-        raise TypeError(
-            "finite float weights are not accepted; pass Fraction or int "
-            "(only float('inf') is allowed as a float)"
-        )
-    if type(value) is not Fraction:
-        # Fraction() would also read a str or a Decimal
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise TypeError(f"weights must be exact rationals (int or "
-                            f"Fraction), not {type(value).__name__}")
-        value = Fraction(value)
-    if value < 0:
-        raise ValueError("weights must be nonnegative")
-    return value
 
 
 class FiniteCarrier:
@@ -68,7 +48,7 @@ class FiniteCarrier:
 
     def __init__(self, points: Iterable[int]):
         pts = tuple(points)
-        if any(not isinstance(p, int) or isinstance(p, bool) for p in pts):
+        if _inexact(pts, int):
             raise TypeError("carrier points must be ints")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("carrier points must be strictly increasing")
@@ -87,8 +67,7 @@ class FiniteCarrier:
     def index(self, label: int) -> int:
         # 1.0, Fraction(1) and True all equal 1 as dict keys, but only an
         # int that is not a bool is ever a point
-        i = (self._index.get(label) if isinstance(label, int)
-             and not isinstance(label, bool) else None)
+        i = self._index.get(label) if _is_int(label) else None
         if i is None:
             raise KeyError(f"label {label!r} is not a carrier point")
         return i
@@ -236,14 +215,13 @@ def power_set_algebra(carrier: FiniteCarrier) -> SigmaAlgebra:
 class FiniteMeasureSpace:
     """A carrier + sigma-algebra + pointwise weight function.
 
-    ``weights`` is a sequence aligned with ``carrier.points``, one
-    nonnegative Fraction (or int) or ``INFINITY`` per point; a mapping is
-    refused, and any other weight (a bool, a finite float, a string, a
-    Decimal) raises TypeError.  The measure of a member mask is the sum of the weights of its
-    points.  The space is point-supported by construction.  It sums
-    masses over ``_den``, the lcm of the finite weights' denominators:
-    ``_nums[i]`` is point ``i``'s weight times ``_den`` (0 at an infinite
-    point), and ``_inf_mask`` marks the infinite-weight points.
+    ``weights`` is a sequence aligned with ``carrier.points``, one weight
+    per point (``errors._as_weight``); a mapping is refused.  The measure of
+    a member mask is the sum of the weights of its points.  The space is
+    point-supported by construction.  It sums masses over ``_den``, the lcm
+    of the finite weights' denominators: ``_nums[i]`` is point ``i``'s
+    weight times ``_den`` (0 at an infinite point), and ``_inf_mask`` marks
+    the infinite-weight points.
     """
 
     __slots__ = ("sigma", "weights", "summands", "_null_mask",

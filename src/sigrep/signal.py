@@ -33,8 +33,9 @@ from operator import floordiv, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .container import (_AFFINE, _AMP_AFFINE, _TRANSLATION, KIND_NAMES,
-                        Number, _check_samples, arrow_kind)
-from .errors import BadBreakpoints, EmptySignal, IntervalMismatch
+                        _check_samples, arrow_kind)
+from .errors import (INFINITY, BadBreakpoints, EmptySignal, IntervalMismatch,
+                     Number, _as_rational, _as_weight, _is_int)
 
 
 class Segment:
@@ -43,8 +44,7 @@ class Segment:
     __slots__ = ("start", "end", "samples")
 
     def __init__(self, start: int, end: int, samples: Sequence[Number]):
-        if (isinstance(start, bool) or not isinstance(start, int)
-                or isinstance(end, bool) or not isinstance(end, int)):
+        if not (_is_int(start) and _is_int(end)):
             raise TypeError("interval endpoints must be ints")
         samples = _check_samples(tuple(samples))
         if not samples:
@@ -88,15 +88,18 @@ def segment_signal(samples: Sequence[Number], origin: int,
 
     ``breakpoints`` are absolute cut positions, each strictly inside the
     signal's interval, strictly increasing.  Anything else raises
-    BadBreakpoints; an empty signal raises EmptySignal.
+    BadBreakpoints; an empty signal raises EmptySignal, and an ``origin``
+    that is not an int raises TypeError.
     """
+    if not _is_int(origin):
+        raise TypeError(f"origin must be an int, got {origin!r}")
     samples = tuple(samples)
     if not samples:
         raise EmptySignal("cannot segment an empty signal")
     end = origin + len(samples)
     bps = list(breakpoints)
     for b in bps:
-        if isinstance(b, bool) or not isinstance(b, int):
+        if not _is_int(b):
             raise BadBreakpoints(f"breakpoint {b!r} is not an int")
         if not origin < b < end:
             raise BadBreakpoints(f"breakpoint {b} outside ({origin}, {end})")
@@ -135,11 +138,12 @@ class SegmentArrow:
 
     def __init__(self, source: Segment, target: Segment, stride: int,
                  shift: int, amp, delta: Sequence[Number]):
-        if type(stride) is not int or stride == 0:
+        if not _is_int(stride) or stride == 0:
             raise ValueError("stride must be a nonzero int")
-        if isinstance(shift, bool) or not isinstance(shift, int):
+        if not _is_int(shift):
             raise ValueError("shift must be an int")
-        amp = Fraction(amp)
+        if type(amp) is not Fraction:
+            amp = _as_rational(amp, "amplitude factors")
         if amp == 0:
             raise ValueError("amplitude factor must be nonzero")
         delta = _check_samples(tuple(delta))
@@ -253,20 +257,17 @@ def _residual_sq(vals) -> Fraction:
 
 
 def _tol_sq(tol) -> Optional[Fraction]:
-    """None means 'infinite tolerance'."""
-    if tol == float("inf"):
-        return None
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    return tol * tol
+    """The square of a tolerance that ``_as_weight`` accepts; None means
+    'infinite tolerance'."""
+    tol = _as_weight(tol, "tolerances")
+    return None if tol is INFINITY else tol * tol
 
 
 def _check_strides(strides) -> Tuple[int, ...]:
     """The distinct strides in their given order; each a nonzero int."""
     out: List[int] = []
     for s in strides:
-        if type(s) is not int or s == 0:
+        if not _is_int(s) or s == 0:
             raise ValueError("strides must be nonzero ints")
         if s not in out:
             out.append(s)
@@ -541,6 +542,7 @@ def detect_translation(f: Segment, g: Segment, tol=0) -> Optional[SegmentArrow]:
     observed isomorphism of these two segments only.
     """
     if f.length != g.length:
+        _tol_sq(tol)  # a bad tolerance is refused all the same
         return None
     return _detect(f, g, _TRANSLATION, (), tol)
 
@@ -612,7 +614,8 @@ def redundancy_report(segments: Sequence[Segment], tol=0,
     position in ``strides``).  Entries with no in-tolerance candidate are
     reported as not redundant.  An empty list of segments raises
     EmptySignal; bad strides or detector names raise ValueError, whichever
-    detectors are chosen.
+    detectors are chosen.  ``tol`` is a nonnegative int or Fraction, or
+    ``float('inf')``, as a weight is (``errors._as_weight``).
 
     Exact arrows come from lookups in an index of the earlier segments
     (_exact_arrows) at every tolerance, at a cost that grows with the number
@@ -663,6 +666,8 @@ def prototype_decomposition(samples: Sequence[Number], origin: int = 1):
     giving second-level residuals.  Returns a dict with the seed sample, the
     arrows, both residual levels, and the reconstruction.
     """
+    if not _is_int(origin):
+        raise TypeError(f"origin must be an int, got {origin!r}")
     samples = _check_samples(tuple(samples))
     if not samples:
         raise EmptySignal("nothing to decompose")

@@ -5,6 +5,8 @@ import inspect
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -297,6 +299,159 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text())
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _hand_scalar_checks(source):
+    """Lines of ``source`` that test for a bool with ``isinstance`` or for
+    an exact int with ``type(...) is not int``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                == "isinstance" and len(node.args) == 2):
+            names = {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+            if "bool" in names:
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and getattr(node.left.func, "id", None) == "type"
+              and any(isinstance(op, ast.IsNot)
+                      and getattr(right, "id", None) == "int"
+                      for op, right in zip(node.ops, node.comparators))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_hand_scalar_check_scan_sees_both_forms():
+    source = ("a = isinstance(x, bool)\nb = isinstance(x, (int, bool))\n"
+              "c = type(x) is not int\nd = type(x) is int\n"
+              "e = isinstance(x, int)\nf = type(x) is not bool\n")
+    assert _hand_scalar_checks(source) == [1, 2, 3]
+
+
+# every site of the exact-scalar rule, by the function it sits in, and the
+# helper from errors.py it calls
+_SCALAR_SITES = {
+    "codec.py": {"_grid": "_is_int"},
+    "container.py": {"_check_samples": "_inexact", "_check_i64": "_is_int"},
+    "errors.py": {"_as_weight": "_as_rational", "_as_rational": "_is_int"},
+    "fnspace.py": {"_as_value": "_as_rational"},
+    "formats.py": {"_check_pgm_samples": "_inexact"},
+    "measure.py": {"__init__": "_inexact", "index": "_is_int"},
+    "signal.py": {"__init__": "_is_int", "segment_signal": "_is_int",
+                  "_check_strides": "_is_int", "_tol_sq": "_as_weight",
+                  "prototype_decomposition": "_is_int"},
+}
+
+
+def test_only_errors_py_spells_out_the_exact_scalar_rule():
+    # one rule for exact scalars: every other module calls errors.py's
+    found = {path.name: _hand_scalar_checks(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    missing = [(module, where, rule)
+               for module, sites in _SCALAR_SITES.items()
+               for where, rule in sites.items()
+               if (where, False) not in _mentions(
+                   (PACKAGE / module).read_text(), rule)]
+    assert missing == []
+
+
+class _Two(IntEnum):
+    TWO = 2
+
+
+def _pgm(path, v):
+    sigrep.write_pgm(path / "x.pgm", [[1, v]])
+
+
+_SEGS = (sigrep.Segment(0, 2, [1, 2]), sigrep.Segment(2, 4, [1, 3]))
+
+# (site, a call that puts v where the site checks it, what the site needs:
+# "int", "i64" (an int, or an integral Fraction it normalises) or
+# "rational", its exception, the start of its text, and the start of its
+# text for a finite float where that differs)
+_EXACT_SCALAR_SITES = [
+    ("codec._grid origin", lambda p, v: sigrep.encode([1, 2, 3], origin=v),
+     "int", ValueError, "origin must be an int, got", None),
+    ("container._check_samples", lambda p, v: sigrep.encode([1, v]),
+     "rational", TypeError, "samples must be ints or Fractions, got", None),
+    ("container._check_i64", lambda p, v: sigrep.write_container(
+        sigrep.EncodedSignal((1,), v, "predecessor", (5,), ())),
+     "i64", ValueError, "origin must be an int, got", None),
+    ("formats._check_pgm_samples", _pgm,
+     "int", ValueError, "PGM samples must be nonnegative ints$", None),
+    ("fnspace._as_value", lambda p, v: sigrep.FnClass(
+        sigrep.counting_space([0, 1]), [v, 1]),
+     "rational", TypeError, "function values must be exact rationals", None),
+    ("measure._as_weight", lambda p, v: sigrep.FiniteMeasureSpace(
+        sigrep.power_set_algebra(sigrep.FiniteCarrier([0, 1])), [v, 1]),
+     "rational", TypeError, "weights must be exact rationals",
+     "finite float weights are not accepted"),
+    ("measure.FiniteCarrier", lambda p, v: sigrep.FiniteCarrier([0, v, 5]),
+     "int", TypeError, "carrier points must be ints$", None),
+    ("measure.FiniteCarrier.index",
+     lambda p, v: sigrep.FiniteCarrier([0, 2, 5]).index(v),
+     "int", KeyError, "[\"']label .* is not a carrier point", None),
+    ("signal.Segment start", lambda p, v: sigrep.Segment(v, 4, [1, 2]),
+     "int", TypeError, "interval endpoints must be ints$", None),
+    ("signal.Segment end", lambda p, v: sigrep.Segment(0, v, [1, 2]),
+     "int", TypeError, "interval endpoints must be ints$", None),
+    ("signal.segment_signal breakpoint",
+     lambda p, v: sigrep.segment_signal([1, 2, 3], 0, [v]),
+     "int", sigrep.BadBreakpoints, "breakpoint .* is not an int$", None),
+    ("signal.SegmentArrow stride", lambda p, v: sigrep.SegmentArrow(
+        sigrep.Segment(0, 4, [1, 2, 3, 4]), sigrep.Segment(4, 6, [1, 3]),
+        v, -8, 1, [0, 0]),
+     "int", ValueError, "stride must be a nonzero int$", None),
+    ("signal.SegmentArrow shift", lambda p, v: sigrep.SegmentArrow(
+        sigrep.Segment(2, 4, [1, 2]), sigrep.Segment(0, 2, [1, 2]),
+        1, v, 1, [0, 0]),
+     "int", ValueError, "shift must be an int$", None),
+    ("signal._check_strides", lambda p, v: sigrep.redundancy_report(
+        _SEGS, strides=(1, v)),
+     "int", ValueError, "strides must be nonzero ints$", None),
+    ("signal.SegmentArrow amplitude", lambda p, v: sigrep.SegmentArrow(
+        sigrep.Segment(0, 2, [1, 2]), sigrep.Segment(2, 4, [2, 4]),
+        1, -2, v, [0, 0]),
+     "rational", TypeError, "amplitude factors must be exact rationals", None),
+    ("signal.redundancy_report tol",
+     lambda p, v: sigrep.redundancy_report(_SEGS, tol=v),
+     "rational", TypeError, "tolerances must be exact rationals",
+     "finite float tolerances are not accepted"),
+    ("signal.detect_translation tol",
+     lambda p, v: sigrep.detect_translation(*_SEGS, tol=v),
+     "rational", TypeError, "tolerances must be exact rationals",
+     "finite float tolerances are not accepted"),
+    ("signal.detect_affine tol",
+     lambda p, v: sigrep.detect_affine(*_SEGS, tol=v),
+     "rational", TypeError, "tolerances must be exact rationals",
+     "finite float tolerances are not accepted"),
+    ("signal.detect_amp_affine tol",
+     lambda p, v: sigrep.detect_amp_affine(*_SEGS, tol=v),
+     "rational", TypeError, "tolerances must be exact rationals",
+     "finite float tolerances are not accepted"),
+    ("signal.segment_signal origin",
+     lambda p, v: sigrep.segment_signal([1, 2, 3], v, []),
+     "int", TypeError, "origin must be an int, got", None),
+    ("signal.prototype_decomposition origin",
+     lambda p, v: sigrep.prototype_decomposition([1, 2], v),
+     "int", TypeError, "origin must be an int, got", None),
+]
+
+
+@pytest.mark.parametrize("call, needs, exc, text, float_text",
+                         [site[1:] for site in _EXACT_SCALAR_SITES],
+                         ids=[site[0] for site in _EXACT_SCALAR_SITES])
+def test_each_site_applies_the_one_exact_scalar_rule(tmp_path, call, needs,
+                                                     exc, text, float_text):
+    accepted = [2, _Two.TWO] + [Fraction(2)] * (needs != "int")
+    refused = [True, False, None, "2", Decimal(2), complex(2)]
+    for v in accepted:
+        call(tmp_path, v)
+    for v in refused + [Fraction(2)] * (needs == "int"):
+        with pytest.raises(exc, match=f"^{text}"):
+            call(tmp_path, v)
+    with pytest.raises(exc, match=f"^{float_text or text}"):
+        call(tmp_path, 2.0)
 
 
 def _mentions(source, name):

@@ -405,7 +405,9 @@ def test_tol_zero_never_scans_and_tol_one_does(monkeypatch):
     exact = segment_signal([1, 2, 3, 3, 2, 1, 2, 4, 6], 0, [3, 6])
     mixed = segment_signal([1, 2, 3, 3, 2, 1, 5, 0, 9], 0, [3, 6])
     f, g = mixed[0], mixed[2]
-    for tol in (0, Fraction(0), 0.0):
+    with pytest.raises(TypeError, match="^finite float tolerances"):
+        redundancy_report(exact, tol=0.0)  # a tolerance is exact too
+    for tol in (0, Fraction(0)):
         assert redundancy_report(exact, tol=tol).redundant_count == 2
         assert redundancy_report(mixed, tol=tol).redundant_count == 1
         for detector in (detect_affine, detect_amp_affine):

@@ -13,6 +13,7 @@ from typing import List, Tuple
 import pytest
 
 from sigrep import formats, read_csv_signal, read_pgm, write_csv_signal, write_pgm
+from sigrep.errors import Number
 
 
 def test_p2_with_comments(tmp_path):
@@ -473,12 +474,12 @@ def _random_csv(rng) -> str:
     return text + newline if rng.random() < 0.8 else text
 
 
-def _read_csv_checked(lines) -> Tuple[List[formats.Sample], int]:
+def _read_csv_checked(lines) -> Tuple[List[Number], int]:
     """``read_csv_signal`` line by line over decoded lines: parses
     rationals, skips blank and comment lines anywhere, and names the line
     of a bad sample or origin."""
     origin = 0
-    samples: List[formats.Sample] = []
+    samples: List[Number] = []
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
         if not text:
