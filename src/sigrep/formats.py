@@ -12,11 +12,12 @@ ints only, since ``bytes()`` would take a bool) and then ``_write_pgm``,
 which packs each row with ``bytes()``, checking 0 <= v <= 255 in C, and
 builds no flat list of the samples.  It takes the largest sample by ``in``
 (memchr) from 255 down; only a sample outside 0..255 sends it to
-Python-level ``min`` and ``max`` passes and 16-bit rows to struct.  The
-core runs the rule only where ``bytes()`` or struct refuses a sample, or
-where a range refusal would come first, so ``sigrep decode`` calls
-``_write_pgm`` itself, on ``decode``'s rows of ints and Fractions, which
-hold no bool.  16-bit rows are packed before the file opens.
+Python-level ``min`` and ``max`` passes and 16-bit rows to struct.  Any
+refusal runs the sample rule first: the core's packing, range and maxval
+checks share one ``try`` whose ``except`` runs ``_check_pgm_samples``, so
+``sigrep decode`` calls ``_write_pgm`` itself, on ``decode``'s rows of ints
+and Fractions, which hold no bool.  Every part of the file, P2 text too, is
+built before it opens.
 
 A CSV file is read in binary, ``_READ_BLOCK`` bytes at a time, and each
 block is split into lines by ``bytes.splitlines``, in C, at LF, CRLF and a
@@ -24,13 +25,15 @@ lone CR alike: a file whose lines end in a lone CR reads a block at a time
 as well.  A block's lines are parsed by ``map(int, ...)`` as bytes.  A line
 ``int`` refuses (a comment, a blank line, a rational, bad text or a
 non-ASCII byte) is decoded and goes to the line-by-line parser, and
-``map(int, ...)`` resumes after it, so nothing is read twice.  The
-``# origin=`` header of a file ``write_csv_signal`` wrote, or a comment
-anywhere, costs one slow line, not a slow block.  A refused line that
-directly follows the lines last sent takes twice as many with it, so a
-block of rationals costs a few calls, not one per line.  The CSV reader
-holds one block of the file at a time, since a list of every line takes
-more memory than the ints parsed from them.
+``map(int, ...)`` resumes after it, so nothing is read twice.  That
+parser checks each line for a non-ASCII byte as it reaches it, so the
+fault on the earliest line is the one named.  The ``# origin=`` header of
+a file ``write_csv_signal`` wrote, or a comment anywhere, costs one slow
+line, not a slow block.  A refused line that directly follows the lines
+last sent takes twice as many with it, so a block of rationals costs a
+few calls, not one per line.  The CSV reader holds one block of the file
+at a time, since a list of every line takes more memory than the ints
+parsed from them.
 """
 
 from __future__ import annotations
@@ -137,54 +140,43 @@ def write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
 def _write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
                binary: bool = True) -> None:
     """``write_pgm`` without its sample rule, for P5 rows of ints and
-    Fractions, such as ``decode`` returns.  Packing proves the samples
-    ints, ``bytes()`` for 8-bit rows and struct for 16-bit ones, and only
-    rows one of them refuses, or whose range is refused first, go to
-    ``_check_pgm_samples``.  P2 text proves nothing: only ``write_pgm``,
-    after the rule, asks for it."""
+    Fractions, such as ``decode`` returns.  Any refusal runs the sample rule
+    first: packing (``bytes()`` for 8-bit rows, struct for 16-bit ones)
+    proves the samples ints, and a refused packing, range or maxval reaches
+    the one ``except``, which runs ``_check_pgm_samples``.  P2 text proves
+    nothing: only ``write_pgm``, after the rule, asks for it."""
     width = _pgm_width(rows)
     try:
-        raster = b"".join(map(bytes, rows))  # proves 0 <= v <= 255 in C
-    except TypeError:  # a sample that is not an int
+        try:
+            parts = [b"".join(map(bytes, rows))]
+            # one memchr per value tried, from 255 down
+            top = next(k for k in range(255, -1, -1) if k in parts[0])
+        except ValueError:  # a sample outside 0..255: refused, or 16-bit
+            if min(chain.from_iterable(rows)) < 0:
+                raise ValueError(
+                    "PGM samples must be nonnegative ints") from None
+            top = max(chain.from_iterable(rows))
+        if maxval is None:
+            maxval = max(top, 1)
+        if not 0 < maxval <= MAX_PGM_VALUE:
+            raise ValueError(f"maxval must be in 1..{MAX_PGM_VALUE}")
+        if top > maxval:
+            raise ValueError("sample exceeds maxval")
+        if not binary:
+            parts = [f"{' '.join(map(str, row))}\n".encode("ascii")
+                     for row in rows]
+        elif maxval > 255:
+            row_16 = struct.Struct(f">{width}H")
+            parts = [row_16.pack(*row) for row in rows]
+    except (TypeError, ValueError, struct.error):
         _check_pgm_samples(rows)
         raise
-    except ValueError:  # a sample below 0 or above 255
-        if min(chain.from_iterable(rows)) < 0:
-            raise ValueError("PGM samples must be nonnegative ints") from None
-        top = max(chain.from_iterable(rows))
-        raster = None
-    else:
-        # one memchr per value tried, from 255 down
-        top = next(k for k in range(255, -1, -1) if k in raster)
-    if maxval is None:
-        maxval = max(top, 1)
-    if raster is None and (not 0 < maxval <= MAX_PGM_VALUE or top > maxval):
-        # a range refusal below would come before the packing proves them ints
-        _check_pgm_samples(rows)
-    if not 0 < maxval <= MAX_PGM_VALUE:
-        raise ValueError(f"maxval must be in 1..{MAX_PGM_VALUE}")
-    if top > maxval:
-        raise ValueError("sample exceeds maxval")
-    if binary and maxval > 255:
-        # packed before the file opens, so a refused sample leaves ``path``
-        # as it was
-        row_16 = struct.Struct(f">{width}H")
-        try:
-            raster = [row_16.pack(*row) for row in rows]
-        except struct.error:  # a sample that is not an int
-            _check_pgm_samples(rows)
-            raise
-    header = f"{'P5' if binary else 'P2'}\n{width} {len(rows)}\n{maxval}\n"
+    # every part is built before the file opens, so a refusal leaves
+    # ``path`` as it was
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if not binary:
-            fh.write("\n".join(" ".join(str(v) for v in row) for row in rows)
-                     .encode("ascii"))
-            fh.write(b"\n")
-        elif maxval > 255:
-            fh.writelines(raster)
-        else:
-            fh.write(raster)
+        fh.write(f"{'P5' if binary else 'P2'}\n{width} {len(rows)}\n"
+                 f"{maxval}\n".encode("ascii"))
+        fh.writelines(parts)
 
 
 def _parse_sample(text: str) -> Number:
@@ -287,17 +279,13 @@ def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
     bad sample, bad origin or non-ASCII byte named by its line.  Returns the
     origin in force after them.  A non-ASCII byte ``b`` reads as the
     surrogate ``chr(0xDC00 + b)``."""
-    if not all(map(str.isascii, lines)):
-        # the lines before the first non-ASCII one may hold an earlier error
-        k = next(k for k, line in enumerate(lines) if not line.isascii())
-        _parse_lines(lines[:k], lineno, offset, samples, origin)
-        line = lines[k]
-        at = next(i for i, ch in enumerate(line) if not ch.isascii())
-        raise ValueError(f"line {lineno + k + 1}, "
-                         f"offset {offset + sum(map(len, lines[:k])) + at}: "
-                         f"non-ASCII byte 0x{ord(line[at]) - 0xDC00:02x}")
-    for lineno, text in enumerate(lines, lineno + 1):
-        text = text.strip()
+    for lineno, line in enumerate(lines, lineno + 1):
+        if not line.isascii():
+            at = next(i for i, ch in enumerate(line) if not ch.isascii())
+            raise ValueError(f"line {lineno}, offset {offset + at}: "
+                             f"non-ASCII byte 0x{ord(line[at]) - 0xDC00:02x}")
+        offset += len(line)
+        text = line.strip()
         if not text:
             continue
         if text.startswith("#"):

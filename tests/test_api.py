@@ -454,6 +454,97 @@ def test_each_site_applies_the_one_exact_scalar_rule(tmp_path, call, needs,
         call(tmp_path, 2.0)
 
 
+_SP = sigrep.counting_space([0, 1])
+_OTHER = sigrep.counting_space([0, 1, 2])
+_COARSE = sigrep.FiniteMeasureSpace(  # only the empty set and the carrier
+    sigrep.generate_sigma_algebra(sigrep.FiniteCarrier([0, 1]), []), [1, 1])
+_SEG = sigrep.Segment(0, 2, [1, 2])
+_MOVED = sigrep.Segment(1, 3, [1, 2])
+
+
+def _fn(space):
+    return sigrep.canonical_class(range(space.carrier.size), space)
+
+
+def _dual(space):
+    malg = sigrep.MeasureAlgebra(space)
+    return sigrep.DualElement(malg, [1] * malg.algebra.atom_count)
+
+
+def _join_over(*spaces):
+    total, _ = sigrep.direct_sum([_SP, _OTHER])
+    return sigrep.join_direct_sum([_fn(space) for space in spaces], total)
+
+
+# (refusal, a call it refuses, its exception, its whole text)
+_REFUSALS = [
+    ("fnspace.FnClass tag", lambda: sigrep.FnClass(_SP, [1, 2], "L1"),
+     ValueError, "tag must be one of ('L0', 'L2')"),
+    ("fnspace.FnClass length", lambda: sigrep.FnClass(_SP, [1]),
+     ValueError, "value tuple length must equal carrier size"),
+    ("fnspace arithmetic across spaces", lambda: _fn(_SP) + _fn(_OTHER),
+     sigrep.SpaceMismatch, "operands live over different spaces"),
+    ("fnspace.canonical_class length", lambda: sigrep.canonical_class([1], _SP),
+     ValueError, "sequence length must equal carrier size"),
+    ("fnspace.leq_ae across spaces",
+     lambda: sigrep.leq_ae(_fn(_SP), _fn(_OTHER)),
+     sigrep.SpaceMismatch, "order needs a common space"),
+    ("fnspace.pullback non-measurable", lambda: sigrep.pullback(
+        sigrep.MeasurableMap(_COARSE, _SP, {0: 0, 1: 1}), _fn(_SP)),
+     sigrep.NotNonsingular, "pullback needs at least a measurable map"),
+    ("fnspace.pullback other space", lambda: sigrep.pullback(
+        sigrep.identity_map(_SP), _fn(_OTHER)),
+     sigrep.SpaceMismatch,
+     "class lives over a different space than the map's target"),
+    ("fnspace.covariant_op across algebras", lambda: sigrep.covariant_op(
+        sigrep.identity_hom(sigrep.MeasureAlgebra(_SP)), _dual(_OTHER)),
+     sigrep.SpaceMismatch,
+     "dual element lives over a different algebra than the hom's source"),
+    ("fnspace.duality_bridge_inverse across algebras",
+     lambda: sigrep.duality_bridge_inverse(_SP, _dual(_OTHER)),
+     sigrep.SpaceMismatch,
+     "dual element belongs to a different measure algebra"),
+    ("fnspace.join_direct_sum count", lambda: _join_over(_SP),
+     sigrep.SpaceMismatch, "component count mismatch"),
+    ("fnspace.join_direct_sum space", lambda: _join_over(_OTHER, _SP),
+     sigrep.SpaceMismatch, "component class over the wrong space"),
+    ("measure.labels_of range",
+     lambda: sigrep.FiniteCarrier([0, 1]).labels_of(4),
+     ValueError, "mask out of range for this carrier"),
+    ("measure.SigmaAlgebra member range", lambda: sigrep.SigmaAlgebra(
+        sigrep.FiniteCarrier([0, 1]), [0, 3, 4]),
+     ValueError, "member mask out of carrier range"),
+    ("measure.FiniteMeasureSpace weight count",
+     lambda: sigrep.FiniteMeasureSpace(_SP.sigma, [1]),
+     ValueError, "weight sequence length must equal carrier size"),
+    ("measure.direct_sum empty", lambda: sigrep.direct_sum([]),
+     ValueError, "direct_sum needs at least one space"),
+    ("quotient.BooleanAlgebra negative", lambda: sigrep.BooleanAlgebra(-1),
+     ValueError, "atom_count must be >= 0"),
+    ("quotient element out of range", lambda: sigrep.identity_hom(
+        sigrep.MeasureAlgebra(_SP))(4),
+     ValueError, "4 is not an element of BooleanAlgebra(atoms=2)"),
+    ("quotient.BooleanHom table length", lambda: sigrep.BooleanHom(
+        sigrep.MeasureAlgebra(_SP), sigrep.MeasureAlgebra(_SP), [0, 1]),
+     ValueError, "mapping must cover every source element"),
+    ("signal.SegmentArrow.predict off the source",
+     lambda: sigrep.identity_arrow(_SEG).predict(_MOVED),
+     sigrep.IntervalMismatch,
+     "segment does not match the arrow's source interval"),
+    ("signal.delta across intervals", lambda: sigrep.delta(_SEG, _MOVED),
+     sigrep.IntervalMismatch, "residual needs segments on the same interval"),
+]
+
+
+@pytest.mark.parametrize("call, exc, text",
+                         [refusal[1:] for refusal in _REFUSALS],
+                         ids=[refusal[0] for refusal in _REFUSALS])
+def test_refusal_type_and_text(call, exc, text):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert str(info.value) == text
+
 def _mentions(source, name):
     """Where ``source`` names ``name`` (as a variable, an attribute or an
     import): a set of (enclosing function or None, whether it assigns)."""

@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import List, Tuple
 
 import pytest
@@ -273,12 +274,13 @@ def test_write_pgm_refuses_a_bool_or_negative_in_the_last_row(tmp_path, last):
                                   [[600, Fraction(601, 2)]],
                                   [[70000, Fraction(1, 2)]],
                                   [[3, 70003, Fraction(70003, 2)]],
-                                  [[Fraction(1, 2), 600], [1, -1]]])
+                                  [[Fraction(1, 2), 600], [1, -1]],
+                                  [[300, "7"]]])
 def test_write_pgm_core_refuses_a_rational(tmp_path, rows):
-    """The P5 core skips the sample rule but runs it where bytes() or
-    struct refuses a sample, or where the maxval range check would refuse
-    one first: a rational in an 8-bit or 16-bit row, or beside a sample
-    over 65535.  P2 output takes checked rows: write_pgm refuses them."""
+    """The P5 core skips the sample rule but runs it before any refusal:
+    a rational in an 8-bit or 16-bit row, beside a sample over 65535, or a
+    str beside a sample over 255, which ``min`` cannot order.  P2 output
+    takes checked rows: write_pgm refuses them."""
     p = tmp_path / "x.pgm"
     for write in (lambda: formats._write_pgm(p, rows),
                   lambda: write_pgm(p, rows, binary=False)):
@@ -383,13 +385,18 @@ def test_write_pgm_matches_min_max_writer(tmp_path):
         assert outcome == _write_outcome(_write_pgm_min_max, old, rows,
                                          maxval, binary), (rows, maxval,
                                                            binary)
+        if binary and bool not in set(map(type, chain(*rows))):
+            # the core skips only the rule, which a refusal runs first
+            assert outcome == _write_outcome(formats._write_pgm, new, rows,
+                                             maxval, binary), (rows, maxval)
+            kinds["core"] += 1
         if isinstance(outcome, bytes):
             kinds[outcome[:2], int(outcome.split()[3]) >= 256] += 1
         else:
             kinds[outcome[1].split(" ")[0]] += 1
     # every error and every output width is reached
     for kind in ((b"P5", False), (b"P5", True), (b"P2", False), (b"P2", True),
-                 "cannot", "ragged", "PGM", "maxval", "sample"):
+                 "cannot", "ragged", "PGM", "maxval", "sample", "core"):
         assert kinds[kind] >= 20, (kind, kinds)
 
 
