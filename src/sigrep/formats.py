@@ -19,21 +19,22 @@ checks share one ``try`` whose ``except`` runs ``_check_pgm_samples``, so
 and Fractions, which hold no bool.  Every part of the file, P2 text too, is
 built before it opens.
 
-A CSV file is read in binary, ``_READ_BLOCK`` bytes at a time, and each
-block is split into lines by ``bytes.splitlines``, in C, at LF, CRLF and a
-lone CR alike: a file whose lines end in a lone CR reads a block at a time
-as well.  A block's lines are parsed by ``map(int, ...)`` as bytes.  A line
-``int`` refuses (a comment, a blank line, a rational, bad text or a
-non-ASCII byte) is decoded and goes to the line-by-line parser, and
-``map(int, ...)`` resumes after it, so nothing is read twice.  That
-parser checks each line for a non-ASCII byte as it reaches it, so the
-fault on the earliest line is the one named.  The ``# origin=`` header of
-a file ``write_csv_signal`` wrote, or a comment anywhere, costs one slow
-line, not a slow block.  A refused line that directly follows the lines
-last sent takes twice as many with it, so a block of rationals costs a
-few calls, not one per line.  The CSV reader holds one block of the file
-at a time, since a list of every line takes more memory than the ints
-parsed from them.
+A CSV file is read in binary, ``_READ_BLOCK`` bytes at a time, by two
+rules.  The block loop: a block that holds no LF and no CR ends no line
+and waits for the next; otherwise the blocks read since the last line
+ended are joined and split by ``bytes.splitlines``, in C, at LF, CRLF and
+a lone CR alike, and every line but a last one that does not end in LF is
+parsed.  The slow path: the lines are parsed by ``map(int, ...)`` as
+bytes, and from a line ``int`` refuses (a comment, a blank line, a
+rational, bad text or a non-ASCII byte) the line-by-line parser decodes
+and parses the lines up to and including the next int sample; then
+``map(int, ...)`` resumes on the same iterator, so nothing is read twice.
+The ``# origin=`` header of a file ``write_csv_signal`` wrote costs one
+slow call, and so does a run of comments or rationals.  The parser checks
+each line for a non-ASCII byte as it reaches it, so the fault on the
+earliest line is the one named.  The CSV reader holds one block of the
+file at a time, since a list of every line takes more memory than the
+ints parsed from them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
-from itertools import chain, islice
-from typing import List, Sequence, Tuple
+from itertools import chain
+from typing import Iterator, List, Sequence, Tuple
 
-from .errors import Number, _inexact
+from .errors import Number, _inexact, _is_int
 
 MAX_PGM_VALUE = 65535
 
@@ -158,7 +159,7 @@ def _write_pgm(path, rows: Sequence[Sequence[int]], maxval: int = None,
             top = max(chain.from_iterable(rows))
         if maxval is None:
             maxval = max(top, 1)
-        if not 0 < maxval <= MAX_PGM_VALUE:
+        if not (_is_int(maxval) and 0 < maxval <= MAX_PGM_VALUE):
             raise ValueError(f"maxval must be in 1..{MAX_PGM_VALUE}")
         if top > maxval:
             raise ValueError("sample exceeds maxval")
@@ -200,59 +201,48 @@ def read_csv_signal(path) -> Tuple[List[Number], int]:
     Other comment lines and blank lines are skipped.  Returns
     (samples, origin).  LF, CRLF and a lone CR each end a line.
 
-    Each block is split by ``bytes.splitlines(keepends=True)``, which ends
-    a line at exactly LF, CRLF and a lone CR.  A block's last line waits
-    for the next block unless it ends in LF: it may go on there, or its CR
-    may be the first half of a CRLF.  A line longer than a block is kept
-    in pieces and joined once.  ``int`` accepts a bytes line only where
-    ``_parse_lines`` reads the same int (``str.strip`` drops more control
-    characters than ``int`` does).  Only the lines ``int`` refuses are
-    decoded, as ASCII with ``surrogateescape``: each non-ASCII byte becomes
-    one surrogate character, so a line's length is its size in bytes and
-    offsets stay exact.  Errors come in line order: the first bad sample,
-    bad origin or non-ASCII byte is reported, a non-ASCII byte by its line
-    and file offset.
+    Each block read is appended to the carry.  A block with no LF and no
+    CR ends no line, so the next one is read.  Otherwise the carry is
+    joined once and split by ``bytes.splitlines(keepends=True)``, at
+    exactly the three line ends: a last line that does not end in LF is
+    the new carry, since it may go on in the next block or its CR may be
+    the first half of a CRLF, and the other lines go to ``_parse_chunk``.
+    What is left at the end of the file is split and parsed too.  Errors
+    come in line order: the first bad sample, bad origin or non-ASCII byte
+    is reported, a non-ASCII byte by its line and file offset.
     """
     origin = 0
     samples: List[Number] = []
     lineno = offset = read = 0
-    carry: List[bytes] = []  # the pieces of a line no block has ended yet
+    carry: List[bytes] = []  # the blocks read since the last line ended
     with open(path, "rb") as fh:
         while block := fh.read(_READ_BLOCK):
             read += len(block)
-            lines = block.splitlines(keepends=True)
-            if carry:
-                if carry[-1].endswith(b"\r") and lines[0] != b"\n":
-                    lines.insert(0, b"".join(carry))  # ended by a lone CR
-                elif len(lines) == 1 and not block.endswith(b"\n"):
-                    carry.append(block)  # the line goes on
-                    continue
-                else:
-                    carry.append(lines[0])
-                    lines[0] = b"".join(carry)
-                carry = []
-            if not lines[-1].endswith(b"\n"):
-                carry.append(lines.pop())
+            carry.append(block)
+            if b"\n" not in block and b"\r" not in block:
+                continue
+            lines = b"".join(carry).splitlines(keepends=True)
+            carry = [] if lines[-1].endswith(b"\n") else [lines.pop()]
             origin = _parse_chunk(lines, lineno, offset, samples, origin)
             lineno += len(lines)
             offset = read - len(carry[0]) if carry else read
-    if carry:
-        origin = _parse_chunk([b"".join(carry)], lineno, offset, samples,
-                              origin)
-    return samples, origin
+    lines = b"".join(carry).splitlines(keepends=True)
+    return samples, _parse_chunk(lines, lineno, offset, samples, origin)
 
 
 def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
                  samples: List[Number], origin: int) -> int:
-    """Parse one block's lines into ``samples`` by ``map(int, ...)``.  A line
-    ``int`` refuses goes to ``_parse_lines``, and ``map(int, ...)`` resumes
-    after it: alone, or with lines after it when it directly follows the
-    last lines sent, twice as many as then.  A comment line costs one call,
-    and a block of rationals about log2 of its line count.  Returns the
-    origin in force after the lines."""
+    """Parse ``lines``, which follow line ``lineno`` from byte ``offset``
+    on, into ``samples`` by ``map(int, ...)``, as bytes.  ``int`` accepts a
+    bytes line only where ``_parse_lines`` reads the same int
+    (``str.strip`` drops more control characters than ``int`` does).  From
+    a line ``int`` refuses, ``_parse_lines`` takes the lines up to and
+    including the next int sample, and ``map(int, ...)`` resumes on the
+    same iterator, so no line is read twice: a comment line costs one
+    call, and so does a run of rationals.  Returns the origin in force
+    after the lines."""
     rest = iter(lines)
-    k = 0     # lines parsed so far; ``offset`` is where line k starts
-    sent = 0  # the batch size last sent to _parse_lines
+    k = 0  # lines parsed so far; ``offset`` is where line k starts
     while True:
         before = len(samples)
         try:
@@ -261,25 +251,23 @@ def _parse_chunk(lines: Sequence[bytes], lineno: int, offset: int,
         except ValueError:
             end = k + len(samples) - before  # the line int refused
         offset += sum(map(len, lines[k:end]))
-        sent = 2 * sent if end == k and sent else 1
-        batch = lines[end:end + sent]
-        k = end + len(batch)
-        origin = _parse_lines(
-            [line.decode("ascii", "surrogateescape") for line in batch],
-            lineno + end, offset, samples, origin)
-        offset += sum(map(len, batch))
-        if sent > 1:  # skip the lines sent after the one int refused
-            next(islice(rest, len(batch) - 1, len(batch) - 1), None)
+        taken, offset, origin = _parse_lines(
+            chain((lines[end],), rest), lineno + end, offset, samples, origin)
+        k = end + taken
 
 
-def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
-                 samples: List[Number], origin: int) -> int:
+def _parse_lines(lines: Iterator[bytes], lineno: int, offset: int,
+                 samples: List[Number], origin: int) -> Tuple[int, int, int]:
     """Parse ``lines``, which follow line ``lineno`` from byte ``offset`` on,
-    into ``samples``: rationals too, blank and comment lines skipped, and a
-    bad sample, bad origin or non-ASCII byte named by its line.  Returns the
-    origin in force after them.  A non-ASCII byte ``b`` reads as the
-    surrogate ``chr(0xDC00 + b)``."""
-    for lineno, line in enumerate(lines, lineno + 1):
+    into ``samples`` up to and including the first int sample: rationals
+    too, blank and comment lines skipped, and a bad sample, bad origin or
+    non-ASCII byte named by its line.  Each line is decoded as ASCII with
+    ``surrogateescape``: a non-ASCII byte ``b`` reads as the one character
+    ``chr(0xDC00 + b)``, so offsets stay exact.  Returns the number of
+    lines taken, the offset after them and the origin in force."""
+    first = lineno
+    for lineno, raw in enumerate(lines, lineno + 1):
+        line = raw.decode("ascii", "surrogateescape")
         if not line.isascii():
             at = next(i for i, ch in enumerate(line) if not ch.isascii())
             raise ValueError(f"line {lineno}, offset {offset + at}: "
@@ -301,7 +289,9 @@ def _parse_lines(lines: Sequence[str], lineno: int, offset: int,
             samples.append(_parse_sample(text))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return origin
+        if type(samples[-1]) is int:
+            break
+    return lineno - first, offset, origin
 
 
 _WRITE_CHUNK = 65536  # samples formatted into one string
@@ -313,8 +303,10 @@ def write_csv_signal(path, samples: Sequence[Number], origin: int = 0) -> None:
     One ``%`` format per chunk converts the samples in C; it builds the text
     in about half the time of ``"\\n".join(map(str, chunk))``.  Every
     chunk is formatted before the file is opened, so a sample ``str``
-    refuses leaves ``path`` as it was.
+    refuses, or an origin that is not an int, leaves ``path`` as it was.
     """
+    if not _is_int(origin):
+        raise ValueError(f"origin must be an int, got {origin!r}")
     text = [f"# origin={origin}\n"]
     for i in range(0, len(samples), _WRITE_CHUNK):
         chunk = tuple(samples[i:i + _WRITE_CHUNK])

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import or_
 from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import (INFINITY, MapNotTotal, SpaceMismatch, _as_weight,
@@ -104,18 +103,18 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _unions(parts: Sequence, join=or_, zero=0) -> list:
-    """The 2**len(parts) table whose entry ``e`` joins ``parts[j]`` over the
-    bits ``j`` set in ``e``, built by peeling off the lowest bit of each
-    ``e``.  The one builder of such a table: it refuses more than
-    ``MAX_CARRIER`` parts before it allocates."""
+def _unions(parts: Sequence[int]) -> list:
+    """The 2**len(parts) table whose entry ``e`` is the union of the masks
+    ``parts[j]`` over the bits ``j`` set in ``e``, built by peeling off the
+    lowest bit of each ``e``.  The one builder of such a table: it refuses
+    more than ``MAX_CARRIER`` parts before it allocates."""
     if len(parts) > MAX_CARRIER:
         raise ValueError(f"a 2**k table is built for k <= {MAX_CARRIER} only "
                          f"(k = {len(parts)})")
-    out = [zero] * (1 << len(parts))
+    out = [0] * (1 << len(parts))
     for e in range(1, len(out)):
         low = e & -e
-        out[e] = join(out[e ^ low], parts[low.bit_length() - 1])
+        out[e] = out[e ^ low] | parts[low.bit_length() - 1]
     return out
 
 

@@ -297,6 +297,25 @@ def test_write_pgm_core_keeps_the_maxval_refusal_for_ints(tmp_path):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("maxval", [True, Fraction(3, 2), 2.5, 300.0,
+                                    Fraction(255)])
+def test_write_pgm_refuses_a_maxval_that_is_not_an_int(tmp_path, maxval):
+    """A maxval that is not an int would write a header read_pgm refuses
+    (``True``, ``3/2``, ``2.5``, ``300.0``), so both writers refuse it with
+    the range text and make no file; a bad sample is still named first."""
+    p = tmp_path / "x.pgm"
+    for write in (write_pgm, formats._write_pgm):
+        for binary in (True, False):
+            with pytest.raises(ValueError,
+                               match="^maxval must be in 1..65535$"):
+                write(p, [[0, 1]], maxval=maxval, binary=binary)
+            assert not p.exists()
+    with pytest.raises(ValueError,
+                       match="^PGM samples must be nonnegative ints$"):
+        formats._write_pgm(p, [[0, True]], maxval=maxval)  # packs as 1
+    assert not p.exists()
+
+
 def test_write_pgm_maxval_65535_packs_big_endian_rows(tmp_path):
     p = tmp_path / "wide.pgm"
     rows = [[0, 1, 256], (65535, 4660, 255)]
@@ -621,23 +640,26 @@ def test_csv_lone_cr_is_counted_on_the_fast_path(tmp_path, monkeypatch,
 
 
 def _counted_parse_lines(monkeypatch):
-    """Patch ``_parse_lines`` to record ``(lineno, len(lines))`` per call."""
+    """Patch ``_parse_lines`` to record ``(lineno, lines taken)`` per call
+    that returns."""
     calls = []
     parse_lines = formats._parse_lines
 
     def counted(lines, lineno, offset, samples, origin):
-        calls.append((lineno, len(lines)))
-        return parse_lines(lines, lineno, offset, samples, origin)
+        taken, offset, origin = parse_lines(lines, lineno, offset, samples,
+                                            origin)
+        calls.append((lineno, taken))
+        return taken, offset, origin
 
     monkeypatch.setattr(formats, "_parse_lines", counted)
     return calls
 
 
 def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
-    """Only the lines int() refuses go line by line, and map(int, ...)
-    resumes after them: here the first header line alone, the next two
-    together (the third follows the lines sent last), and the trailing
-    blank line, in a later block."""
+    """Only a run of lines int() refuses goes line by line, up to and
+    including the next int sample, and map(int, ...) resumes after it: here
+    the three header lines and the first sample in one call, and the
+    trailing blank line, in a later block, in another."""
     n = formats._READ_BLOCK  # lines of two bytes or more: several blocks
     p = tmp_path / "sig.csv"
     p.write_text("# sensor 4\n # origin= -6\n#\n"
@@ -649,15 +671,15 @@ def test_csv_int_files_stay_on_the_fast_path(tmp_path, monkeypatch):
     samples, origin = read_csv_signal(p)
     assert (samples, origin) == expected
     assert origin == -6 and len(samples) == n
-    assert calls == [(0, 1), (1, 2), (n + 3, 1)]
+    assert calls == [(0, 4), (n + 3, 1)]
 
 
 @pytest.mark.parametrize("block", (7, 64, 4096, formats._READ_BLOCK))
 def test_csv_scattered_odd_lines_go_alone(tmp_path, monkeypatch, block):
     """Comment, blank and rational lines scattered over many blocks, some
-    side by side, go to the line-by-line parser alone or, after a line sent
-    there, in a batch, and the result or error (line and offset) is the
-    checked path's."""
+    side by side, go to the line-by-line parser with the rest of their run
+    and the int sample after it, and the result or error (line and offset)
+    is the checked path's."""
     monkeypatch.setattr(formats, "_READ_BLOCK", block)
     rng = random.Random(block)
     lines = [str(rng.randint(-99999, 99999)) for _ in range(30000)]
@@ -665,6 +687,7 @@ def test_csv_scattered_odd_lines_go_alone(tmp_path, monkeypatch, block):
     for i in odd:
         lines[i] = rng.choice(("# note", "", "# origin=4", "3/4", "-5/2",
                                "6/3", " # origin= -7 "))
+    runs = sum(i - 1 not in odd for i in odd)
     p = tmp_path / "sig.csv"
     for newline in ("\n", "\r\n", "\r"):
         for tail in ([], ["banana"], ["é"]):
@@ -676,32 +699,69 @@ def test_csv_scattered_odd_lines_go_alone(tmp_path, monkeypatch, block):
                 assert _outcome(read_csv_signal, p) == expected
             assert (expected[0] is ValueError) == bool(tail)
             if not tail and newline == "\n":
-                # each call starts at an odd line, and batches at most
-                # double the lines sent
+                # each call starts at an odd line and stops at the first
+                # int sample, so only a block end splits a run
                 sent = {at + i for at, size in calls for i in range(size)}
+                ends = {at + size - 1 for at, size in calls}
                 assert {at for at, _ in calls} <= set(odd) <= sent
-                assert len(sent) < 2 * len(odd)
+                assert sent - set(odd) <= ends
+                assert len(sent) == sum(size for _, size in calls)
+                blocks = -(-p.stat().st_size // block)
+                assert runs <= len(calls) <= runs + blocks
 
 
-def test_csv_runs_of_refused_lines_go_in_doubling_batches(tmp_path,
-                                                          monkeypatch):
-    """A refused line goes alone to the line-by-line parser, and one that
-    directly follows the lines sent last goes with twice as many, so a run
-    of refused lines costs about log2 of its length in calls; the lines a
-    batch takes past the run parse as ints do."""
+def test_csv_a_run_of_refused_lines_costs_one_call(tmp_path, monkeypatch):
+    """A run of refused lines goes to the line-by-line parser in one call,
+    which ends at the next int sample, whatever the run's length."""
     ints = ["5", "-6"] * 5
     lines = ["# a"] + ints + ["1/2"] * 2 + ints + ["1/3"] * 7 + ints
     p = tmp_path / "sig.csv"
     p.write_text("\n".join(lines) + "\n")
     calls = _counted_parse_lines(monkeypatch)
     assert read_csv_signal(p) == _read_checked(p)
-    assert calls == [(0, 1), (11, 1), (12, 2), (23, 1), (24, 2), (26, 4)]
+    assert calls == [(0, 2), (11, 3), (23, 8)]
+
+
+# Lines a run of refused lines is drawn from, and the faults planted in some
+# runs.  "\x1c4" is refused by int() but read as 4 line by line, so it ends
+# a run there.
+_RUN_LINES = ("", "  ", "# note", "#", "# origin=-4", " # origin= 6 ",
+              "3/4", "-5/2", "6/3", "1" * 12 + "/7", "\x1c4")
+_RUN_FAULTS = ("banana", "1/0", "# origin=x", "é", "4\xe9")
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_csv_refused_runs_across_block_ends_match_checked_path(
+        tmp_path, monkeypatch, seed):
+    """Runs of refused lines, at block sizes that end blocks anywhere in a
+    run, read as the checked path reads them; where a run holds a bad
+    sample or a non-ASCII byte, the same line and offset are named."""
+    rng = random.Random(seed)
+    p = tmp_path / "sig.csv"
+    failed = 0
+    for _ in range(150):
+        lines = []
+        for _ in range(rng.randint(1, 8)):
+            lines += rng.choices(_INT_LINES, k=rng.randint(0, 4))
+            run = rng.choices(_RUN_LINES, k=rng.randint(1, 6))
+            if rng.random() < 0.1:
+                run[rng.randrange(len(run))] = rng.choice(_RUN_FAULTS)
+            lines += run
+        newline = rng.choice(("\n", "\r\n", "\r"))
+        p.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        expected = _outcome(_read_checked, p)
+        failed += expected[0] is ValueError
+        for block in (1, 2, 3, 5, 7, 64, formats._READ_BLOCK):
+            with monkeypatch.context() as m:
+                m.setattr(formats, "_READ_BLOCK", block)
+                assert _outcome(read_csv_signal, p) == expected, (block, lines)
+    assert 10 < failed < 140
 
 
 def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
-    """A file write_csv_signal wrote sends only its header line, and a lone
-    rational in a later block only its own line, to the line-by-line
-    parser."""
+    """A file write_csv_signal wrote sends only its header line and its
+    first sample, and a lone rational in a later block only its own line
+    and the sample after it, to the line-by-line parser."""
     k = formats._READ_BLOCK // 4  # lines of five bytes or more
     samples = list(range(1000, k + 1100))
     mixed = samples[:k] + [Fraction(1, 3)] + samples[k:]
@@ -712,24 +772,26 @@ def test_csv_written_files_parse_one_line_slowly(tmp_path, monkeypatch):
     assert q.read_bytes().index(b"1/3") > formats._READ_BLOCK
     calls = _counted_parse_lines(monkeypatch)
     assert read_csv_signal(p) == (samples, -4)
-    assert calls == [(0, 1)]
+    assert calls == [(0, 2)]
     calls.clear()
     assert read_csv_signal(q) == (mixed, 7)
-    assert calls == [(0, 1), (k + 1, 1)]
+    assert calls == [(0, 2), (k + 1, 2)]
 
 
 def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
     """A file whose lines end in a lone CR reads in the same blocks as its
-    LF twin, and only its header line goes line by line.  A line that ends
-    on a block's last byte waits for the next block in the CR file, where
-    its CR could start a CRLF, so a CR chunk may start one line earlier."""
+    LF twin, and only its header line and first sample go line by line.  A
+    line that ends on a block's last byte waits for the next block in the
+    CR file, where its CR could start a CRLF, so a CR chunk may start one
+    line earlier."""
     calls = _counted_parse_lines(monkeypatch)
     chunks = {"cr": [], "lf": []}
     parse_chunk = formats._parse_chunk
 
     def counted_chunk(lines, lineno, offset, samples, origin):
-        file = "cr" if lines[0].endswith(b"\r") else "lf"
-        chunks[file].append((lineno, offset, len(lines)))
+        if lines:  # not the empty rest of a file whose last line ends in LF
+            file = "cr" if lines[0].endswith(b"\r") else "lf"
+            chunks[file].append((lineno, offset, len(lines)))
         return parse_chunk(lines, lineno, offset, samples, origin)
 
     monkeypatch.setattr(formats, "_parse_chunk", counted_chunk)
@@ -743,7 +805,7 @@ def test_csv_lone_cr_lines_are_parsed_in_chunks(tmp_path, monkeypatch):
     cr.write_bytes(text.replace("\n", "\r").encode())
     lf.write_bytes(text.encode())
     assert read_csv_signal(cr) == read_csv_signal(lf) == (walk, 3)
-    assert calls == [(0, 1), (0, 1)]  # the header line, in each file
+    assert calls == [(0, 2), (0, 2)]  # the header and a sample, in each
     blocks = -(-len(text) // formats._READ_BLOCK)
     assert blocks > 3
     assert len(chunks["lf"]) == blocks
@@ -874,5 +936,21 @@ def test_csv_writer_refusal_leaves_the_path_alone(tmp_path):
         for path in (old, missing):
             with pytest.raises(ValueError):
                 write_csv_signal(path, samples)
+    assert old.read_bytes() == before
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("origin", [True, 1.5, Fraction(3, 2), None, "7"])
+def test_csv_writer_refuses_an_origin_that_is_not_an_int(tmp_path, origin):
+    """An origin that is not an int would write a header read_csv_signal
+    refuses (``origin=True``) or reads as another value (``"7"`` as 7), so
+    it is refused before the file is opened."""
+    old, missing = tmp_path / "old.csv", tmp_path / "missing.csv"
+    write_csv_signal(old, [4, -2], origin=3)
+    before = old.read_bytes()
+    for path in (old, missing):
+        with pytest.raises(ValueError) as exc:
+            write_csv_signal(path, [1, 2], origin=origin)
+        assert str(exc.value) == f"origin must be an int, got {origin!r}"
     assert old.read_bytes() == before
     assert not missing.exists()
