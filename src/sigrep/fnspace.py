@@ -1,8 +1,10 @@
 """Function classes over finite measure spaces, and their two presentations.
 
 A function class is a pointwise map canonicalized to 0 on the largest null
-set, so equality of classes is plain tuple equality.  Values are exact
-rationals, and squared norms and inner products stay exact.
+set.  Values are exact rationals, held as one tuple of int numerators over
+one positive int denominator in lowest terms, as a space holds its weights.
+Equality of classes is tuple equality, and pointwise arithmetic, order,
+squared norms and inner products are int work with one Fraction at most.
 
 The dual presentation (:class:`DualElement`) lives on the measure algebra:
 it records one value per algebra atom, which is the same thing as the
@@ -13,8 +15,12 @@ constant on the points of every atom.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import List, Mapping, Sequence
+from itertools import compress, count
+from math import gcd, lcm
+from typing import List, Sequence
 
 from .errors import (INFINITY, NonConstantOnAtom, NotADirectSum, NotHom,
                      NotIMP, NotNonsingular, SpaceMismatch, _as_rational)
@@ -23,23 +29,39 @@ from .quotient import BooleanHom, MeasureAlgebra
 
 TAGS = ("L0", "L2")
 
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
 
 def _as_value(v) -> Fraction:
     return v if type(v) is Fraction else _as_rational(v, "function values")
 
 
+def _over_one_den(vals: tuple):
+    """Fractions as (int numerators, their lcm denominator); in lowest terms
+    because each Fraction is."""
+    den = lcm(*map(_denominator, vals))
+    return tuple(map(operator.mul, map(_numerator, vals),
+                     map(den.__floordiv__, map(_denominator, vals)))), den
+
+
 class FnClass:
     """An equivalence class of functions, stored canonically.
 
-    ``values`` is aligned with ``space.carrier.points`` and is zero at every
-    point of the largest measurable null set.  Int values are converted to
-    Fraction and any other non-Fraction value raises TypeError, as in
-    :func:`canonical_class`.  ``tag`` records which space the class is
-    considered to live in ("L0" or "L2"); it changes which maps may pull the
-    class back, not the data.
+    The value at ``space.carrier.points[i]`` is ``_nums[i] / _den``: the
+    ``_nums`` are ints, ``_den`` is a positive int, ``gcd(_den, *_nums) ==
+    1``, and ``_nums`` is 0 at every point of the largest measurable null
+    set.  ``values`` gives the same values as a tuple of Fractions, built
+    on first use; the public constructor and :func:`canonical_class` keep
+    the Fractions they were given.  Int values are converted to Fraction
+    and any other non-Fraction value raises TypeError.  ``_combine``'s
+    ``op`` acts on the numerators over a common denominator, so it fits
+    ``+ - max min`` only; ``*`` multiplies the denominators.  ``tag`` records
+    which space the class is considered to live in ("L0" or "L2"); it
+    changes which maps may pull the class back, not the data.
     """
 
-    __slots__ = ("space", "values", "tag")
+    __slots__ = ("space", "_nums", "_den", "tag", "_values")
 
     def __init__(self, space: FiniteMeasureSpace, values: Sequence[Fraction],
                  tag: str = "L0"):
@@ -53,73 +75,111 @@ class FnClass:
         if any(vals[i] != 0 for i in _bits(space.null_mask)):
             raise ValueError("values not canonical: nonzero on a null point")
         self.space = space
-        self.values = vals
+        self._nums, self._den = _over_one_den(vals)
         self.tag = tag
+        self._values = vals
 
     @classmethod
-    def _canonical(cls, space: FiniteMeasureSpace, vals: tuple,
-                   tag: str) -> "FnClass":
-        """A class from a tuple of Fractions that is already zero on the null
-        set, as pointwise arithmetic on canonical classes gives; the public
-        constructor's checks are skipped."""
+    def _reduced(cls, space: FiniteMeasureSpace, nums: tuple, den: int,
+                 tag: str) -> "FnClass":
+        """The class of ``nums`` over ``den``, which are zero on the null
+        set, as arithmetic on canonical classes gives; the common factor is
+        divided out and the public constructor's checks are skipped."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(map(g.__rfloordiv__, nums))
+            den //= g
         f = object.__new__(cls)
         f.space = space
-        f.values = vals
+        f._nums = nums
+        f._den = den
         f.tag = tag
+        f._values = None
         return f
+
+    @classmethod
+    def _canonical(cls, space: FiniteMeasureSpace, nums, den: int,
+                   tag: str) -> "FnClass":
+        """As :meth:`_reduced`, for numerators gathered from elsewhere: 0 is
+        forced on the largest null set first."""
+        nums = list(nums)
+        for i in _bits(space.null_mask):
+            nums[i] = 0
+        return cls._reduced(space, tuple(nums), den, tag)
+
+    @property
+    def values(self) -> tuple:
+        """The values as Fractions, aligned with ``space.carrier.points``."""
+        if self._values is None:
+            den = self._den
+            self._values = tuple(Fraction(n, den) for n in self._nums)
+        return self._values
 
     def value(self, label: int) -> Fraction:
         return self.values[self.space.carrier.index(label)]
 
     def support_mask(self) -> int:
-        m = 0
-        for i, v in enumerate(self.values):
-            if v != 0:
-                m |= 1 << i
-        return m
+        return sum(map((1).__lshift__, compress(count(), self._nums)))
 
     # -- pointwise arithmetic ------------------------------------------------
 
-    def _combine(self, other: "FnClass", op) -> "FnClass":
-        if not isinstance(other, FnClass):
-            return NotImplemented
+    def _tag_with(self, other: "FnClass") -> str:
+        """The tag of a pointwise result: "L2" when both operands are."""
         if self.space != other.space:
             raise SpaceMismatch("operands live over different spaces")
-        tag = self.tag if self.tag == other.tag else "L0"
-        return FnClass._canonical(
-            self.space, tuple(op(a, b) for a, b in zip(self.values, other.values)),
-            tag)
+        return self.tag if self.tag == other.tag else "L0"
+
+    def _combine(self, other: "FnClass", op) -> "FnClass":
+        """Apply ``op`` pointwise to the two numerator tuples brought over
+        one common denominator.  The result is read over that denominator,
+        so ``op`` must commute with scaling by it: + - max min, not *."""
+        if not isinstance(other, FnClass):
+            return NotImplemented
+        tag = self._tag_with(other)
+        a, b, den = self._nums, other._nums, self._den
+        if other._den != den:
+            den = lcm(den, other._den)
+            a = map((den // self._den).__mul__, a)
+            b = map((den // other._den).__mul__, b)
+        return FnClass._reduced(self.space, tuple(map(op, a, b)), den, tag)
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
+        if not isinstance(other, FnClass):
+            return NotImplemented
+        tag = self._tag_with(other)
+        return FnClass._reduced(self.space,
+                                tuple(map(operator.mul, self._nums, other._nums)),
+                                self._den * other._den, tag)
 
     def __rmul__(self, c):
         c = _as_value(c)
-        return FnClass._canonical(self.space, tuple(c * v for v in self.values),
-                                  self.tag)
+        return FnClass._reduced(self.space,
+                                tuple(map(c.numerator.__mul__, self._nums)),
+                                c.denominator * self._den, self.tag)
 
     def __neg__(self):
-        return FnClass._canonical(self.space, tuple(-v for v in self.values),
-                                  self.tag)
+        return FnClass._reduced(self.space, tuple(map(operator.neg, self._nums)),
+                                self._den, self.tag)
 
     def __abs__(self):
-        return FnClass._canonical(self.space, tuple(abs(v) for v in self.values),
-                                  self.tag)
+        return FnClass._reduced(self.space, tuple(map(abs, self._nums)),
+                                self._den, self.tag)
 
     def __eq__(self, other):
         return (isinstance(other, FnClass)
                 and self.space == other.space
-                and self.values == other.values
+                and self._den == other._den
+                and self._nums == other._nums
                 and self.tag == other.tag)
 
     def __hash__(self):
-        return hash((self.space, self.values, self.tag))
+        return hash((self.space, self._nums, self._den, self.tag))
 
     def __repr__(self):
         return f"FnClass({[str(v) for v in self.values]}, tag={self.tag})"
@@ -146,15 +206,20 @@ def canonical_class(raw, space: FiniteMeasureSpace, tag: str = "L0") -> FnClass:
         vals[i] = Fraction(0)
     if tag not in TAGS:
         raise ValueError(f"tag must be one of {TAGS}")
-    return FnClass._canonical(space, tuple(vals), tag)
+    vals = tuple(vals)
+    f = FnClass._reduced(space, *_over_one_den(vals), tag)
+    f._values = vals
+    return f
 
 
 def indicator(space: FiniteMeasureSpace, mask: int, tag: str = "L0") -> FnClass:
     """The class of the characteristic function of a measurable set."""
     if mask not in space.sigma:
         raise ValueError("indicator needs a sigma-algebra member")
-    return canonical_class([Fraction(1 if mask >> i & 1 else 0)
-                            for i in range(space.carrier.size)], space, tag)
+    if tag not in TAGS:
+        raise ValueError(f"tag must be one of {TAGS}")
+    return FnClass._canonical(space, (mask >> i & 1 for i in
+                                      range(space.carrier.size)), 1, tag)
 
 
 # ---------------------------------------------------------------- norms etc.
@@ -162,20 +227,24 @@ def indicator(space: FiniteMeasureSpace, mask: int, tag: str = "L0") -> FnClass:
 def norm2_sq(f: FnClass):
     """Exact weighted squared l2 norm; INFINITY when an infinite-weight point
     carries a nonzero value."""
-    if f.support_mask() & f.space._inf_mask:
+    sp = f.space
+    if sp._inf_mask and f.support_mask() & sp._inf_mask:
         return INFINITY
-    return sum((w * v * v for w, v in zip(f.space.weights, f.values) if v),
-               Fraction(0))
+    nums = f._nums
+    total = sum(map(operator.mul, sp._nums, map(operator.mul, nums, nums)))
+    return Fraction(total, sp._den * f._den * f._den)
 
 
 def inner(f: FnClass, g: FnClass):
     """Exact weighted inner product."""
-    if f.space != g.space:
+    sp = f.space
+    if sp != g.space:
         raise SpaceMismatch("inner product needs a common space")
-    if f.support_mask() & g.support_mask() & f.space._inf_mask:
+    if sp._inf_mask and f.support_mask() & g.support_mask() & sp._inf_mask:
         return INFINITY
-    return sum((w * a * b for w, a, b in zip(f.space.weights, f.values, g.values)
-                if a and b), Fraction(0))
+    total = sum(map(operator.mul, sp._nums,
+                    map(operator.mul, f._nums, g._nums)))
+    return Fraction(total, sp._den * f._den * g._den)
 
 
 def scale(c, f: FnClass) -> FnClass:
@@ -191,10 +260,12 @@ def inf(f: FnClass, g: FnClass) -> FnClass:
 
 
 def leq_ae(f: FnClass, g: FnClass) -> bool:
-    """Pointwise-almost-everywhere order (canonical values compare directly)."""
+    """Pointwise-almost-everywhere order (canonical values compare directly,
+    here cross-multiplied by the two positive denominators)."""
     if f.space != g.space:
         raise SpaceMismatch("order needs a common space")
-    return all(a <= b for a, b in zip(f.values, g.values))
+    return all(map(operator.le, map(g._den.__mul__, f._nums),
+                   map(f._den.__mul__, g._nums)))
 
 
 # ---------------------------------------------------------------- pullback
@@ -220,7 +291,9 @@ def pullback(phi: MeasurableMap, g: FnClass) -> FnClass:
         if not flags.is_nonsingular:
             raise NotNonsingular("an L0 class only pulls back along a "
                                  "nonsingular map")
-    return canonical_class([g.values[t] for t in phi._targets], phi.source, g.tag)
+    return FnClass._canonical(phi.source,
+                              map(g._nums.__getitem__, phi._targets),
+                              g._den, g.tag)
 
 
 # ---------------------------------------------------------------- dual side
@@ -320,15 +393,16 @@ def duality_bridge(space: FiniteMeasureSpace, f: FnClass) -> DualElement:
     if f.space != space:
         raise SpaceMismatch("class lives over a different space")
     malg = MeasureAlgebra(space)
+    nums, den = f._nums, f._den
     vals = []
     for j, pmask in enumerate(malg.atom_point_masks):
-        seen = {f.values[i] for i in _bits(pmask)}
+        seen = {nums[i] for i in _bits(pmask)}
         if len(seen) != 1:
             labels = space.carrier.labels_of(pmask)
             raise NonConstantOnAtom(
-                f"values {sorted(str(v) for v in seen)} on atom {j} "
-                f"(points {list(labels)})")
-        vals.append(seen.pop())
+                f"values {sorted(str(Fraction(n, den)) for n in seen)} on "
+                f"atom {j} (points {list(labels)})")
+        vals.append(Fraction(seen.pop(), den))
     return DualElement(malg, vals)
 
 
@@ -353,8 +427,8 @@ def split_direct_sum(f: FnClass) -> List[FnClass]:
         raise NotADirectSum("the class's space was not built by direct_sum")
     parts = []
     for comp, off in f.space.summands:
-        vals = f.values[off:off + comp.carrier.size]
-        parts.append(canonical_class(vals, comp, f.tag))
+        parts.append(FnClass._canonical(
+            comp, f._nums[off:off + comp.carrier.size], f._den, f.tag))
     return parts
 
 
@@ -366,10 +440,12 @@ def join_direct_sum(parts: Sequence[FnClass],
         raise NotADirectSum("target space was not built by direct_sum")
     if len(parts) != len(sum_space.summands):
         raise SpaceMismatch("component count mismatch")
-    vals: List[Fraction] = []
     for part, (comp, _off) in zip(parts, sum_space.summands):
         if part.space != comp:
             raise SpaceMismatch("component class over the wrong space")
-        vals.extend(part.values)
+    den = lcm(*(part._den for part in parts))
+    nums: List[int] = []
+    for part in parts:
+        nums.extend(map((den // part._den).__mul__, part._nums))
     tag = "L2" if all(part.tag == "L2" for part in parts) else "L0"
-    return canonical_class(vals, sum_space, tag)
+    return FnClass._canonical(sum_space, nums, den, tag)

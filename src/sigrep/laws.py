@@ -14,11 +14,13 @@ come in the same order.  A failure message is formatted only when its check
 fails, never for a check that passes.
 """
 
+import operator
 import random
 from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import wraps
+from math import lcm
 from typing import NamedTuple, Tuple
 
 from . import codec as codec_mod
@@ -34,7 +36,7 @@ from .measure import (FiniteCarrier, FiniteMeasureSpace, MeasurableMap,
 from .partial import (PartialInjection, compose, dagger, identity_injection,
                       l2_partial, restriction)
 from .quotient import BooleanHom, MeasureAlgebra, check_hom_laws, compose_homs, induced_hom
-from .signal import (Segment, _shift_range, compose_arrows, delta,
+from .signal import (Segment, _shift_range, _window, compose_arrows, delta,
                      detect_affine, detect_amp_affine, detect_translation,
                      identity_arrow)
 
@@ -587,20 +589,23 @@ def plant_arrow_case(rng):
 
 def _exact_candidates(f, g):
     """Brute-force count of (S, T, c) over ``STRIDES`` with zero residual and
-    c != 0."""
+    c != 0.  With G = D*g for the lcm D of g's denominators, the lookup u
+    fits exactly when uu = sum(u*u) and ug = sum(u*G) are nonzero and
+    G*uu == u*ug at every point (c = ug / (D*uu)), all in ints."""
     count = 0
     m = g.length
+    den = lcm(*(w.denominator for w in g.samples))
+    gs = [w.numerator * (den // w.denominator) for w in g.samples]
     for s in STRIDES:
         if abs(s) * (m - 1) + 1 > f.length:
             continue
         lo, hi = _shift_range(f, s, g.start, m)
         for t in range(lo, hi + 1):
-            u = [f.sample_at(s * j + t) for j in range(g.start, g.end)]
-            uu = sum(v * v for v in u)
-            if uu == 0:
-                continue
-            c = sum(v * w for v, w in zip(u, g.samples)) / uu
-            if c != 0 and all(w == c * v for v, w in zip(u, g.samples)):
+            u = _window(f.samples, s, s * g.start + t - f.start, m)
+            uu = sum(map(operator.mul, u, u))
+            ug = sum(map(operator.mul, u, gs))
+            if uu and ug and all(map(operator.eq, map(uu.__mul__, gs),
+                                     map(ug.__mul__, u))):
                 count += 1
     return count
 

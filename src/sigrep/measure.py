@@ -19,10 +19,11 @@ once, and null atoms, positive atoms and map flags are read from its
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import (INFINITY, MapNotTotal, SpaceMismatch, _as_weight,
                      _inexact, _is_int)

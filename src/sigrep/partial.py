@@ -5,10 +5,8 @@ single-valued in both directions.  Composition is relational, restriction is
 the partial identity on the domain, and the dagger reverses every pair.
 """
 
-from fractions import Fraction
-
 from .errors import SpaceMismatch
-from .fnspace import FnClass, canonical_class
+from .fnspace import FnClass
 
 
 class PartialInjection:
@@ -97,6 +95,7 @@ def l2_partial(f, g):
     _require_counting(f.source)
     _require_counting(f.target)
     fd = f.as_dict()
-    vals = [g.value(fd[p]) if p in fd else Fraction(0)
+    index, nums = f.target.carrier.index, g._nums
+    vals = [nums[index(fd[p])] if p in fd else 0
             for p in f.source.carrier.points]
-    return canonical_class(vals, f.source, "L2")
+    return FnClass._canonical(f.source, vals, g._den, "L2")

@@ -9,12 +9,13 @@ import pytest
 from sigrep import (INFINITY, BooleanHom, DualElement, FiniteCarrier,
                     FiniteMeasureSpace, FnClass, MeasurableMap,
                     MeasureAlgebra, NonConstantOnAtom, NotHom, NotIMP,
-                    NotNonsingular, SpaceMismatch, canonical_class,
-                    counting_space, covariant_l2_op, covariant_op, direct_sum,
-                    dual_norm2_sq, duality_bridge, duality_bridge_inverse,
-                    generate_sigma_algebra, indicator, inner, join_direct_sum,
-                    norm2_sq, power_set_algebra, pullback, scale,
-                    split_direct_sum)
+                    NotNonsingular, PartialInjection, SpaceMismatch,
+                    canonical_class, counting_space, covariant_l2_op,
+                    covariant_op, direct_sum, dual_norm2_sq, duality_bridge,
+                    duality_bridge_inverse, generate_sigma_algebra, indicator,
+                    inner, join_direct_sum, l2_partial, norm2_sq,
+                    power_set_algebra, pullback, scale, split_direct_sum)
+from sigrep.fnspace import TAGS
 from sigrep.fnspace import inf as fn_inf
 from sigrep.fnspace import leq_ae, sup as fn_sup
 
@@ -498,3 +499,140 @@ def test_split_requires_sum_space():
     f = canonical_class([1, 2], counting_space([0, 1]))
     with pytest.raises(NotADirectSum):
         split_direct_sum(f)
+
+
+# ---------------------------------------------------------------- int kernels
+
+
+def diff_space(rng):
+    """A random space with zero, infinite and mixed-denominator weights, on
+    the power set or on a coarser sigma-algebra."""
+    n = rng.randint(1, 6)
+    weights = [rng.choice((Fraction(0), INFINITY,
+                           Fraction(rng.randint(1, 6), rng.randint(1, 5)),
+                           Fraction(rng.randint(1, 6), rng.randint(1, 5))))
+               for _ in range(n)]
+    carrier = FiniteCarrier(sorted(rng.sample(range(12), n)))
+    if rng.random() < 0.3:
+        gens = [rng.sample(carrier.points, rng.randint(1, n))
+                for _ in range(rng.randint(1, 2))]
+        return FiniteMeasureSpace(generate_sigma_algebra(carrier, gens), weights)
+    return FiniteMeasureSpace(power_set_algebra(carrier), weights)
+
+
+def diff_values(rng, n):
+    return [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+            for _ in range(n)]
+
+
+def oracle_class(space, vals):
+    """Per-point Fractions, zero on the largest null set."""
+    return tuple(Fraction(0) if space.null_mask >> i & 1 else Fraction(v)
+                 for i, v in enumerate(vals))
+
+
+def oracle_norm_or_inner(space, a, b):
+    total = Fraction(0)
+    for w, x, y in zip(space.weights, a, b):
+        if x * y != 0:
+            if w == INFINITY:
+                return INFINITY
+            total += w * x * y
+    return total
+
+
+def assert_is_class(r, space, want, tag):
+    """r holds the values ``want`` in lowest terms, is the class every other
+    path builds from them, and hashes as that class does."""
+    assert r.space == space and r.tag == tag
+    assert r.values == want and set(map(type, r.values)) <= {Fraction}
+    assert r._den > 0 and math.gcd(r._den, *r._nums) == 1
+    assert all(type(n) is int for n in r._nums)
+    assert not any(r._nums[i] for i in range(space.carrier.size)
+                   if space.null_mask >> i & 1)
+    for other in (canonical_class(list(want), space, tag),
+                  FnClass(space, want, tag)):
+        assert other == r and hash(other) == hash(r)
+        assert (other._nums, other._den) == (r._nums, r._den)
+
+
+def test_int_kernels_match_a_fraction_oracle():
+    rng = random.Random(3407)
+    scalars = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))
+    counts = {"l2_partial": 0, "pullback": 0, "pullback_refused": 0,
+              "infinite": 0}
+    for _ in range(2000):
+        sp = diff_space(rng)
+        n = sp.carrier.size
+        tf, tg = rng.choice(TAGS), rng.choice(TAGS)
+        fv, gv = oracle_class(sp, diff_values(rng, n)), oracle_class(
+            sp, diff_values(rng, n))
+        if rng.random() < 0.2:
+            fv = oracle_class(sp, [v * 6 for v in fv])  # den 1, common factors
+        f, g = canonical_class(list(fv), sp, tf), canonical_class(gv, sp, tg)
+        both = tf if tf == tg else "L0"
+        c = rng.choice(scalars)
+        assert_is_class(f + g, sp, tuple(a + b for a, b in zip(fv, gv)), both)
+        assert_is_class(f - g, sp, tuple(a - b for a, b in zip(fv, gv)), both)
+        assert_is_class(f * g, sp, tuple(a * b for a, b in zip(fv, gv)), both)
+        assert_is_class(c * f, sp, tuple(c * a for a in fv), tf)
+        assert_is_class(scale(c, f), sp, tuple(c * a for a in fv), tf)
+        assert_is_class(-f, sp, tuple(-a for a in fv), tf)
+        assert_is_class(abs(f), sp, tuple(abs(a) for a in fv), tf)
+        assert_is_class(fn_sup(f, g), sp, tuple(map(max, fv, gv)), both)
+        assert_is_class(fn_inf(f, g), sp, tuple(map(min, fv, gv)), both)
+        # classes built by different paths are equal and hash equal
+        for r, want in (((f + g) - g, f), (f - f, 0 * g), (-(-f), f),
+                        (abs(f) * abs(f), f * f)):
+            assert r == FnClass(sp, want.values, r.tag) and hash(r) == hash(
+                FnClass(sp, want.values, r.tag))
+        assert leq_ae(f, g) == all(a <= b for a, b in zip(fv, gv))
+        assert leq_ae(fn_inf(f, g), f) and leq_ae(f, fn_sup(f, g))
+        assert f.support_mask() == sum(1 << i for i, a in enumerate(fv) if a)
+        for got, want in ((norm2_sq(f), oracle_norm_or_inner(sp, fv, fv)),
+                          (inner(f, g), oracle_norm_or_inner(sp, fv, gv))):
+            assert type(got) is type(want) and got == want
+            counts["infinite"] += got is INFINITY
+        # pullback along a map from a random source space
+        src = diff_space(rng) if rng.random() < 0.7 else counting_space(
+            range(rng.randint(1, 5)))
+        positive = [p for p, w in zip(sp.carrier.points, sp.weights) if w]
+        phi = MeasurableMap(src, sp, {
+            p: rng.choice(positive if w and positive and rng.random() < 0.9
+                          else sp.carrier.points)
+            for p, w in zip(src.carrier.points, src.weights)})
+        flags = phi.flags
+        if flags.is_imp or (tf == "L0" and flags.is_nonsingular):
+            want = oracle_class(src, [fv[sp.carrier.index(phi(p))]
+                                      for p in src.carrier.points])
+            assert_is_class(pullback(phi, f), src, want, tf)
+            counts["pullback"] += 1
+        else:
+            with pytest.raises((NotNonsingular, NotIMP)):
+                pullback(phi, f)
+            counts["pullback_refused"] += 1
+        # direct sums: split, and join back
+        comps = [sp] + [diff_space(rng) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(comps)
+        total, _ = direct_sum(comps)
+        hv = oracle_class(total, diff_values(rng, total.carrier.size))
+        h = canonical_class(hv, total, tf)
+        parts = split_direct_sum(h)
+        for part, (comp, off) in zip(parts, total.summands):
+            assert_is_class(part, comp,
+                            oracle_class(comp, hv[off:off + comp.carrier.size]), tf)
+        assert join_direct_sum(parts, total) == h
+        # l2 transport along a random partial injection of counting spaces
+        a, b = (counting_space(sorted(rng.sample(range(8), rng.randint(1, 5))))
+                for _ in range(2))
+        k = rng.randint(0, min(a.carrier.size, b.carrier.size))
+        pinj = PartialInjection(a, b, zip(rng.sample(a.carrier.points, k),
+                                          rng.sample(b.carrier.points, k)))
+        bv = oracle_class(b, diff_values(rng, b.carrier.size))
+        fd = pinj.as_dict()
+        want = tuple(bv[b.carrier.index(fd[p])] if p in fd else Fraction(0)
+                     for p in a.carrier.points)
+        assert_is_class(l2_partial(pinj, canonical_class(bv, b, "L2")), a,
+                        want, "L2")
+        counts["l2_partial"] += 1
+    assert min(counts.values()) >= 200, counts

@@ -20,6 +20,7 @@ import random
 import re
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from sigrep.measure import (FiniteMeasureSpace, MeasurableMap, SigmaAlgebra,
                             _bits)
 from sigrep.partial import PartialInjection
 from sigrep.quotient import BooleanHom, MeasureAlgebra
+from sigrep.signal import Segment, _shift_range
 
 SEED = 0
 INSTANCES = 25
@@ -231,7 +233,7 @@ def sign_of_class_dropped(scale):
 def product_plus_square(mul):
     """x * y adds x * x."""
     def wrong(self, other):
-        return self._combine(other, lambda a, b: a * b + a * a)
+        return mul(self, other) + mul(self, self)
     return wrong
 
 
@@ -557,3 +559,59 @@ def test_measure_algebra_suite_calls_once_per_distinct_argument(monkeypatch):
     assert laws.suite_measure_algebra(random.Random(2), INSTANCES).ok
     assert {name for name, _, _ in calls} == {"project", "mu_bar"}
     assert max(calls.values()) == 1
+
+
+def fraction_candidates(f, g):
+    """``laws._exact_candidates`` as first written: the least-squares
+    amplitude of each lookup as a Fraction, checked at every point."""
+    count = 0
+    m = g.length
+    for s in laws.STRIDES:
+        if abs(s) * (m - 1) + 1 > f.length:
+            continue
+        lo, hi = _shift_range(f, s, g.start, m)
+        for t in range(lo, hi + 1):
+            u = [f.sample_at(s * j + t) for j in range(g.start, g.end)]
+            uu = sum(v * v for v in u)
+            if uu == 0:
+                continue
+            c = sum(v * w for v, w in zip(u, g.samples)) / uu
+            if c != 0 and all(w == c * v for v, w in zip(u, g.samples)):
+                count += 1
+    return count
+
+
+def test_int_detection_oracle_matches_the_fraction_one():
+    """Planted amplitudes 0, +-1/2, +-1, +-2, 3 and 3/2, plants that fit
+    more than one lookup, and random rational targets."""
+    rng = random.Random(5077)
+    amps = [Fraction(a) for a in (0, 1, -1, 2, -2, 3)] + [
+        Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+    kinds = Counter()
+    for case in range(20000):
+        stride = rng.choice(laws.STRIDES)
+        m = rng.randint(1, 4)
+        length = abs(stride) * (m - 1) + 1 + rng.randint(0, 3)
+        start = rng.randint(-5, 5)
+        if case % 3 == 1:  # periodic or sparse: several lookups fit
+            period = rng.randint(1, 3)
+            motif = [rng.choice((0, 0, 1, -2, 3)) for _ in range(period)]
+            samples = [motif[i % period] for i in range(length)]
+        else:
+            samples = [rng.randint(-6, 6) for _ in range(length)]
+        f = Segment(start, start + length, samples)
+        t_start = rng.randint(-5, 5)
+        if case % 3 == 2:
+            g = Segment(t_start, t_start + m,
+                        [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         for _ in range(m)])
+        else:
+            lo, hi = _shift_range(f, stride, t_start, m)
+            shift, c = rng.randint(lo, hi), rng.choice(amps)
+            g = Segment(t_start, t_start + m,
+                        [c * f.sample_at(stride * j + shift)
+                         for j in range(t_start, t_start + m)])
+        want = fraction_candidates(f, g)
+        assert laws._exact_candidates(f, g) == want, (f, g)
+        kinds[min(want, 2)] += 1
+    assert min(kinds[0], kinds[1], kinds[2]) >= 1000, kinds
